@@ -94,10 +94,12 @@ class Regime(str, enum.Enum):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Computable distance bounds plus the regime rate envelope at (R, d)."""
+    """Computable distance bounds, the effective width behind them, and the
+    regime rate envelope at (R, d)."""
 
     R: float
     d: int
+    width: float
     wasserstein_bound_width: float
     wasserstein_bound_integrals: float
     kolmogorov_bound: float
@@ -373,6 +375,7 @@ def rate_envelope(d, R, threshold: float = 0.0, dim_cutoff: int = 50,
     return BoundReport(
         R=R,
         d=d,
+        width=ints.width,
         wasserstein_bound_width=wb_width,
         wasserstein_bound_integrals=wb_ints,
         kolmogorov_bound=kolmogorov_bound(wb_width),

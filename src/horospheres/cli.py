@@ -351,7 +351,7 @@ def _cmd_bounds(args) -> None:
                 {
                     "d": d,
                     "R": R,
-                    "width": analysis.effective_width(R, d),
+                    "width": report.width,
                     "wasserstein_bound_width": report.wasserstein_bound_width,
                     "wasserstein_bound_integrals": report.wasserstein_bound_integrals,
                     "kolmogorov_bound": report.kolmogorov_bound,
@@ -383,8 +383,13 @@ def _cmd_verify_clt(args) -> None:
 
     target = 1.0 if model == "euclidean" else 0.5
     allowance = 1.5 / math.sqrt(n)
+    # every radius must be feasible before any moments are computed: a radius
+    # past the count cap can also be past the range of the linear moments
+    configs = [SimConfig(d=d, R=R, replications=n, seed=seed) for R in radii]
+    for cfg in configs:
+        sampling.check_feasible(cfg, euclidean.FLAT if model == "euclidean" else sampling.HYPERBOLIC)
     rows = []
-    for R in radii:
+    for R, cfg in zip(radii, configs):
         if model == "euclidean":
             center = math.exp(euclidean.log_mean(R, d))
             scale = math.exp(0.5 * euclidean.variance_closed(R, d))
@@ -394,7 +399,6 @@ def _cmd_verify_clt(args) -> None:
             center = m.mean
             scale = m.sd
             bound = analysis.wasserstein_bound_width(R, d)
-        cfg = SimConfig(d=d, R=R, replications=n, seed=seed)
         results = _sim_module(model).simulate_batch(cfg, threads=threads)
         totals = np.array([r.total_area for r in results])
         summary = empirical.summarize(totals, target, center=center, scale=scale)

@@ -1,31 +1,22 @@
 """Stationary isotropic Poisson hyperplanes in Euclidean space.
 
 The flat comparison model: closed-form variance, fourth cumulant, and
-Wasserstein bound from gamma ratios, plus an exact simulator whose cost does
+Wasserstein bound from gamma ratios.  Simulation runs on the shared sampler
+of :mod:`horospheres.sampling` with the :data:`FLAT` model, whose cost does
 not grow with the dimension.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import HorosphereParam, LOG_ZERO, log_unit_ball_volume
+from .geometry import LOG_ZERO, check_dimension, log_unit_ball_volume
 from .quadrature import quad_log_integral
-from .sampling import (
-    FeasibilityError,
-    Realization,
-    SimConfig,
-    _poisson_log_sum,
-    _resolve_threads,
-    _sample_directions,
-    replication_stream,
-    sample_poisson_count,
-)
+from .sampling import Model, Realization, SimConfig, _simulate
 from .special import log_gamma
 
 __all__ = [
@@ -40,22 +31,13 @@ __all__ = [
     "wasserstein_bound",
     "normalized_rate_constant",
     "euclid_moments",
+    "FLAT",
     "simulate_total_area",
     "simulate_batch",
 ]
 
 _LN2 = math.log(2.0)
 _LOG_PI = math.log(math.pi)
-_LOG_MAX_DOUBLE = math.log(np.finfo(float).max)
-
-
-def _check_dim(d) -> int:
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
-        raise ValueError(f"dimension must be an integer, got {d!r}")
-    d = int(d)
-    if d < 1:
-        raise ValueError(f"dimension must be at least 1, got {d}")
-    return d
 
 
 def _check_radius(R) -> float:
@@ -86,7 +68,7 @@ class EuclidBound(NamedTuple):
 def log_section_area(s, R, d):
     """log area of the slab a hyperplane at signed distance s cuts out of the
     ball of radius R.  Array-compatible in ``s``; -inf outside (-R, R)."""
-    d = _check_dim(d)
+    d = check_dimension(d, minimum=1)
     R = _check_radius(R)
     arr = np.asarray(s, dtype=float)
     scalar = arr.ndim == 0
@@ -104,7 +86,7 @@ def log_section_area(s, R, d):
 def variance_closed(R, d) -> float:
     """log of the closed-form variance,
     pi^(d-1/2) Gamma(d) R^(2d-1) / (Gamma((d+1)/2)^2 Gamma(d+1/2))."""
-    d = _check_dim(d)
+    d = check_dimension(d, minimum=1)
     R = _check_radius(R)
     return (
         (d - 0.5) * _LOG_PI
@@ -118,7 +100,7 @@ def variance_closed(R, d) -> float:
 def fourth_cumulant_closed(R, d) -> float:
     """log of the closed-form fourth cumulant,
     pi^(2d-3/2) Gamma(2d-1) R^(4d-3) / (Gamma((d+1)/2)^4 Gamma(2d-1/2))."""
-    d = _check_dim(d)
+    d = check_dimension(d, minimum=1)
     R = _check_radius(R)
     return (
         (2 * d - 1.5) * _LOG_PI
@@ -131,7 +113,7 @@ def fourth_cumulant_closed(R, d) -> float:
 
 def variance_direct(R, d, rel_tol: float = 1e-12) -> float:
     """log variance by direct quadrature of the squared section area."""
-    d = _check_dim(d)
+    d = check_dimension(d, minimum=1)
     R = _check_radius(R)
     return _LN2 + quad_log_integral(
         lambda s: 2.0 * log_section_area(s, R, d), 0.0, R, rel_tol=rel_tol
@@ -140,7 +122,7 @@ def variance_direct(R, d, rel_tol: float = 1e-12) -> float:
 
 def fourth_cumulant_direct(R, d, rel_tol: float = 1e-12) -> float:
     """log fourth cumulant by direct quadrature of the fourth power."""
-    d = _check_dim(d)
+    d = check_dimension(d, minimum=1)
     R = _check_radius(R)
     return _LN2 + quad_log_integral(
         lambda s: 4.0 * log_section_area(s, R, d), 0.0, R, rel_tol=rel_tol
@@ -149,7 +131,7 @@ def fourth_cumulant_direct(R, d, rel_tol: float = 1e-12) -> float:
 
 def log_mean(R, d, rel_tol: float = 1e-12) -> float:
     """log of the expected total section area, by quadrature."""
-    d = _check_dim(d)
+    d = check_dimension(d, minimum=1)
     R = _check_radius(R)
     return _LN2 + quad_log_integral(
         lambda s: log_section_area(s, R, d), 0.0, R, rel_tol=rel_tol
@@ -160,7 +142,7 @@ def wasserstein_bound(R, d) -> EuclidBound:
     """Exact gamma-ratio Wasserstein bound,
     (2/pi^{1/4}) (Gamma(d+1/2)/Gamma(d)) sqrt(Gamma(2d-1)/Gamma(2d-1/2)) R^{-1/2},
     together with the normalization value*sqrt(R)/d^{1/4}."""
-    d = _check_dim(d)
+    d = check_dimension(d, minimum=1)
     R = _check_radius(R)
     log_bound = (
         _LN2
@@ -184,7 +166,7 @@ def euclid_moments(R, d) -> EuclidMoments:
     bound = wasserstein_bound(R, d)
     return EuclidMoments(
         R=float(R),
-        d=_check_dim(d),
+        d=check_dimension(d, minimum=1),
         log_variance=variance_closed(R, d),
         log_cum4=fourth_cumulant_closed(R, d),
         wass_bound=bound.value,
@@ -192,56 +174,20 @@ def euclid_moments(R, d) -> EuclidMoments:
     )
 
 
+FLAT = Model(
+    # intensity mass exactly 2R under the normalized sphere measure, distance uniform on (-R, R)
+    log_mass=lambda R, d: math.log(2.0 * R),
+    distance=lambda u, R, d: (2.0 * u - 1.0) * R,
+    log_area=lambda s, R, d: log_section_area(s, R, d),
+)
+
+
 def simulate_total_area(cfg: SimConfig, replication_index: int) -> Realization:
-    """One replication of the flat-model total section area.
-
-    The hitting intensity mass is exactly 2R under the normalized sphere
-    measure, so the cost is dimension-free.  Draw order is count, then
-    signed distances, then directions, matching the hyperbolic sampler.
-    """
-    mass = 2.0 * cfg.R
-    if mass > cfg.count_cap:
-        raise FeasibilityError(
-            f"expected count {mass:.6g} exceeds the count cap {cfg.count_cap:g}",
-            log_expected_count=math.log(mass),
-            cap=float(cfg.count_cap),
-        )
-    rng = replication_stream(cfg.seed, replication_index)
-    n = sample_poisson_count(mass, rng, cap=cfg.count_cap)
-
-    def draw(k: int) -> np.ndarray:
-        s = (2.0 * rng.random(k) - 1.0) * cfg.R
-        return log_section_area(s, cfg.R, cfg.d)
-
-    points = None
-    if cfg.record_points:
-        if n > 0:
-            s = (2.0 * rng.random(n) - 1.0) * cfg.R
-            logs = log_section_area(s, cfg.R, cfg.d)
-            m = float(np.max(logs))
-            log_total = m + math.log(float(np.sum(np.exp(logs - m)))) if m > LOG_ZERO else LOG_ZERO
-            dirs = _sample_directions(n, cfg.d, rng)
-            points = tuple(
-                HorosphereParam(float(si), tuple(float(c) for c in di)) for si, di in zip(s, dirs)
-            )
-        else:
-            log_total = LOG_ZERO
-            points = ()
-    else:
-        log_total = _poisson_log_sum(n, draw)
-    return Realization(
-        total_area=math.exp(log_total) if log_total < _LOG_MAX_DOUBLE else math.inf,
-        log_total_area=log_total,
-        count=n,
-        points=points,
-    )
+    """One replication of the flat-model total section area, on its own stream."""
+    index = int(replication_index)
+    return _simulate(cfg, FLAT, range(index, index + 1))[0]
 
 
 def simulate_batch(cfg: SimConfig, threads=None) -> list[Realization]:
     """All flat-model replications, deterministic for any thread count."""
-    workers = _resolve_threads(threads)
-    indices = range(cfg.replications)
-    if workers <= 1:
-        return [simulate_total_area(cfg, i) for i in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda i: simulate_total_area(cfg, i), indices))
+    return _simulate(cfg, FLAT, range(cfg.replications), threads)

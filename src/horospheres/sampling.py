@@ -1,8 +1,11 @@
 """Exact simulation of the horosphere process restricted to a centered ball.
 
-Every replication owns a counter-based random stream derived from
-(seed, replication index), so batch output is a pure function of the
-configuration no matter how the work is scheduled across threads.
+One vectorized sampler serves both geometric models.  A :class:`Model` gives
+the log hitting mass, the uniform-to-distance map and the log area per hit
+(:data:`HYPERBOLIC` here, ``FLAT`` in :mod:`horospheres.euclidean`).  Each
+replication draws its count and uniforms from its own counter-based stream
+keyed by (index, seed); many replications share a hit block reduced by one
+segmented log-sum-exp, so output does not depend on blocks or threads.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,6 +23,8 @@ from .geometry import HorosphereParam, LOG_ZERO, check_dimension, log_chord_area
 __all__ = [
     "FeasibilityError",
     "MassOverflowError",
+    "Model",
+    "HYPERBOLIC",
     "SimConfig",
     "Realization",
     "hitting_mass",
@@ -27,6 +33,7 @@ __all__ = [
     "sample_direction",
     "sample_poisson_count",
     "replication_stream",
+    "check_feasible",
     "simulate_total_area",
     "simulate_batch",
 ]
@@ -35,6 +42,9 @@ _LN2 = math.log(2.0)
 _SEED_LIMIT = 1 << 64
 _LOG_MAX_DOUBLE = math.log(np.finfo(float).max)
 _CHUNK = 1 << 20
+# hits per vectorized block: per-hit ufunc cost rises once a block's
+# temporaries no longer fit in cache
+_BLOCK = 1 << 13
 # rng.random can return exactly 0.0, which the strict inverse CDF rejects;
 # clamping to half the smallest regular draw keeps every uniform in (0, 1)
 _MIN_U = 2.0**-54
@@ -80,8 +90,8 @@ class SimConfig:
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "record_points", bool(self.record_points))
         object.__setattr__(self, "count_cap", int(self.count_cap))
-        if not self.R > 0:
-            raise ValueError(f"R must be positive, got {self.R!r}")
+        if not 0 < self.R < math.inf:
+            raise ValueError(f"R must be finite and positive, got {self.R!r}")
         if self.replications < 1:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
         if not 0 <= self.seed < _SEED_LIMIT:
@@ -180,92 +190,136 @@ def replication_stream(seed: int, index: int):
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + int(index)))
 
 
-def _check_feasible(log_mass: float, cap: int) -> None:
-    if log_mass > math.log(cap):
-        if log_mass < _LOG_MAX_DOUBLE:
-            expected = f"{math.exp(log_mass):.6g}"
-        else:
-            expected = f"exp({log_mass:.6g})"
-        raise FeasibilityError(
-            f"expected hitting count {expected} exceeds the count cap {cap:g}; "
-            "use the analytic routines for this regime",
-            log_expected_count=log_mass,
-            cap=float(cap),
-        )
+class Model(NamedTuple):
+    """A geometric model as the sampler sees it, each callable taking (R, d) last: log expected hit
+    count; uniforms in [0, 1) to signed distances (may overwrite them); distances to log areas."""
+
+    log_mass: Callable[[float, int], float]
+    distance: Callable[[np.ndarray, float, int], np.ndarray]
+    log_area: Callable[[np.ndarray, float, int], np.ndarray]
 
 
-def _poisson_log_sum(n: int, draw_log_values) -> float:
-    """Chunked log-sum-exp accumulation over n sampled contributions."""
-    log_total = LOG_ZERO
-    done = 0
-    while done < n:
-        k = min(_CHUNK, n - done)
-        logs = draw_log_values(k)
-        m = float(np.max(logs))
-        if m > LOG_ZERO:
-            chunk = m + math.log(float(np.sum(np.exp(logs - m))))
-            log_total = float(np.logaddexp(log_total, chunk))
-        done += k
-    return log_total
+# the lambdas look functions up per call, so a rebound module name (tracing) still applies
+HYPERBOLIC = Model(
+    log_mass=log_hitting_mass,
+    distance=lambda u, R, d: sample_signed_distance(R, d, np.maximum(u, _MIN_U, out=u)),
+    log_area=lambda s, R, d: log_chord_area(s, R, d),
+)
+
+
+def check_feasible(cfg: SimConfig, model: Model = HYPERBOLIC) -> float:
+    """log expected hit count per replication; FeasibilityError past the cap."""
+    log_mass = model.log_mass(cfg.R, cfg.d)
+    if log_mass > math.log(cfg.count_cap):
+        expected = f"{math.exp(log_mass):.6g}" if log_mass < _LOG_MAX_DOUBLE else f"exp({log_mass:.6g})"
+        raise FeasibilityError(f"expected hitting count {expected} exceeds the count cap {cfg.count_cap:g}; "
+                               "use the analytic routines for this regime", log_mass, float(cfg.count_cap))
+    return log_mass
+
+
+def _segment_log_sums(logs: np.ndarray, starts) -> np.ndarray:
+    """log of the sum of exp(logs) over each segment beginning at ``starts``."""
+    m = np.maximum.reduceat(logs, starts)
+    # a segment whose hits all have zero area keeps its -inf total
+    shift = np.where(m > LOG_ZERO, m, 0.0)
+    sums = np.add.reduceat(np.exp(logs - np.repeat(shift, np.diff(starts, append=logs.size))), starts)
+    return shift + np.log(sums, out=np.full_like(sums, LOG_ZERO), where=sums > 0.0)
+
+
+def _replication_streams(seed: int):
+    """``stream(index)`` is ``replication_stream(seed, index)``: one reused Philox re-keyed
+    to [index, seed] with counter 0 and an empty buffer, cheaper than a new one."""
+    bits = np.random.Philox(0)
+    gen = np.random.Generator(bits)
+    key = np.array([0, seed], dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": key},
+             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def stream(index: int):
+        key[0] = index
+        bits.state = state
+        return gen
+
+    return stream
+
+
+def _simulate_range(cfg: SimConfig, model: Model, indices: range, mean: float):
+    """Hit counts and log totals of the replications ``indices``.  Uniforms fill a
+    hit block, transformed and reduced at once when full.  A replication never
+    straddles two blocks, and one larger than a block is reduced alone in
+    ``_CHUNK``-sized pieces: memory stays bounded and each result depends on
+    its own stream only."""
+    R, d = cfg.R, cfg.d
+    stream = _replication_streams(cfg.seed)
+    counts, log_totals = [], np.full(len(indices), LOG_ZERO)
+    block = np.empty(_BLOCK)
+    rows, starts, pos = [], [], 0
+
+    def add_hits(u, at_rows, at_starts):
+        logs = model.log_area(model.distance(u, R, d), R, d)
+        log_totals[at_rows] = np.logaddexp(log_totals[at_rows], _segment_log_sums(logs, at_starts))
+
+    for row, index in enumerate(indices):
+        gen = stream(index)
+        n = sample_poisson_count(mean, gen)
+        counts.append(n)
+        if n > _BLOCK:
+            for done in range(0, n, _CHUNK):
+                add_hits(gen.random(min(_CHUNK, n - done)), [row], [0])
+        elif n > 0:
+            if pos + n > _BLOCK:
+                add_hits(block[:pos], rows, starts)
+                rows, starts, pos = [], [], 0
+            gen.random(n, out=block[pos:pos + n])
+            rows.append(row)
+            starts.append(pos)
+            pos += n
+    if rows:
+        add_hits(block[:pos], rows, starts)
+    return counts, log_totals.tolist()
+
+
+def _replayed_points(gen, cfg: SimConfig, model: Model, mean: float) -> tuple[HorosphereParam, ...]:
+    """One replication's horospheres, redrawn from its stream in the sampler's
+    order (count, uniforms, then directions), so recording never changes totals."""
+    n = sample_poisson_count(mean, gen)
+    s = model.distance(gen.random(n), cfg.R, cfg.d)
+    dirs = _sample_directions(n, cfg.d, gen)
+    return tuple(HorosphereParam(float(si), tuple(float(c) for c in di)) for si, di in zip(s, dirs))
+
+
+def _simulate(cfg: SimConfig, model: Model, indices: range, threads=None) -> list[Realization]:
+    """The shared sampler: replications ``indices`` of ``model``, in order.
+    Workers get contiguous index ranges, so any thread count gives the same bits."""
+    if indices and not 0 <= indices[0] <= indices[-1] < _SEED_LIMIT:
+        raise ValueError("replication index must be a 64-bit unsigned integer")
+    workers = int(os.environ.get(THREADS_ENV_VAR) or 1) if threads is None else int(threads)
+    if workers < 1:
+        raise ValueError(f"thread count must be at least 1, got {workers}")
+    mean = math.exp(check_feasible(cfg, model))
+    step = -(-len(indices) // workers)
+    ranges = [indices[i:i + step] for i in range(0, len(indices), step)]
+    if len(ranges) > 1:
+        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+            parts = list(pool.map(lambda r: _simulate_range(cfg, model, r, mean), ranges))
+    else:
+        parts = [_simulate_range(cfg, model, indices, mean)]
+    counts = [n for part, _ in parts for n in part]
+    log_totals = [lt for _, part in parts for lt in part]
+    stream = _replication_streams(cfg.seed) if cfg.record_points else None
+    return [
+        Realization(math.exp(lt) if lt < _LOG_MAX_DOUBLE else math.inf, lt, n,
+                    None if stream is None else _replayed_points(stream(index), cfg, model, mean))
+        for index, n, lt in zip(indices, counts, log_totals)
+    ]
 
 
 def simulate_total_area(cfg: SimConfig, replication_index: int) -> Realization:
-    """One replication of the total cap area, on its own random stream.
-
-    Draw order is fixed as count, then signed distances, then directions, so
-    enabling ``record_points`` never changes the sampled total.
-    """
-    lm = log_hitting_mass(cfg.R, cfg.d)
-    _check_feasible(lm, cfg.count_cap)
-    rng = replication_stream(cfg.seed, replication_index)
-    n = sample_poisson_count(math.exp(lm), rng, cap=cfg.count_cap)
-
-    def draw(k: int) -> np.ndarray:
-        u = np.maximum(rng.random(k), _MIN_U)
-        s = sample_signed_distance(cfg.R, cfg.d, u)
-        return log_chord_area(s, cfg.R, cfg.d)
-
-    points = None
-    if cfg.record_points:
-        if n > 0:
-            u = np.maximum(rng.random(n), _MIN_U)
-            s = sample_signed_distance(cfg.R, cfg.d, u)
-            logs = log_chord_area(s, cfg.R, cfg.d)
-            m = float(np.max(logs))
-            log_total = m + math.log(float(np.sum(np.exp(logs - m)))) if m > LOG_ZERO else LOG_ZERO
-            dirs = _sample_directions(n, cfg.d, rng)
-            points = tuple(
-                HorosphereParam(float(si), tuple(float(c) for c in di)) for si, di in zip(s, dirs)
-            )
-        else:
-            log_total = LOG_ZERO
-            points = ()
-    else:
-        log_total = _poisson_log_sum(n, draw)
-    return Realization(
-        total_area=math.exp(log_total) if log_total < _LOG_MAX_DOUBLE else math.inf,
-        log_total_area=log_total,
-        count=n,
-        points=points,
-    )
-
-
-def _resolve_threads(threads) -> int:
-    if threads is None:
-        env = os.environ.get(THREADS_ENV_VAR)
-        threads = int(env) if env else 1
-    threads = int(threads)
-    if threads < 1:
-        raise ValueError(f"thread count must be at least 1, got {threads}")
-    return threads
+    """One replication of the total cap area, on its own random stream."""
+    index = int(replication_index)
+    return _simulate(cfg, HYPERBOLIC, range(index, index + 1))[0]
 
 
 def simulate_batch(cfg: SimConfig, threads=None) -> list[Realization]:
     """All replications, in index order, bit-identical for any thread count."""
-    _check_feasible(log_hitting_mass(cfg.R, cfg.d), cfg.count_cap)
-    workers = _resolve_threads(threads)
-    indices = range(cfg.replications)
-    if workers <= 1:
-        return [simulate_total_area(cfg, i) for i in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda i: simulate_total_area(cfg, i), indices))
+    return _simulate(cfg, HYPERBOLIC, range(cfg.replications), threads)

@@ -230,6 +230,14 @@ def test_bounds_csv_format(capsys):
     assert float(cells[2]) == pytest.approx(analysis.effective_width(5.0, 3), rel=1e-12)
 
 
+def test_bounds_width_is_the_report_width(capsys):
+    code, out = _run(capsys, ["bounds", "--d-grid", "3,50", "--R-rule", "fixed:4"])
+    assert code == 0
+    for row in json.loads(out)["rows"]:
+        report = analysis.rate_envelope(row["d"], 4.0)
+        assert row["width"] == report.width == analysis.effective_width(4.0, row["d"])
+
+
 def test_bounds_euclidean_columns(capsys):
     code, out = _run(
         capsys,
@@ -294,6 +302,26 @@ def test_verify_clt_euclidean_target(capsys):
 def test_verify_clt_infeasible_exits_2(capsys):
     code = main(["verify-clt", "--d", "2", "--R-list", "30", "--n", "10", "--seed", "0"])
     assert code == 2
+
+
+def test_verify_clt_infeasible_radius_checked_before_moments(capsys):
+    # at R = 800 the linear moments overflow; the count cap must stop it first
+    code = main(["verify-clt", "--d", "2", "--R-list", "800", "--n", "10", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("horospheres: infeasible: ")
+
+
+@pytest.mark.parametrize("model", ["hyperbolic", "euclidean"])
+@pytest.mark.parametrize("radius", ["inf", "nan"])
+def test_simulate_non_finite_radius_is_usage_error(capsys, model, radius):
+    argv = ["simulate", "--model", model, "--d", "2", "--R", radius, "--n", "3", "--seed", "1"]
+    assert main(argv) == 64
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"horospheres: error: R must be finite and positive, got {radius}"]
 
 
 def test_render_writes_deterministic_svg(tmp_path, capsys):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from horospheres import euclidean, sampling
+from horospheres.geometry import log_chord_area
 from horospheres.sampling import (
     FeasibilityError,
     MassOverflowError,
@@ -242,3 +244,84 @@ def test_realization_is_frozen():
     r = Realization(total_area=1.0, log_total_area=0.0, count=1)
     with pytest.raises(Exception):
         r.count = 2
+
+
+@pytest.mark.parametrize("seed", [0, 20260821, 2**63, 2**64 - 1])
+def test_rekeyed_stream_matches_fresh_stream(seed):
+    # one reused generator, re-keyed per replication, must replay the exact
+    # draws of a freshly built replication_stream, also after earlier draws
+    stream = sampling._replication_streams(seed)
+    for index in (0, 1, 2**63 + 5, 0, 2**64 - 1):
+        for mean in (3.25, 2981.0):
+            fresh = replication_stream(seed, index)
+            reused = stream(index)
+            assert reused.poisson(mean) == fresh.poisson(mean)
+            assert np.array_equal(reused.random(37), fresh.random(37))
+
+
+# (d, R, replications) per model: zero-hit replications (R = 0.01), several
+# replications per hit block, and replications larger than one block
+_BLOCK_CASES = {
+    "hyperbolic": (sampling, [(2, 0.01, 200), (2, 8.0, 12), (2, 9.2, 3)]),
+    "euclidean": (euclidean, [(2, 0.01, 200), (3, 1500.0, 12), (3, 4500.0, 3)]),
+}
+
+
+def _bits(results):
+    return [(r.count, r.log_total_area, r.total_area) for r in results]
+
+
+@pytest.mark.parametrize("model", sorted(_BLOCK_CASES))
+def test_batch_single_and_threads_bit_identical_across_blocks(model):
+    module, cases = _BLOCK_CASES[model]
+    counts = []
+    for d, R, n in cases:
+        cfg = SimConfig(d=d, R=R, replications=n, seed=5)
+        batch = _bits(module.simulate_batch(cfg, threads=1))
+        assert batch == _bits([module.simulate_total_area(cfg, i) for i in range(n)])
+        assert batch == _bits(module.simulate_batch(cfg, threads=3))
+        counts += [c for c, _, _ in batch]
+    assert 0 in counts
+    assert max(counts) > sampling._BLOCK
+
+
+@pytest.mark.parametrize("model", sorted(_BLOCK_CASES))
+def test_small_blocks_and_chunks_keep_counts_and_determinism(model, monkeypatch):
+    # a tiny block and chunk put zero-hit replications, replications filling
+    # a block to its boundary and multi-chunk replications into one batch
+    module = _BLOCK_CASES[model][0]
+    cfg = SimConfig(d=2, R=1.5, replications=300, seed=11)
+    want = _bits(module.simulate_batch(cfg))
+    monkeypatch.setattr(sampling, "_BLOCK", 8)
+    monkeypatch.setattr(sampling, "_CHUNK", 4)
+    got = _bits(module.simulate_batch(cfg, threads=1))
+    counts = [c for c, _, _ in got]
+    assert counts == [c for c, _, _ in want]
+    assert 0 in counts and max(counts) > 8
+    # chunked reduction only reorders the sum of a large replication
+    assert np.allclose([t for _, t, _ in got], [t for _, t, _ in want], rtol=0.0, atol=1e-13)
+    assert got == _bits(module.simulate_batch(cfg, threads=3))
+    assert got == _bits([module.simulate_total_area(cfg, i) for i in range(300)])
+
+
+@pytest.mark.parametrize("model", sorted(_BLOCK_CASES))
+def test_batch_matches_per_replication_reference(model):
+    # the definition, one replication at a time: count, then uniforms, from
+    # the replication's own stream, and a plain log-sum-exp of the hit areas
+    module = _BLOCK_CASES[model][0]
+    flat = model == "euclidean"
+    cfg = SimConfig(d=3, R=1.5, replications=200, seed=2**63 + 9)
+    mass = 3.0 if flat else hitting_mass(1.5, 3)
+    got = module.simulate_batch(cfg)
+    for index, r in enumerate(got):
+        rng = replication_stream(cfg.seed, index)
+        n = rng.poisson(mass)
+        u = rng.random(n)
+        if flat:
+            logs = euclidean.log_section_area((2.0 * u - 1.0) * cfg.R, cfg.R, cfg.d)
+        else:
+            s = sample_signed_distance(cfg.R, cfg.d, np.maximum(u, 2.0**-54))
+            logs = log_chord_area(s, cfg.R, cfg.d)
+        assert r.count == n
+        want = float(np.logaddexp.reduce(logs)) if n else -math.inf
+        assert r.log_total_area == pytest.approx(want, rel=0.0, abs=1e-13)
