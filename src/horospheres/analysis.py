@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import check_dimension, log_chord_area, log_sinh, log_unit_ball_volume
+from .geometry import check_dimension, check_radius, log_chord_area, log_sinh, log_unit_ball_volume
 from .quadrature import quad_log_integral
 from .special import log_bessel_k0
 
@@ -127,9 +127,7 @@ def effective_width(R, d, rel_tol: float = _DEFAULT_TOL) -> float:
     integrand is computed from sinh products so it stays accurate near s = R.
     """
     d = check_dimension(d, minimum=1)
-    if not R > 0:
-        raise ValueError(f"R must be positive, got {R!r}")
-    R = float(R)
+    R = check_radius(R)
     half_ls = float(log_sinh(0.5 * R))
 
     def log_f(s):
@@ -141,9 +139,7 @@ def effective_width(R, d, rel_tol: float = _DEFAULT_TOL) -> float:
 def integrals(R, d, rel_tol: float = _DEFAULT_TOL) -> IntegralSet:
     """The three one-sided moment integrals and the effective width at (R, d)."""
     d = check_dimension(d)
-    if not R > 0:
-        raise ValueError(f"R must be positive, got {R!r}")
-    R = float(R)
+    R = check_radius(R)
     p = 0.5 * (d - 1)
 
     log_i1 = quad_log_integral(lambda s: p * (_log_cosh_gap(s, R) - s), 0.0, R, rel_tol=rel_tol)
@@ -191,9 +187,7 @@ def variance_direct(R, d, rel_tol: float = _DEFAULT_TOL) -> float:
     """log variance from the two-sided integral of the squared cap area
     against the intensity, independent of the one-sided route."""
     d = check_dimension(d)
-    if not R > 0:
-        raise ValueError(f"R must be positive, got {R!r}")
-    R = float(R)
+    R = check_radius(R)
     return quad_log_integral(
         lambda s: 2.0 * log_chord_area(s, R, d) - (d - 1.0) * s, -R, R, rel_tol=rel_tol
     )
@@ -210,9 +204,7 @@ def width_scale(R, d) -> WidthScale:
     """Scale parameter of the substituted width integral, with the companion
     exponential whose ratio to it tends to 1 as R grows."""
     d = check_dimension(d, minimum=1)
-    if not R > 0:
-        raise ValueError(f"R must be positive, got {R!r}")
-    R = float(R)
+    R = check_radius(R)
     return WidthScale(
         value=math.sinh(0.5 * R) / math.sqrt(d),
         companion=0.5 * math.exp(0.5 * (R - math.log(d))),
@@ -227,8 +219,6 @@ def width_substituted(R, d, rel_tol: float = _DEFAULT_TOL) -> float:
     Must agree with :func:`effective_width` to quadrature accuracy.
     """
     d = check_dimension(d)
-    if not R > 0:
-        raise ValueError(f"R must be positive, got {R!r}")
     rho = width_scale(R, d).value
 
     def log_f(x):
@@ -355,9 +345,7 @@ def rate_envelope(d, R, threshold: float = 0.0, dim_cutoff: int = 50,
     a labeling heuristic for tables.
     """
     d = check_dimension(d)
-    if not R > 0:
-        raise ValueError(f"R must be positive, got {R!r}")
-    R = float(R)
+    R = check_radius(R)
     gap = R - math.log(d)
     boundary = abs(gap - threshold) <= 1e-9
     if gap <= threshold:

@@ -2,8 +2,7 @@
 
 Every command echoes its resolved configuration into the output file, so any
 emitted artifact can be reproduced from itself.  Outputs are byte-stable for
-a fixed flag set; thread count changes wall time only and is therefore kept
-out of the echo, and wall-clock timestamps appear only under ``--stamp``.
+a fixed flag set; wall-clock timestamps appear only under ``--stamp``.
 
 Exit codes: 0 success, 2 infeasible simulation, 3 quadrature failure,
 64 usage error, 74 I/O error.
@@ -251,16 +250,15 @@ def _sim_module(model: str):
 
 
 def _cmd_simulate(args) -> None:
-    raw = _merged(args, ("model", "d", "R", "n", "seed", "threads"))
+    raw = _merged(args, ("model", "d", "R", "n", "seed"))
     model = _as_choice(raw.get("model", "hyperbolic"), "model", ("hyperbolic", "euclidean"))
     d = _as_int(_require(raw, "d"), "d")
     R = _as_float(_require(raw, "R"), "R")
     n = _as_int(_require(raw, "n"), "n")
     seed = _as_int(_require(raw, "seed"), "seed")
-    threads = _as_int(raw["threads"], "threads") if "threads" in raw else None
 
     cfg = SimConfig(d=d, R=R, replications=n, seed=seed)
-    results = _sim_module(model).simulate_batch(cfg, threads=threads)
+    results = _sim_module(model).simulate_batch(cfg)
 
     totals = np.array([r.total_area for r in results])
     summary = {
@@ -373,13 +371,12 @@ def _cmd_bounds(args) -> None:
 
 
 def _cmd_verify_clt(args) -> None:
-    raw = _merged(args, ("model", "d", "R_list", "n", "seed", "threads"))
+    raw = _merged(args, ("model", "d", "R_list", "n", "seed"))
     model = _as_choice(raw.get("model", "hyperbolic"), "model", ("hyperbolic", "euclidean"))
     d = _as_int(_require(raw, "d"), "d")
     radii = _as_float_list(_require(raw, "R_list"), "R-list")
     n = _as_int(_require(raw, "n"), "n")
     seed = _as_int(_require(raw, "seed"), "seed")
-    threads = _as_int(raw["threads"], "threads") if "threads" in raw else None
 
     target = 1.0 if model == "euclidean" else 0.5
     allowance = 1.5 / math.sqrt(n)
@@ -399,7 +396,7 @@ def _cmd_verify_clt(args) -> None:
             center = m.mean
             scale = m.sd
             bound = analysis.wasserstein_bound_width(R, d)
-        results = _sim_module(model).simulate_batch(cfg, threads=threads)
+        results = _sim_module(model).simulate_batch(cfg)
         totals = np.array([r.total_area for r in results])
         summary = empirical.summarize(totals, target, center=center, scale=scale)
         rows.append(
@@ -493,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--R", help="ball radius")
     sim.add_argument("--n", help="number of replications")
     sim.add_argument("--seed", help="base seed for the replication streams")
-    sim.add_argument("--threads", help="worker threads (wall time only)")
     _add_common(sim)
     sim.set_defaults(func=_cmd_simulate)
 
@@ -524,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--R-list", dest="R_list", help="comma-separated radii")
     ver.add_argument("--n", help="replications per radius")
     ver.add_argument("--seed")
-    ver.add_argument("--threads")
     _add_common(ver)
     ver.set_defaults(func=_cmd_verify_clt)
 

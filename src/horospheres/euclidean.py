@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import LOG_ZERO, check_dimension, log_unit_ball_volume
+from .geometry import LOG_ZERO, check_dimension, check_radius, log_unit_ball_volume
 from .quadrature import quad_log_integral
 from .sampling import Model, Realization, SimConfig, _simulate
 from .special import log_gamma
@@ -40,12 +40,6 @@ _LN2 = math.log(2.0)
 _LOG_PI = math.log(math.pi)
 
 
-def _check_radius(R) -> float:
-    if not R > 0:
-        raise ValueError(f"R must be positive, got {R!r}")
-    return float(R)
-
-
 @dataclass(frozen=True)
 class EuclidMoments:
     """Closed-form moments and bound for the flat model at (R, d)."""
@@ -69,7 +63,7 @@ def log_section_area(s, R, d):
     """log area of the slab a hyperplane at signed distance s cuts out of the
     ball of radius R.  Array-compatible in ``s``; -inf outside (-R, R)."""
     d = check_dimension(d, minimum=1)
-    R = _check_radius(R)
+    R = check_radius(R)
     arr = np.asarray(s, dtype=float)
     scalar = arr.ndim == 0
     sv = np.atleast_1d(arr)
@@ -87,7 +81,7 @@ def variance_closed(R, d) -> float:
     """log of the closed-form variance,
     pi^(d-1/2) Gamma(d) R^(2d-1) / (Gamma((d+1)/2)^2 Gamma(d+1/2))."""
     d = check_dimension(d, minimum=1)
-    R = _check_radius(R)
+    R = check_radius(R)
     return (
         (d - 0.5) * _LOG_PI
         + log_gamma(float(d))
@@ -101,7 +95,7 @@ def fourth_cumulant_closed(R, d) -> float:
     """log of the closed-form fourth cumulant,
     pi^(2d-3/2) Gamma(2d-1) R^(4d-3) / (Gamma((d+1)/2)^4 Gamma(2d-1/2))."""
     d = check_dimension(d, minimum=1)
-    R = _check_radius(R)
+    R = check_radius(R)
     return (
         (2 * d - 1.5) * _LOG_PI
         + log_gamma(2.0 * d - 1.0)
@@ -114,7 +108,7 @@ def fourth_cumulant_closed(R, d) -> float:
 def variance_direct(R, d, rel_tol: float = 1e-12) -> float:
     """log variance by direct quadrature of the squared section area."""
     d = check_dimension(d, minimum=1)
-    R = _check_radius(R)
+    R = check_radius(R)
     return _LN2 + quad_log_integral(
         lambda s: 2.0 * log_section_area(s, R, d), 0.0, R, rel_tol=rel_tol
     )
@@ -123,7 +117,7 @@ def variance_direct(R, d, rel_tol: float = 1e-12) -> float:
 def fourth_cumulant_direct(R, d, rel_tol: float = 1e-12) -> float:
     """log fourth cumulant by direct quadrature of the fourth power."""
     d = check_dimension(d, minimum=1)
-    R = _check_radius(R)
+    R = check_radius(R)
     return _LN2 + quad_log_integral(
         lambda s: 4.0 * log_section_area(s, R, d), 0.0, R, rel_tol=rel_tol
     )
@@ -132,7 +126,7 @@ def fourth_cumulant_direct(R, d, rel_tol: float = 1e-12) -> float:
 def log_mean(R, d, rel_tol: float = 1e-12) -> float:
     """log of the expected total section area, by quadrature."""
     d = check_dimension(d, minimum=1)
-    R = _check_radius(R)
+    R = check_radius(R)
     return _LN2 + quad_log_integral(
         lambda s: log_section_area(s, R, d), 0.0, R, rel_tol=rel_tol
     )
@@ -143,7 +137,7 @@ def wasserstein_bound(R, d) -> EuclidBound:
     (2/pi^{1/4}) (Gamma(d+1/2)/Gamma(d)) sqrt(Gamma(2d-1)/Gamma(2d-1/2)) R^{-1/2},
     together with the normalization value*sqrt(R)/d^{1/4}."""
     d = check_dimension(d, minimum=1)
-    R = _check_radius(R)
+    R = check_radius(R)
     log_bound = (
         _LN2
         - 0.25 * _LOG_PI
@@ -188,6 +182,6 @@ def simulate_total_area(cfg: SimConfig, replication_index: int) -> Realization:
     return _simulate(cfg, FLAT, range(index, index + 1))[0]
 
 
-def simulate_batch(cfg: SimConfig, threads=None) -> list[Realization]:
-    """All flat-model replications, deterministic for any thread count."""
-    return _simulate(cfg, FLAT, range(cfg.replications), threads)
+def simulate_batch(cfg: SimConfig) -> list[Realization]:
+    """All flat-model replications, in index order; replication k is the same in any batch."""
+    return _simulate(cfg, FLAT, range(cfg.replications))

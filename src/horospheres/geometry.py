@@ -20,6 +20,7 @@ __all__ = [
     "HorosphereParam",
     "EuclideanCircle",
     "check_dimension",
+    "check_radius",
     "log_sinh",
     "log_unit_ball_volume",
     "log_chord_area",
@@ -38,6 +39,14 @@ def check_dimension(d, minimum: int = 2) -> int:
     if d < minimum:
         raise ValueError(f"dimension must be at least {minimum}, got {d}")
     return d
+
+
+def check_radius(R) -> float:
+    """Validate a ball radius, finite and positive, and return it as a float."""
+    R = float(R)
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"R must be finite and positive, got {R!r}")
+    return R
 
 
 def log_sinh(x):
@@ -99,9 +108,7 @@ def log_chord_area(s, R, d):
     2 sinh((R+s)/2) sinh((R-s)/2), which stays accurate out to |s| = R.
     """
     d = check_dimension(d)
-    if not R > 0:
-        raise ValueError(f"R must be positive, got {R!r}")
-    R = float(R)
+    R = check_radius(R)
     arr = np.asarray(s, dtype=float)
     scalar = arr.ndim == 0
     sv = np.atleast_1d(arr)

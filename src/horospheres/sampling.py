@@ -5,20 +5,18 @@ the log hitting mass, the uniform-to-distance map and the log area per hit
 (:data:`HYPERBOLIC` here, ``FLAT`` in :mod:`horospheres.euclidean`).  Each
 replication draws its count and uniforms from its own counter-based stream
 keyed by (index, seed); many replications share a hit block reduced by one
-segmented log-sum-exp, so output does not depend on blocks or threads.
+segmented log-sum-exp, so replication k is the same in every batch.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import HorosphereParam, LOG_ZERO, check_dimension, log_chord_area, log_sinh
+from .geometry import HorosphereParam, LOG_ZERO, check_dimension, check_radius, log_chord_area, log_sinh
 
 __all__ = [
     "FeasibilityError",
@@ -48,7 +46,6 @@ _BLOCK = 1 << 13
 # rng.random can return exactly 0.0, which the strict inverse CDF rejects;
 # clamping to half the smallest regular draw keeps every uniform in (0, 1)
 _MIN_U = 2.0**-54
-THREADS_ENV_VAR = "HOROSPHERES_THREADS"
 
 
 class FeasibilityError(RuntimeError):
@@ -85,13 +82,11 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "d", check_dimension(self.d))
-        object.__setattr__(self, "R", float(self.R))
+        object.__setattr__(self, "R", check_radius(self.R))
         object.__setattr__(self, "replications", int(self.replications))
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "record_points", bool(self.record_points))
         object.__setattr__(self, "count_cap", int(self.count_cap))
-        if not 0 < self.R < math.inf:
-            raise ValueError(f"R must be finite and positive, got {self.R!r}")
         if self.replications < 1:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
         if not 0 <= self.seed < _SEED_LIMIT:
@@ -113,9 +108,7 @@ class Realization:
 def log_hitting_mass(R, d) -> float:
     """log of the expected number of horospheres meeting the ball of radius R."""
     d = check_dimension(d)
-    if not R > 0:
-        raise ValueError(f"R must be positive, got {R!r}")
-    a = (d - 1.0) * float(R)
+    a = (d - 1.0) * check_radius(R)
     return float(log_sinh(a)) + _LN2 - math.log(d - 1.0)
 
 
@@ -138,9 +131,7 @@ def sample_signed_distance(R, d, U):
     several hundred.  Array-compatible in ``U``.
     """
     d = check_dimension(d)
-    if not R > 0:
-        raise ValueError(f"R must be positive, got {R!r}")
-    R = float(R)
+    R = check_radius(R)
     arr = np.asarray(U, dtype=float)
     scalar = arr.ndim == 0
     uv = np.atleast_1d(arr)
@@ -243,13 +234,26 @@ def _replication_streams(seed: int):
     return stream
 
 
-def _simulate_range(cfg: SimConfig, model: Model, indices: range, mean: float):
-    """Hit counts and log totals of the replications ``indices``.  Uniforms fill a
-    hit block, transformed and reduced at once when full.  A replication never
-    straddles two blocks, and one larger than a block is reduced alone in
-    ``_CHUNK``-sized pieces: memory stays bounded and each result depends on
-    its own stream only."""
+def _replayed_points(gen, cfg: SimConfig, model: Model, mean: float) -> tuple[HorosphereParam, ...]:
+    """One replication's horospheres, redrawn from its stream in the sampler's
+    order (count, uniforms, then directions), so recording never changes totals."""
+    n = sample_poisson_count(mean, gen)
+    s = model.distance(gen.random(n), cfg.R, cfg.d)
+    dirs = _sample_directions(n, cfg.d, gen)
+    return tuple(HorosphereParam(float(si), tuple(float(c) for c in di)) for si, di in zip(s, dirs))
+
+
+def _simulate(cfg: SimConfig, model: Model, indices: range) -> list[Realization]:
+    """The shared sampler: replications ``indices`` of ``model``, in order.
+
+    Uniforms fill a hit block, transformed and reduced at once when full.  A
+    replication never straddles two blocks, and one larger than a block is
+    reduced alone in ``_CHUNK``-sized pieces: memory stays bounded and each
+    result depends on its own stream only."""
+    if indices and not 0 <= indices[0] <= indices[-1] < _SEED_LIMIT:
+        raise ValueError("replication index must be a 64-bit unsigned integer")
     R, d = cfg.R, cfg.d
+    mean = math.exp(check_feasible(cfg, model))
     stream = _replication_streams(cfg.seed)
     counts, log_totals = [], np.full(len(indices), LOG_ZERO)
     block = np.empty(_BLOCK)
@@ -276,41 +280,10 @@ def _simulate_range(cfg: SimConfig, model: Model, indices: range, mean: float):
             pos += n
     if rows:
         add_hits(block[:pos], rows, starts)
-    return counts, log_totals.tolist()
-
-
-def _replayed_points(gen, cfg: SimConfig, model: Model, mean: float) -> tuple[HorosphereParam, ...]:
-    """One replication's horospheres, redrawn from its stream in the sampler's
-    order (count, uniforms, then directions), so recording never changes totals."""
-    n = sample_poisson_count(mean, gen)
-    s = model.distance(gen.random(n), cfg.R, cfg.d)
-    dirs = _sample_directions(n, cfg.d, gen)
-    return tuple(HorosphereParam(float(si), tuple(float(c) for c in di)) for si, di in zip(s, dirs))
-
-
-def _simulate(cfg: SimConfig, model: Model, indices: range, threads=None) -> list[Realization]:
-    """The shared sampler: replications ``indices`` of ``model``, in order.
-    Workers get contiguous index ranges, so any thread count gives the same bits."""
-    if indices and not 0 <= indices[0] <= indices[-1] < _SEED_LIMIT:
-        raise ValueError("replication index must be a 64-bit unsigned integer")
-    workers = int(os.environ.get(THREADS_ENV_VAR) or 1) if threads is None else int(threads)
-    if workers < 1:
-        raise ValueError(f"thread count must be at least 1, got {workers}")
-    mean = math.exp(check_feasible(cfg, model))
-    step = -(-len(indices) // workers)
-    ranges = [indices[i:i + step] for i in range(0, len(indices), step)]
-    if len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(pool.map(lambda r: _simulate_range(cfg, model, r, mean), ranges))
-    else:
-        parts = [_simulate_range(cfg, model, indices, mean)]
-    counts = [n for part, _ in parts for n in part]
-    log_totals = [lt for _, part in parts for lt in part]
-    stream = _replication_streams(cfg.seed) if cfg.record_points else None
     return [
         Realization(math.exp(lt) if lt < _LOG_MAX_DOUBLE else math.inf, lt, n,
-                    None if stream is None else _replayed_points(stream(index), cfg, model, mean))
-        for index, n, lt in zip(indices, counts, log_totals)
+                    _replayed_points(stream(index), cfg, model, mean) if cfg.record_points else None)
+        for index, n, lt in zip(indices, counts, log_totals.tolist())
     ]
 
 
@@ -320,6 +293,6 @@ def simulate_total_area(cfg: SimConfig, replication_index: int) -> Realization:
     return _simulate(cfg, HYPERBOLIC, range(index, index + 1))[0]
 
 
-def simulate_batch(cfg: SimConfig, threads=None) -> list[Realization]:
-    """All replications, in index order, bit-identical for any thread count."""
-    return _simulate(cfg, HYPERBOLIC, range(cfg.replications), threads)
+def simulate_batch(cfg: SimConfig) -> list[Realization]:
+    """All replications, in index order; replication k is the same in any batch."""
+    return _simulate(cfg, HYPERBOLIC, range(cfg.replications))

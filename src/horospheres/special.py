@@ -1,8 +1,8 @@
-"""Hand-rolled special functions: log-gamma and error functions, with log K0.
+"""Special functions: log-gamma and the error functions from the standard
+library, plus log K0 by quadrature.
 
-Everything here is double precision and dependency-free beyond numpy; the
-error functions are vectorized because the empirical-distance routines call
-them on full Monte Carlo samples.
+The error functions apply ``math.erf``/``math.erfc`` elementwise because the
+empirical-distance routines call them on full Monte Carlo samples.
 """
 
 from __future__ import annotations
@@ -15,101 +15,33 @@ from .quadrature import quad_log_integral
 
 __all__ = ["log_gamma", "erf", "erfc", "log_bessel_k0"]
 
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-_ERF_SPLIT = 2.5
-_ERF_SERIES_TERMS = 64
-_ERFC_CF_DEPTH = 80
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-_ONE_OVER_SQRT_PI = 1.0 / math.sqrt(math.pi)
-
 
 def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0.
-
-    Lanczos approximation (g = 7, nine coefficients), with the reflection
-    formula covering 0 < x < 0.5.
-    """
+    """Natural log of the gamma function for x > 0."""
     if not x > 0:
         raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    x = float(x)
-    if x < 0.5:
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    y = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (y + i)
-    t = y + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (y + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(float(x))
 
 
-def _erf_series(t):
-    # erf(t) = (2/sqrt(pi)) e^{-t^2} sum_k 2^k t^{2k+1} / (1*3*...*(2k+1))
-    term = t.astype(float).copy()
-    acc = term.copy()
-    two_t_sq = 2.0 * t * t
-    for k in range(1, _ERF_SERIES_TERMS):
-        term = term * two_t_sq / (2.0 * k + 1.0)
-        acc = acc + term
-    return _TWO_OVER_SQRT_PI * np.exp(-t * t) * acc
+_ERF = np.frompyfunc(math.erf, 1, 1)
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
-def _erfc_cf(t):
-    # Laplace continued fraction: sqrt(pi) e^{t^2} erfc(t) =
-    # 1/(t + (1/2)/(t + 1/(t + (3/2)/(t + ...)))), evaluated backward.
-    f = t.astype(float).copy()
-    for m in range(_ERFC_CF_DEPTH, 0, -1):
-        f = t + (0.5 * m) / f
-    return _ONE_OVER_SQRT_PI * np.exp(-t * t) / f
+def _elementwise(ufunc, x):
+    # a float for a scalar, else a float array of the input's shape
+    arr = np.asarray(x, dtype=float)
+    out = ufunc(arr)
+    return float(out) if arr.ndim == 0 else out.astype(float)
 
 
 def erf(x):
-    """Error function, vectorized over numpy arrays."""
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    v = np.atleast_1d(arr)
-    a = np.abs(v)
-    out = np.empty_like(a)
-    small = a < _ERF_SPLIT
-    if np.any(small):
-        out[small] = _erf_series(a[small])
-    large = ~small
-    if np.any(large):
-        out[large] = 1.0 - _erfc_cf(a[large])
-    out = np.where(v < 0, -out, out)
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    """Error function, elementwise over numpy arrays."""
+    return _elementwise(_ERF, x)
 
 
 def erfc(x):
-    """Complementary error function, accurate in both tails."""
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    v = np.atleast_1d(arr)
-    out = np.empty_like(v)
-    upper = v >= _ERF_SPLIT
-    lower = v <= -_ERF_SPLIT
-    mid = ~(upper | lower)
-    if np.any(upper):
-        out[upper] = _erfc_cf(v[upper])
-    if np.any(lower):
-        out[lower] = 2.0 - _erfc_cf(-v[lower])
-    if np.any(mid):
-        vm = v[mid]
-        s = _erf_series(np.abs(vm))
-        out[mid] = 1.0 - np.where(vm < 0, -s, s)
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    """Complementary error function, elementwise; accurate in both tails."""
+    return _elementwise(_ERFC, x)
 
 
 def log_bessel_k0(z: float) -> float:

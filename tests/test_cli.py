@@ -98,11 +98,32 @@ def test_simulate_row_values_match_library(capsys):
         assert float(row[2]) == r.total_area
 
 
-def test_simulate_threads_do_not_change_bytes(capsys):
-    argv = ["simulate", "--d", "3", "--R", "2", "--n", "8", "--seed", "5"]
-    _, one = _run(capsys, argv + ["--threads", "1"])
-    _, four = _run(capsys, argv + ["--threads", "4"])
-    assert one == four
+def test_simulate_rows_are_a_prefix_of_a_larger_run(capsys):
+    argv = ["simulate", "--d", "3", "--R", "2", "--seed", "5", "--n"]
+    _, small = _run(capsys, argv + ["8"])
+    _, again = _run(capsys, argv + ["8"])
+    _, large = _run(capsys, argv + ["16"])
+    assert small == again
+    assert small.splitlines()[1:-1] == large.splitlines()[1:10]
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify-clt"])
+def test_threads_flag_is_usage_error(capsys, command):
+    radius = ["--R", "2"] if command == "simulate" else ["--R-list", "2"]
+    argv = [command, "--d", "2", *radius, "--n", "4", "--seed", "1", "--threads", "2"]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_threads_config_key_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d = 2\nR = 2\nn = 4\nseed = 1\nthreads = 2\n")
+    assert main(["simulate", "--config", str(cfg)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["horospheres: error: unknown config key 'threads'"]
 
 
 def test_simulate_infeasible_exits_2(capsys):
@@ -322,6 +343,20 @@ def test_simulate_non_finite_radius_is_usage_error(capsys, model, radius):
     assert main(argv) == 64
     lines = capsys.readouterr().err.splitlines()
     assert lines == [f"horospheres: error: R must be finite and positive, got {radius}"]
+
+
+@pytest.mark.parametrize("model", ["hyperbolic", "euclidean"])
+@pytest.mark.parametrize("radius", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["moments", "bounds"])
+def test_analytic_non_finite_radius_is_usage_error(capsys, command, model, radius):
+    if command == "moments":
+        argv = ["moments", "--model", model, "--d", "3", "--R", radius]
+    else:
+        argv = ["bounds", "--model", model, "--d-grid", "3,4", "--R-rule", f"fixed:{radius}"]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"horospheres: error: R must be finite and positive, got {radius}"]
 
 
 def test_render_writes_deterministic_svg(tmp_path, capsys):

@@ -114,13 +114,14 @@ def test_euclid_moments_bundle():
     assert em.wass_bound == pytest.approx(wasserstein_bound(2.0, 3).value, rel=1e-14)
 
 
-def test_simulate_deterministic_and_thread_invariant():
+def test_simulate_deterministic_and_batch_invariant():
     cfg = SimConfig(d=5, R=3.0, replications=10, seed=17)
-    one = simulate_batch(cfg, threads=1)
-    many = simulate_batch(cfg, threads=6)
+    batch = simulate_batch(cfg)
+    larger = simulate_batch(SimConfig(d=5, R=3.0, replications=16, seed=17))
     again = [simulate_total_area(cfg, i) for i in range(10)]
-    assert [r.total_area for r in one] == [r.total_area for r in many]
-    assert [r.total_area for r in one] == [r.total_area for r in again]
+    assert [r.total_area for r in batch] == [r.total_area for r in larger[:10]]
+    assert [r.total_area for r in batch] == [r.total_area for r in again]
+    assert [r.total_area for r in batch] == [r.total_area for r in simulate_batch(cfg)]
 
 
 def test_simulate_count_tracks_mass():

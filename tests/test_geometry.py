@@ -7,6 +7,7 @@ from horospheres.geometry import (
     EuclideanCircle,
     HorosphereParam,
     check_dimension,
+    check_radius,
     horocycle_disc_embedding,
     log_chord_area,
     log_sinh,
@@ -27,6 +28,20 @@ def test_check_dimension_rejects_bad_values():
     for bad in (2.5, "3", True):
         with pytest.raises((TypeError, ValueError)):
             check_dimension(bad)
+
+
+def test_check_radius_accepts_finite_positive_values():
+    assert check_radius(2) == 2.0 and isinstance(check_radius(2), float)
+    assert check_radius(np.float64(1e-300)) == 1e-300
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_check_radius_rejects_bad_values(bad):
+    with pytest.raises(ValueError, match="R must be finite and positive"):
+        check_radius(bad)
+    # every R-taking routine goes through the same check
+    with pytest.raises(ValueError, match="R must be finite and positive"):
+        log_chord_area(0.0, bad, 3)
 
 
 def test_log_sinh_moderate():

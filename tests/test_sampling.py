@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -197,21 +198,31 @@ def test_batch_matches_single_replications():
     assert [r.count for r in batch] == [r.count for r in singles]
 
 
-def test_batch_thread_count_is_invisible():
+def _bits(results):
+    return [(r.count, r.log_total_area, r.total_area) for r in results]
+
+
+def _larger_batch_prefix(module, cfg):
+    larger = dataclasses.replace(cfg, replications=cfg.replications + 7)
+    return _bits(module.simulate_batch(larger))[:cfg.replications]
+
+
+def _split_batch(module, cfg):
+    # the same replications as two batches: the second packs its hit blocks
+    # from a different starting replication
+    model = euclidean.FLAT if module is euclidean else sampling.HYPERBOLIC
+    k = cfg.replications // 2 + 1
+    head = sampling._simulate(cfg, model, range(k))
+    return _bits(head + sampling._simulate(cfg, model, range(k, cfg.replications)))
+
+
+@pytest.mark.parametrize("model", ["hyperbolic", "euclidean"])
+def test_batch_is_the_prefix_of_a_larger_batch(model):
+    module = euclidean if model == "euclidean" else sampling
     cfg = SimConfig(d=3, R=2.5, replications=12, seed=31)
-    one = simulate_batch(cfg, threads=1)
-    many = simulate_batch(cfg, threads=8)
-    assert [r.total_area for r in one] == [r.total_area for r in many]
-    assert [r.log_total_area for r in one] == [r.log_total_area for r in many]
-
-
-def test_batch_thread_env_default(monkeypatch):
-    cfg = SimConfig(d=2, R=1.0, replications=3, seed=1)
-    monkeypatch.setenv("HOROSPHERES_THREADS", "4")
-    via_env = simulate_batch(cfg)
-    monkeypatch.delenv("HOROSPHERES_THREADS")
-    plain = simulate_batch(cfg)
-    assert [r.total_area for r in via_env] == [r.total_area for r in plain]
+    batch = _bits(module.simulate_batch(cfg))
+    assert batch == _larger_batch_prefix(module, cfg)
+    assert batch == _split_batch(module, cfg)
 
 
 def test_feasibility_error_carries_diagnostics():
@@ -267,19 +278,16 @@ _BLOCK_CASES = {
 }
 
 
-def _bits(results):
-    return [(r.count, r.log_total_area, r.total_area) for r in results]
-
-
 @pytest.mark.parametrize("model", sorted(_BLOCK_CASES))
-def test_batch_single_and_threads_bit_identical_across_blocks(model):
+def test_batch_singles_and_prefix_bit_identical_across_blocks(model):
     module, cases = _BLOCK_CASES[model]
     counts = []
     for d, R, n in cases:
         cfg = SimConfig(d=d, R=R, replications=n, seed=5)
-        batch = _bits(module.simulate_batch(cfg, threads=1))
+        batch = _bits(module.simulate_batch(cfg))
         assert batch == _bits([module.simulate_total_area(cfg, i) for i in range(n)])
-        assert batch == _bits(module.simulate_batch(cfg, threads=3))
+        assert batch == _larger_batch_prefix(module, cfg)
+        assert batch == _split_batch(module, cfg)
         counts += [c for c, _, _ in batch]
     assert 0 in counts
     assert max(counts) > sampling._BLOCK
@@ -294,13 +302,14 @@ def test_small_blocks_and_chunks_keep_counts_and_determinism(model, monkeypatch)
     want = _bits(module.simulate_batch(cfg))
     monkeypatch.setattr(sampling, "_BLOCK", 8)
     monkeypatch.setattr(sampling, "_CHUNK", 4)
-    got = _bits(module.simulate_batch(cfg, threads=1))
+    got = _bits(module.simulate_batch(cfg))
     counts = [c for c, _, _ in got]
     assert counts == [c for c, _, _ in want]
     assert 0 in counts and max(counts) > 8
     # chunked reduction only reorders the sum of a large replication
     assert np.allclose([t for _, t, _ in got], [t for _, t, _ in want], rtol=0.0, atol=1e-13)
-    assert got == _bits(module.simulate_batch(cfg, threads=3))
+    assert got == _larger_batch_prefix(module, cfg)
+    assert got == _split_batch(module, cfg)
     assert got == _bits([module.simulate_total_area(cfg, i) for i in range(300)])
 
 

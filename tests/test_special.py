@@ -80,3 +80,28 @@ def test_log_bessel_k0_large_argument_asymptotics():
 def test_log_bessel_k0_rejects_nonpositive():
     with pytest.raises(ValueError):
         log_bessel_k0(0.0)
+
+
+def test_error_functions_match_mpmath_oracle():
+    # 40-digit mpmath on [-6, 26]; erfc(26) is near 1e-296, deep in the tail
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.concatenate([np.linspace(-6.0, 26.0, 641), [-1e-8, 1e-300, 0.0, 2.5, 25.999]])
+    got_erf, got_erfc = erf(xs), erfc(xs)
+    with mpmath.workdps(40):
+        for x, e, ec in zip(xs, got_erf, got_erfc):
+            want_erfc = mpmath.erfc(mpmath.mpf(float(x)))
+            assert abs(ec - want_erfc) <= 1e-14 * abs(want_erfc), x
+            if x != 0.0:
+                want_erf = mpmath.erf(mpmath.mpf(float(x)))
+                assert abs(e - want_erf) <= 1e-14 * abs(want_erf), x
+
+
+def test_log_gamma_matches_mpmath_oracle():
+    # the reflection region x < 0.5, the minimum near 1.46 and x up to 1e4
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.concatenate([[1e-300, 1e-8, 0.1, 0.25, 0.49], np.linspace(0.5, 3.0, 51), np.geomspace(3.0, 1e4, 60)])
+    with mpmath.workdps(40):
+        for x in xs:
+            want = mpmath.loggamma(mpmath.mpf(float(x)))
+            # absolute near the zeros at 1 and 2, relative elsewhere
+            assert abs(log_gamma(x) - want) <= 1e-14 * max(1.0, abs(want)), x
