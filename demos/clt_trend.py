@@ -9,8 +9,6 @@ limit law is centered Gaussian with variance 1/2.  The Kolmogorov distance
 to that target shrinks as R grows while the sample variance stays near 1.
 """
 
-import numpy as np
-
 from horospheres import analysis, empirical
 from horospheres.sampling import SimConfig, simulate_batch
 
@@ -21,8 +19,7 @@ seed = 7
 print("R    d_kol(target 1/2)   d_wass1   sample var   bound")
 for R in (2.0, 4.0, 6.0, 8.0):
     m = analysis.moments(R, d)
-    sims = simulate_batch(SimConfig(d=d, R=R, replications=n, seed=seed))
-    totals = np.array([r.total_area for r in sims])
+    totals = simulate_batch(SimConfig(d=d, R=R, replications=n, seed=seed)).totals
     summary = empirical.summarize(totals, 0.5, center=m.mean, scale=m.sd)
     bound = analysis.wasserstein_bound_width(R, d)
     print(

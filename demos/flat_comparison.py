@@ -10,10 +10,8 @@ limit.  No variance splits off, so the target is N(0, 1) here.
 
 import math
 
-import numpy as np
-
 from horospheres import empirical, euclidean
-from horospheres.sampling import SimConfig
+from horospheres.sampling import SimConfig, simulate_batch
 
 # the d=2, R=1 moments come out as simple fractions
 print("d=2, R=1 variance:", math.exp(euclidean.variance_closed(1.0, 2)), "= 16/3")
@@ -28,8 +26,7 @@ print(f"limit    {target:.6f}")
 
 # a quick empirical check of the standard-Gaussian limit
 R, d, n = 50.0, 2, 20000
-sims = euclidean.simulate_batch(SimConfig(d=d, R=R, replications=n, seed=11))
-totals = np.array([r.total_area for r in sims])
+totals = simulate_batch(SimConfig(d=d, R=R, replications=n, seed=11), euclidean.FLAT).totals
 center = math.exp(euclidean.log_mean(R, d))
 scale = math.exp(0.5 * euclidean.variance_closed(R, d))
 summary = empirical.summarize(totals, 1.0, center=center, scale=scale)

@@ -17,14 +17,16 @@ for row in analysis.width_ratio_table("a", [3] * 4, [5.0, 10.0, 20.0, 40.0]):
     print(f"  R = {row.R:<5g} width = {row.width:<9.4f} width/R = {row.ratio:.4f}")
 
 print("\nR = log d - 1, bounded gap: width ~ e^(R/2)/sqrt(d)")
-for row in analysis.width_ratio_table("b1", [100, 1000, 10000], lambda d: math.log(d) - 1):
+grid = [100, 1000, 10000]
+for row in analysis.width_ratio_table("b1", grid, [math.log(d) - 1 for d in grid]):
     print(f"  d = {row.d:<6d} width = {row.width:<11.6f} ratio = {row.ratio:.4f}")
 
 print("\nR = 2 log d, growing gap: width ~ R - log d")
-for row in analysis.width_ratio_table("b2", [10, 100, 1000], lambda d: 2 * math.log(d)):
+grid = [10, 100, 1000]
+for row in analysis.width_ratio_table("b2", grid, [2 * math.log(d) for d in grid]):
     print(f"  d = {row.d:<6d} width = {row.width:<9.4f} ratio = {row.ratio:.4f}")
 
 # the regime label and rate envelope for a single point
-report = analysis.rate_envelope(10000, 0.5 * math.log(10000))
+report = analysis.rate_envelope(0.5 * math.log(10000), 10000)
 print(f"\nd = 10000, R = (1/2) log d: regime {report.regime.value},")
 print(f"envelope {report.rate_envelope:.4f} = d^(-1/4) = {10000 ** -0.25:.4f}")

@@ -41,22 +41,23 @@ from .geometry import (
 from .quadrature import LOG_ZERO, QuadratureError, quad_log_integral
 from .render import Scene, horocycle_scene, render_svg
 from .sampling import (
+    Batch,
     FeasibilityError,
     MassOverflowError,
-    Realization,
     SimConfig,
     hitting_mass,
     log_hitting_mass,
     replication_stream,
+    sample_points,
     sample_signed_distance,
     simulate_batch,
-    simulate_total_area,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
+    "Batch",
     "BoundReport",
     "EmpiricalSummary",
     "EuclideanCircle",
@@ -68,7 +69,6 @@ __all__ = [
     "MassOverflowError",
     "MomentSummary",
     "QuadratureError",
-    "Realization",
     "Regime",
     "Scene",
     "SimConfig",
@@ -90,9 +90,9 @@ __all__ = [
     "rate_envelope",
     "render_svg",
     "replication_stream",
+    "sample_points",
     "sample_signed_distance",
     "simulate_batch",
-    "simulate_total_area",
     "summarize",
     "wasserstein_bound_integrals",
     "wasserstein_bound_width",

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import check_dimension, check_radius, log_chord_area, log_sinh, log_unit_ball_volume
-from .quadrature import quad_log_integral
+from .quadrature import QuadratureError, quad_log_integral
 from .special import log_bessel_k0
 
 __all__ = [
@@ -125,21 +125,26 @@ def effective_width(R, d, rel_tol: float = _DEFAULT_TOL) -> float:
 
     Equals R for the degenerate exponent d = 1 and shrinks as d grows; the
     integrand is computed from sinh products so it stays accurate near s = R.
+    An estimate past 2R means the integrand lost its precision at this R
+    and raises :class:`QuadratureError`.
     """
     d = check_dimension(d, minimum=1)
-    R = check_radius(R)
+    R = check_radius(R, d)
     half_ls = float(log_sinh(0.5 * R))
 
     def log_f(s):
         return (d - 1.0) * (log_sinh(0.5 * (R + s)) + log_sinh(0.5 * (R - s)) - 2.0 * half_ls)
 
-    return math.exp(quad_log_integral(log_f, 0.0, R, rel_tol=rel_tol))
+    log_w = quad_log_integral(log_f, 0.0, R, rel_tol=rel_tol)
+    if log_w > math.log(R) + _LN2:
+        raise QuadratureError(f"effective width estimate exceeds 2R at R = {R!r}", last=log_w, previous=log_w)
+    return math.exp(log_w)
 
 
 def integrals(R, d, rel_tol: float = _DEFAULT_TOL) -> IntegralSet:
     """The three one-sided moment integrals and the effective width at (R, d)."""
     d = check_dimension(d)
-    R = check_radius(R)
+    R = check_radius(R, d)
     p = 0.5 * (d - 1)
 
     log_i1 = quad_log_integral(lambda s: p * (_log_cosh_gap(s, R) - s), 0.0, R, rel_tol=rel_tol)
@@ -187,7 +192,7 @@ def variance_direct(R, d, rel_tol: float = _DEFAULT_TOL) -> float:
     """log variance from the two-sided integral of the squared cap area
     against the intensity, independent of the one-sided route."""
     d = check_dimension(d)
-    R = check_radius(R)
+    R = check_radius(R, d)
     return quad_log_integral(
         lambda s: 2.0 * log_chord_area(s, R, d) - (d - 1.0) * s, -R, R, rel_tol=rel_tol
     )
@@ -300,40 +305,30 @@ def _regime_ratio(regime: GrowthRegime, d: int, R: float, width: float) -> float
     return width / gap
 
 
-def width_ratio_table(regime, d_grid, R_rule, rel_tol: float = _DEFAULT_TOL) -> list[WidthRatioRow]:
-    """Width and regime ratio over a grid.
+def width_ratio_table(regime, d_grid, radii, rel_tol: float = _DEFAULT_TOL) -> list[WidthRatioRow]:
+    """Width and regime ratio over a grid of (d, R) pairs, ``radii[k]`` at ``d_grid[k]``.
 
-    ``R_rule`` may be a callable d -> R, a single number, or a sequence the
-    same length as ``d_grid``.  Ratios: width/R for the fixed-dimension
-    regime, width sqrt(d) e^{-R/2} when R tracks log d with bounded gap, and
-    width/(R - log d) when the gap grows.
+    Ratios: width/R for the fixed-dimension regime, width sqrt(d) e^{-R/2}
+    when R tracks log d with bounded gap, and width/(R - log d) when the gap
+    grows.
     """
     regime = GrowthRegime(regime)
     d_list = [check_dimension(d) for d in d_grid]
     if not d_list:
         raise ValueError("d_grid must not be empty")
-    if callable(R_rule):
-        r_list = [float(R_rule(d)) for d in d_list]
-    elif isinstance(R_rule, (int, float)):
-        r_list = [float(R_rule)] * len(d_list)
-    else:
-        r_list = [float(r) for r in R_rule]
-        if len(r_list) != len(d_list):
-            raise ValueError("R_rule sequence must match d_grid in length")
+    r_list = [float(r) for r in radii]
+    if len(r_list) != len(d_list):
+        raise ValueError("radii must match d_grid in length")
     rows = []
     for d, R in zip(d_list, r_list):
-        if regime is GrowthRegime.GROWING_GAP and R <= math.log(d):
-            raise ValueError(
-                f"growing-gap regime requires R > log d, got R = {R!r} at d = {d}"
-            )
         w = effective_width(R, d, rel_tol=rel_tol)
         rows.append(WidthRatioRow(d=d, R=R, width=w, ratio=_regime_ratio(regime, d, R, w)))
     return rows
 
 
-def rate_envelope(d, R, threshold: float = 0.0, dim_cutoff: int = 50,
+def rate_envelope(R, d, threshold: float = 0.0, dim_cutoff: int = 50,
                   rel_tol: float = _DEFAULT_TOL) -> BoundReport:
-    """Classify (d, R) into a growth regime and report its rate envelope
+    """Classify (R, d) into a growth regime and report its rate envelope
     alongside both computable distance bounds.
 
     The classification compares R - log d against ``threshold``; a gap at or
@@ -345,7 +340,7 @@ def rate_envelope(d, R, threshold: float = 0.0, dim_cutoff: int = 50,
     a labeling heuristic for tables.
     """
     d = check_dimension(d)
-    R = check_radius(R)
+    R = check_radius(R, d)
     gap = R - math.log(d)
     boundary = abs(gap - threshold) <= 1e-9
     if gap <= threshold:

@@ -3,9 +3,11 @@
 Every command echoes its resolved configuration into the output file, so any
 emitted artifact can be reproduced from itself.  Outputs are byte-stable for
 a fixed flag set; wall-clock timestamps appear only under ``--stamp``.
+``--model`` picks the ``sampling.Model`` that simulations run on.
 
-Exit codes: 0 success, 2 infeasible simulation, 3 quadrature failure,
-64 usage error, 74 I/O error.
+Every failure is one stderr line, ``horospheres: <kind>: <message>``.  Exit
+codes: 0 success, 2 infeasible simulation, 3 quadrature failure, 64 usage
+error, 74 I/O error.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+        # main() prints the program name; a subcommand's parser adds its own
+        command = self.prog.partition(" ")[2]
+        raise UsageError(f"{command}: {message}" if command else message)
 
 
 # ---------------------------------------------------------------------------
@@ -245,33 +249,30 @@ def _pair(log_value: float) -> dict:
 # commands
 
 
-def _sim_module(model: str):
-    return euclidean if model == "euclidean" else sampling
+_MODELS = {"hyperbolic": sampling.HYPERBOLIC, "euclidean": euclidean.FLAT}
 
 
 def _cmd_simulate(args) -> None:
     raw = _merged(args, ("model", "d", "R", "n", "seed"))
-    model = _as_choice(raw.get("model", "hyperbolic"), "model", ("hyperbolic", "euclidean"))
+    model = _as_choice(raw.get("model", "hyperbolic"), "model", tuple(_MODELS))
     d = _as_int(_require(raw, "d"), "d")
     R = _as_float(_require(raw, "R"), "R")
     n = _as_int(_require(raw, "n"), "n")
     seed = _as_int(_require(raw, "seed"), "seed")
 
-    cfg = SimConfig(d=d, R=R, replications=n, seed=seed)
-    results = _sim_module(model).simulate_batch(cfg)
+    batch = sampling.simulate_batch(SimConfig(d=d, R=R, replications=n, seed=seed), _MODELS[model])
 
-    totals = np.array([r.total_area for r in results])
     summary = {
         "n": n,
-        "count_mean": float(np.mean([r.count for r in results])),
-        "mean": float(np.mean(totals)),
-        "variance": float(np.var(totals, ddof=1)) if n >= 2 else None,
+        "count_mean": float(np.mean(batch.counts)),
+        "mean": float(np.mean(batch.totals)),
+        "variance": float(np.var(batch.totals, ddof=1)) if n >= 2 else None,
         "k4": None,
         "mean_stderr": None,
         "variance_stderr": None,
     }
     if n >= 4:
-        _, k2, _, k4 = empirical.k_statistics(totals)
+        _, k2, _, k4 = empirical.k_statistics(batch.totals)
         summary["variance"] = k2
         summary["k4"] = k4
         summary["mean_stderr"] = math.sqrt(k2 / n)
@@ -279,8 +280,8 @@ def _cmd_simulate(args) -> None:
 
     echo = _echo(args, "simulate", {"model": model, "d": d, "R": R, "n": n, "seed": seed})
     rows = [
-        {"index": i, "count": r.count, "total_area": r.total_area}
-        for i, r in enumerate(results)
+        {"index": i, "count": count, "total_area": total}
+        for i, (count, total) in enumerate(zip(batch.counts.tolist(), batch.totals.tolist()))
     ]
     _emit(_csv_table(echo, ["index", "count", "total_area"], rows, trailer=summary), args.out)
 
@@ -344,7 +345,7 @@ def _cmd_bounds(args) -> None:
                 }
             )
         else:
-            report = analysis.rate_envelope(d, R)
+            report = analysis.rate_envelope(R, d)
             rows.append(
                 {
                     "d": d,
@@ -372,7 +373,7 @@ def _cmd_bounds(args) -> None:
 
 def _cmd_verify_clt(args) -> None:
     raw = _merged(args, ("model", "d", "R_list", "n", "seed"))
-    model = _as_choice(raw.get("model", "hyperbolic"), "model", ("hyperbolic", "euclidean"))
+    model = _as_choice(raw.get("model", "hyperbolic"), "model", tuple(_MODELS))
     d = _as_int(_require(raw, "d"), "d")
     radii = _as_float_list(_require(raw, "R_list"), "R-list")
     n = _as_int(_require(raw, "n"), "n")
@@ -384,7 +385,7 @@ def _cmd_verify_clt(args) -> None:
     # past the count cap can also be past the range of the linear moments
     configs = [SimConfig(d=d, R=R, replications=n, seed=seed) for R in radii]
     for cfg in configs:
-        sampling.check_feasible(cfg, euclidean.FLAT if model == "euclidean" else sampling.HYPERBOLIC)
+        sampling.check_feasible(cfg, _MODELS[model])
     rows = []
     for R, cfg in zip(radii, configs):
         if model == "euclidean":
@@ -396,8 +397,7 @@ def _cmd_verify_clt(args) -> None:
             center = m.mean
             scale = m.sd
             bound = analysis.wasserstein_bound_width(R, d)
-        results = _sim_module(model).simulate_batch(cfg)
-        totals = np.array([r.total_area for r in results])
+        totals = sampling.simulate_batch(cfg, _MODELS[model]).totals
         summary = empirical.summarize(totals, target, center=center, scale=scale)
         rows.append(
             {

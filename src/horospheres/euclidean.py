@@ -1,9 +1,9 @@
 """Stationary isotropic Poisson hyperplanes in Euclidean space.
 
 The flat comparison model: closed-form variance, fourth cumulant, and
-Wasserstein bound from gamma ratios.  Simulation runs on the shared sampler
-of :mod:`horospheres.sampling` with the :data:`FLAT` model, whose cost does
-not grow with the dimension.
+Wasserstein bound from gamma ratios.  Simulation is
+``sampling.simulate_batch(cfg, FLAT)``: the shared sampler with the
+:data:`FLAT` model, whose cost does not grow with the dimension.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import LOG_ZERO, check_dimension, check_radius, log_unit_ball_volume
 from .quadrature import quad_log_integral
-from .sampling import Model, Realization, SimConfig, _simulate
+from .sampling import Model
 from .special import log_gamma
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "normalized_rate_constant",
     "euclid_moments",
     "FLAT",
-    "simulate_total_area",
-    "simulate_batch",
 ]
 
 _LN2 = math.log(2.0)
@@ -174,14 +172,3 @@ FLAT = Model(
     distance=lambda u, R, d: (2.0 * u - 1.0) * R,
     log_area=lambda s, R, d: log_section_area(s, R, d),
 )
-
-
-def simulate_total_area(cfg: SimConfig, replication_index: int) -> Realization:
-    """One replication of the flat-model total section area, on its own stream."""
-    index = int(replication_index)
-    return _simulate(cfg, FLAT, range(index, index + 1))[0]
-
-
-def simulate_batch(cfg: SimConfig) -> list[Realization]:
-    """All flat-model replications, in index order; replication k is the same in any batch."""
-    return _simulate(cfg, FLAT, range(cfg.replications))

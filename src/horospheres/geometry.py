@@ -8,6 +8,7 @@ embedding of horocycles used for rendering.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +42,16 @@ def check_dimension(d, minimum: int = 2) -> int:
     return d
 
 
-def check_radius(R) -> float:
-    """Validate a ball radius, finite and positive, and return it as a float."""
+def check_radius(R, d: int = 2) -> float:
+    """Validate a ball radius, finite and positive, and return it as a float.  It must also be
+    a normal double (below, R - s rounds to 0 at quadrature nodes) and at most max double over
+    4 max(d - 1, 1) (the log-domain integrands in dimension d reach about 3 (d - 1) R)."""
     R = float(R)
     if not 0.0 < R < math.inf:
         raise ValueError(f"R must be finite and positive, got {R!r}")
+    limit = sys.float_info.max / (4.0 * max(d - 1, 1))
+    if not sys.float_info.min <= R <= limit:
+        raise ValueError(f"R must be a normal double no larger than {limit:.6g}, got {R!r}")
     return R
 
 
@@ -108,7 +114,7 @@ def log_chord_area(s, R, d):
     2 sinh((R+s)/2) sinh((R-s)/2), which stays accurate out to |s| = R.
     """
     d = check_dimension(d)
-    R = check_radius(R)
+    R = check_radius(R, d)
     arr = np.asarray(s, dtype=float)
     scalar = arr.ndim == 0
     sv = np.atleast_1d(arr)

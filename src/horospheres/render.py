@@ -1,27 +1,28 @@
-"""Deterministic SVG pictures of horocycle samples in the unit disc."""
+"""Deterministic SVG pictures of horocycle samples, replayed by
+:func:`horospheres.sampling.sample_points`, in the unit disc."""
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .geometry import EuclideanCircle, horocycle_disc_embedding
-from .sampling import Realization, SimConfig, simulate_total_area
+from .geometry import EuclideanCircle, HorosphereParam, horocycle_disc_embedding
+from .sampling import SimConfig, sample_points
 
 __all__ = ["Scene", "horocycle_scene", "render_svg"]
 
 
 class Scene(NamedTuple):
+    """Disc-model circles and the horocycles they embed, in sampling order."""
+
     circles: tuple[EuclideanCircle, ...]
-    realization: Realization
+    points: tuple[HorosphereParam, ...]
 
 
 def horocycle_scene(R: float, seed: int) -> Scene:
-    """Sample one planar realization truncated at distance R and embed every
-    horocycle as a disc-model circle."""
-    cfg = SimConfig(d=2, R=R, replications=1, seed=seed, record_points=True)
-    realization = simulate_total_area(cfg, 0)
-    circles = tuple(horocycle_disc_embedding(p) for p in realization.points)
-    return Scene(circles=circles, realization=realization)
+    """Sample one planar realization truncated at distance R (replication 0
+    of ``seed``) and embed every horocycle as a disc-model circle."""
+    points = sample_points(SimConfig(d=2, R=R, replications=1, seed=seed), 0)
+    return Scene(circles=tuple(horocycle_disc_embedding(p) for p in points), points=points)
 
 
 def _fmt(v: float) -> str:

@@ -1,11 +1,13 @@
 """Exact simulation of the horosphere process restricted to a centered ball.
 
-One vectorized sampler serves both geometric models.  A :class:`Model` gives
-the log hitting mass, the uniform-to-distance map and the log area per hit
-(:data:`HYPERBOLIC` here, ``FLAT`` in :mod:`horospheres.euclidean`).  Each
-replication draws its count and uniforms from its own counter-based stream
-keyed by (index, seed); many replications share a hit block reduced by one
-segmented log-sum-exp, so replication k is the same in every batch.
+One vectorized sampler, :func:`simulate_batch`, serves both geometric models
+and returns a :class:`Batch` of arrays; :func:`sample_points` replays one
+replication.  A :class:`Model` gives the log hitting mass, the uniform-to-
+distance map and the log area per hit (:data:`HYPERBOLIC` here, ``FLAT`` in
+:mod:`horospheres.euclidean`).  Each replication draws its count and uniforms
+from its own counter-based stream keyed by (index, seed); many replications
+share a hit block reduced by one segmented log-sum-exp, so replication k is
+the same in every batch.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ __all__ = [
     "Model",
     "HYPERBOLIC",
     "SimConfig",
-    "Realization",
+    "Batch",
     "hitting_mass",
     "log_hitting_mass",
     "sample_signed_distance",
@@ -32,8 +34,8 @@ __all__ = [
     "sample_poisson_count",
     "replication_stream",
     "check_feasible",
-    "simulate_total_area",
     "simulate_batch",
+    "sample_points",
 ]
 
 _LN2 = math.log(2.0)
@@ -67,17 +69,13 @@ class MassOverflowError(OverflowError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo experiment parameters.
-
-    ``record_points`` retains per-horosphere (s, u) data, needed only for
-    rendering; ``count_cap`` bounds the expected hit count per replication.
-    """
+    """Monte Carlo experiment parameters; ``count_cap`` bounds the expected
+    hit count per replication."""
 
     d: int
     R: float
     replications: int
     seed: int
-    record_points: bool = False
     count_cap: int = 10**8
 
     def __post_init__(self):
@@ -85,7 +83,6 @@ class SimConfig:
         object.__setattr__(self, "R", check_radius(self.R))
         object.__setattr__(self, "replications", int(self.replications))
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "record_points", bool(self.record_points))
         object.__setattr__(self, "count_cap", int(self.count_cap))
         if self.replications < 1:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
@@ -95,20 +92,19 @@ class SimConfig:
             raise ValueError(f"count_cap must be at least 1, got {self.count_cap}")
 
 
-@dataclass(frozen=True)
-class Realization:
-    """One sampled value of the total cap area inside the ball."""
+class Batch(NamedTuple):
+    """A Monte Carlo sample, replication k at row k: hit counts (int64), total
+    areas and their logs (float64); a total past double range is ``inf``."""
 
-    total_area: float
-    log_total_area: float
-    count: int
-    points: tuple[HorosphereParam, ...] | None = None
+    counts: np.ndarray
+    totals: np.ndarray
+    log_totals: np.ndarray
 
 
 def log_hitting_mass(R, d) -> float:
     """log of the expected number of horospheres meeting the ball of radius R."""
     d = check_dimension(d)
-    a = (d - 1.0) * check_radius(R)
+    a = (d - 1.0) * check_radius(R, d)
     return float(log_sinh(a)) + _LN2 - math.log(d - 1.0)
 
 
@@ -234,16 +230,7 @@ def _replication_streams(seed: int):
     return stream
 
 
-def _replayed_points(gen, cfg: SimConfig, model: Model, mean: float) -> tuple[HorosphereParam, ...]:
-    """One replication's horospheres, redrawn from its stream in the sampler's
-    order (count, uniforms, then directions), so recording never changes totals."""
-    n = sample_poisson_count(mean, gen)
-    s = model.distance(gen.random(n), cfg.R, cfg.d)
-    dirs = _sample_directions(n, cfg.d, gen)
-    return tuple(HorosphereParam(float(si), tuple(float(c) for c in di)) for si, di in zip(s, dirs))
-
-
-def _simulate(cfg: SimConfig, model: Model, indices: range) -> list[Realization]:
+def _simulate(cfg: SimConfig, model: Model, indices: range) -> Batch:
     """The shared sampler: replications ``indices`` of ``model``, in order.
 
     Uniforms fill a hit block, transformed and reduced at once when full.  A
@@ -280,19 +267,21 @@ def _simulate(cfg: SimConfig, model: Model, indices: range) -> list[Realization]
             pos += n
     if rows:
         add_hits(block[:pos], rows, starts)
-    return [
-        Realization(math.exp(lt) if lt < _LOG_MAX_DOUBLE else math.inf, lt, n,
-                    _replayed_points(stream(index), cfg, model, mean) if cfg.record_points else None)
-        for index, n, lt in zip(indices, counts, log_totals.tolist())
-    ]
+    # math.exp, not np.exp: the two can differ in the last bit
+    totals = [math.exp(lt) if lt < _LOG_MAX_DOUBLE else math.inf for lt in log_totals.tolist()]
+    return Batch(np.array(counts, dtype=np.int64), np.array(totals, dtype=float), log_totals)
 
 
-def simulate_total_area(cfg: SimConfig, replication_index: int) -> Realization:
-    """One replication of the total cap area, on its own random stream."""
-    index = int(replication_index)
-    return _simulate(cfg, HYPERBOLIC, range(index, index + 1))[0]
+def simulate_batch(cfg: SimConfig, model: Model = HYPERBOLIC) -> Batch:
+    """All replications of ``model``, in index order; replication k is the same in any batch."""
+    return _simulate(cfg, model, range(cfg.replications))
 
 
-def simulate_batch(cfg: SimConfig) -> list[Realization]:
-    """All replications, in index order; replication k is the same in any batch."""
-    return _simulate(cfg, HYPERBOLIC, range(cfg.replications))
+def sample_points(cfg: SimConfig, index: int, model: Model = HYPERBOLIC) -> tuple[HorosphereParam, ...]:
+    """Replication ``index``'s horospheres (hyperplanes for ``FLAT``), redrawn from its stream
+    in the sampler's order (count, uniforms, directions): the count and log areas of its row."""
+    gen = replication_stream(cfg.seed, index)
+    n = sample_poisson_count(math.exp(check_feasible(cfg, model)), gen)
+    s = model.distance(gen.random(n), cfg.R, cfg.d)
+    dirs = _sample_directions(n, cfg.d, gen)
+    return tuple(HorosphereParam(float(si), tuple(float(c) for c in di)) for si, di in zip(s, dirs))

@@ -80,8 +80,7 @@ def test_03_euclidean_closed_forms(acceptance):
 def test_04_monte_carlo_moment_match(acceptance):
     n = 20_000
     m = analysis.moments(3.0, 3)
-    sims = simulate_batch(SimConfig(d=3, R=3.0, replications=n, seed=_SEED))
-    totals = np.array([r.total_area for r in sims])
+    totals = simulate_batch(SimConfig(d=3, R=3.0, replications=n, seed=_SEED)).totals
     z_mean = (totals.mean() - m.mean) / (m.sd / math.sqrt(n))
     var_hat = totals.var(ddof=1)
     cum4 = 2.0 * math.exp(m.log_cum4_negative_part)
@@ -103,8 +102,7 @@ def _clt_rows():
     rows = []
     for R in (2.0, 4.0, 8.0):
         m = analysis.moments(R, 2)
-        sims = simulate_batch(SimConfig(d=2, R=R, replications=n, seed=_SEED))
-        totals = np.array([r.total_area for r in sims])
+        totals = simulate_batch(SimConfig(d=2, R=R, replications=n, seed=_SEED)).totals
         summary = empirical.summarize(totals, 0.5, center=m.mean, scale=m.sd)
         rows.append((R, summary, analysis.wasserstein_bound_width(R, 2)))
     return n, rows
@@ -141,16 +139,14 @@ def test_07_width_ratio_floors(acceptance):
     ratios_a = [row.ratio for row in fixed]
     ok_a = min(ratios_a) >= 0.1 and max(ratios_a) / min(ratios_a) < 3.0
 
-    bounded = analysis.width_ratio_table(
-        "b1", [100, 1_000, 10_000], lambda d: math.log(d) - 1.0
-    )
+    grid = [100, 1_000, 10_000]
+    bounded = analysis.width_ratio_table("b1", grid, [math.log(d) - 1.0 for d in grid])
     ratios_b1 = [row.ratio for row in bounded]
     # floor = 0.5 x pilot minimum 0.8461
     ok_b1 = min(ratios_b1) >= 0.423
 
-    growing = analysis.width_ratio_table(
-        "b2", [10, 100, 1_000], lambda d: 2.0 * math.log(d)
-    )
+    grid = [10, 100, 1_000]
+    growing = analysis.width_ratio_table("b2", grid, [2.0 * math.log(d) for d in grid])
     ratios_b2 = [row.ratio for row in growing]
     # floor = 0.5 x pilot minimum 0.8934
     ok_b2 = min(ratios_b2) >= 0.4466
@@ -198,8 +194,7 @@ def test_09_width_limit_closed_form(acceptance):
 def test_10_euclidean_empirical_clt(acceptance):
     n = 100_000
     R, d = 50.0, 2
-    sims = euclidean.simulate_batch(SimConfig(d=d, R=R, replications=n, seed=_SEED))
-    totals = np.array([r.total_area for r in sims])
+    totals = simulate_batch(SimConfig(d=d, R=R, replications=n, seed=_SEED), euclidean.FLAT).totals
     center = math.exp(euclidean.log_mean(R, d))
     scale = math.exp(0.5 * euclidean.variance_closed(R, d))
     summary = empirical.summarize(totals, 1.0, center=center, scale=scale)
@@ -230,7 +225,7 @@ def test_12_rendering_invariants(acceptance):
     checked = 0
     for seed in (1, 2, 3):
         scene = horocycle_scene(3.0, seed)
-        for circle, param in zip(scene.circles, scene.realization.points):
+        for circle, param in zip(scene.circles, scene.points):
             cx, cy = circle.center
             worst_tangency = max(
                 worst_tangency, abs(math.hypot(cx, cy) + circle.radius - 1.0)

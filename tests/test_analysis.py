@@ -20,6 +20,7 @@ from horospheres.analysis import (
     width_scale,
     width_substituted,
 )
+from horospheres.quadrature import QuadratureError
 
 # Reference values computed two independent ways (30-digit adaptive
 # integration and a fixed million-point extended-precision Simpson rule),
@@ -167,18 +168,16 @@ def test_kolmogorov_bound_conversion():
         kolmogorov_bound(0.0)
 
 
-def test_width_ratio_table_rule_forms_agree():
-    d_grid = [3, 5]
-    by_callable = width_ratio_table("a", d_grid, lambda d: 4.0)
-    by_scalar = width_ratio_table("a", d_grid, 4.0)
-    by_sequence = width_ratio_table("a", d_grid, [4.0, 4.0])
-    for rows in (by_scalar, by_sequence):
-        for got, want in zip(rows, by_callable):
-            assert got == want
+def test_width_ratio_table_rejects_length_mismatch():
+    for radii in ([4.0], [4.0, 4.0, 4.0]):
+        with pytest.raises(ValueError, match="radii must match d_grid in length"):
+            width_ratio_table("a", [3, 5], radii)
+    rows = width_ratio_table("a", [3, 5], [4.0, 4.0])
+    assert [(row.d, row.R) for row in rows] == [(3, 4.0), (5, 4.0)]
 
 
 def test_width_ratio_table_fixed_dim_ratio():
-    rows = width_ratio_table(GrowthRegime.FIXED_DIM, [3], 10.0)
+    rows = width_ratio_table(GrowthRegime.FIXED_DIM, [3], [10.0])
     assert rows[0].ratio == pytest.approx(rows[0].width / 10.0, rel=1e-14)
 
 
@@ -197,25 +196,25 @@ def test_width_ratio_table_growing_gap_requires_room():
 
 def test_width_ratio_table_rejects_unknown_regime():
     with pytest.raises(ValueError):
-        width_ratio_table("c", [3], 1.0)
+        width_ratio_table("c", [3], [1.0])
 
 
 def test_rate_envelope_fixed_dimension():
-    report = rate_envelope(3, 5.0)
+    report = rate_envelope(5.0, 3)
     assert report.regime is Regime.FIXED_DIM
     assert report.rate_envelope == pytest.approx(5.0**-0.5, rel=1e-14)
     assert not report.boundary
 
 
 def test_rate_envelope_bounded_gap():
-    report = rate_envelope(100, 2.3)
+    report = rate_envelope(2.3, 100)
     assert report.regime is Regime.HIGH_DIM_BOUNDED
     assert report.rate_envelope == pytest.approx(math.exp(-1.15), rel=1e-14)
 
 
 def test_rate_envelope_growing_gap():
     d, R = 100, 10.0
-    report = rate_envelope(d, R)
+    report = rate_envelope(R, d)
     gap = R - math.log(d)
     want = 1.0 / (math.sqrt(d) * gap) + 1.0 / (d * math.sqrt(gap))
     assert report.regime is Regime.HIGH_DIM_UNBOUNDED
@@ -223,7 +222,7 @@ def test_rate_envelope_growing_gap():
 
 
 def test_rate_envelope_boundary_flag():
-    report = rate_envelope(100, math.log(100.0))
+    report = rate_envelope(math.log(100.0), 100)
     assert report.boundary
 
 
@@ -231,17 +230,32 @@ def test_rate_envelope_alpha_scaling():
     # R = alpha log d with alpha <= 1 lands in the bounded-gap regime and
     # the envelope collapses to d^(-alpha/2)
     d = 10000
-    report = rate_envelope(d, 0.5 * math.log(d))
+    report = rate_envelope(0.5 * math.log(d), d)
     assert report.regime is Regime.HIGH_DIM_BOUNDED
     assert report.rate_envelope == pytest.approx(d**-0.25, rel=1e-12)
 
 
 def test_rate_envelope_reports_both_bounds():
-    report = rate_envelope(3, 8.0)
+    report = rate_envelope(8.0, 3)
     assert report.wasserstein_bound_width == pytest.approx(_WBW_D3_R8, rel=1e-10)
     assert report.kolmogorov_bound == pytest.approx(
         math.sqrt(2.0 / math.sqrt(math.pi) * report.wasserstein_bound_width), rel=1e-13
     )
+
+
+def test_rate_envelope_takes_radius_first():
+    # the old (d, R) order hands a float dimension to the validator
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        rate_envelope(3, 5.0)
+
+
+def test_width_past_its_precision_is_a_quadrature_failure():
+    # the width is at most R; at R = 1e100 the sinh-product integrand has
+    # lost every digit and its quadrature estimate overflows
+    with pytest.raises(QuadratureError, match="exceeds 2R"):
+        effective_width(1e100, 3)
+    with pytest.raises(QuadratureError, match="exceeds 2R"):
+        moments(1e100, 3)
 
 
 def test_invalid_parameters_rejected():

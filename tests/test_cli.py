@@ -93,9 +93,8 @@ def test_simulate_row_values_match_library(capsys):
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[2:-1]]
     want = simulate_batch(SimConfig(d=2, R=1.5, replications=4, seed=3))
-    for row, r in zip(rows, want):
-        assert int(row[1]) == r.count
-        assert float(row[2]) == r.total_area
+    assert [int(row[1]) for row in rows] == want.counts.tolist()
+    assert [float(row[2]) for row in rows] == want.totals.tolist()
 
 
 def test_simulate_rows_are_a_prefix_of_a_larger_run(capsys):
@@ -114,7 +113,17 @@ def test_threads_flag_is_usage_error(capsys, command):
     assert main(argv) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert len(captured.err.splitlines()) == 1
+    assert captured.err.splitlines() == ["horospheres: error: unrecognized arguments: --threads 2"]
+
+
+def test_subcommand_usage_error_names_its_command(capsys):
+    assert main(["simulate", "--model", "foo", "--d", "2", "--R", "2", "--n", "4", "--seed", "1"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("horospheres: error: simulate: argument --model: invalid choice: 'foo'")
+    assert lines[0].count("horospheres") == 1
 
 
 def test_threads_config_key_is_usage_error(tmp_path, capsys):
@@ -255,7 +264,7 @@ def test_bounds_width_is_the_report_width(capsys):
     code, out = _run(capsys, ["bounds", "--d-grid", "3,50", "--R-rule", "fixed:4"])
     assert code == 0
     for row in json.loads(out)["rows"]:
-        report = analysis.rate_envelope(row["d"], 4.0)
+        report = analysis.rate_envelope(4.0, row["d"])
         assert row["width"] == report.width == analysis.effective_width(4.0, row["d"])
 
 
@@ -336,17 +345,27 @@ def test_verify_clt_infeasible_radius_checked_before_moments(capsys):
     assert lines[0].startswith("horospheres: infeasible: ")
 
 
+def _assert_bad_radius(err: str, radius: str) -> None:
+    lines = err.splitlines()
+    if radius in ("inf", "nan"):
+        assert lines == [f"horospheres: error: R must be finite and positive, got {radius}"]
+    else:
+        # finite but subnormal, or so large that R + s or the log-integrands overflow
+        assert len(lines) == 1
+        assert lines[0].startswith("horospheres: error: R must be a normal double no larger than ")
+        assert lines[0].endswith(f", got {float(radius)!r}")
+
+
 @pytest.mark.parametrize("model", ["hyperbolic", "euclidean"])
-@pytest.mark.parametrize("radius", ["inf", "nan"])
+@pytest.mark.parametrize("radius", ["inf", "nan", "1e308", "1e-320"])
 def test_simulate_non_finite_radius_is_usage_error(capsys, model, radius):
     argv = ["simulate", "--model", model, "--d", "2", "--R", radius, "--n", "3", "--seed", "1"]
     assert main(argv) == 64
-    lines = capsys.readouterr().err.splitlines()
-    assert lines == [f"horospheres: error: R must be finite and positive, got {radius}"]
+    _assert_bad_radius(capsys.readouterr().err, radius)
 
 
 @pytest.mark.parametrize("model", ["hyperbolic", "euclidean"])
-@pytest.mark.parametrize("radius", ["inf", "nan"])
+@pytest.mark.parametrize("radius", ["inf", "nan", "1e308", "1e-320"])
 @pytest.mark.parametrize("command", ["moments", "bounds"])
 def test_analytic_non_finite_radius_is_usage_error(capsys, command, model, radius):
     if command == "moments":
@@ -356,7 +375,33 @@ def test_analytic_non_finite_radius_is_usage_error(capsys, command, model, radiu
     assert main(argv) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [f"horospheres: error: R must be finite and positive, got {radius}"]
+    _assert_bad_radius(captured.err, radius)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # (d - 1) R past the range the log-domain integrands can hold
+        pytest.param(["moments", "--d", "3", "--R", "4e307"], 64, id="moments-4e307"),
+        pytest.param(["bounds", "--d-grid", "3", "--R-rule", "fixed:4e307"], 64, id="bounds-4e307"),
+        pytest.param(["width-table", "--regime", "a", "--d-grid", "3", "--R-rule", "fixed:1e308"], 64,
+                     id="width-table-1e308"),
+        pytest.param(["width-table", "--regime", "a", "--d-grid", "3", "--R-rule", "fixed:1e-320"], 64,
+                     id="width-table-1e-320"),
+        # representable, but the width integrand has lost its precision
+        pytest.param(["moments", "--d", "3", "--R", "1e100"], 3, id="moments-1e100"),
+        pytest.param(["bounds", "--d-grid", "3", "--R-rule", "fixed:1e100"], 3, id="bounds-1e100"),
+    ],
+)
+def test_extreme_finite_radius_ends_in_one_line(capsys, argv, code):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    if code == 3:
+        assert captured.err.startswith("horospheres: quadrature failure: effective width estimate exceeds 2R")
+    else:
+        assert captured.err.startswith("horospheres: error: R must be a normal double no larger than ")
 
 
 def test_render_writes_deterministic_svg(tmp_path, capsys):

@@ -3,20 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from horospheres import sampling
 from horospheres.euclidean import (
+    FLAT,
     euclid_moments,
     fourth_cumulant_closed,
     fourth_cumulant_direct,
     log_mean,
     log_section_area,
     normalized_rate_constant,
-    simulate_batch,
-    simulate_total_area,
     variance_closed,
     variance_direct,
     wasserstein_bound,
 )
-from horospheres.sampling import FeasibilityError, SimConfig
+from horospheres.sampling import FeasibilityError, SimConfig, sample_points, simulate_batch
 
 
 def test_section_area_line_model():
@@ -116,52 +116,54 @@ def test_euclid_moments_bundle():
 
 def test_simulate_deterministic_and_batch_invariant():
     cfg = SimConfig(d=5, R=3.0, replications=10, seed=17)
-    batch = simulate_batch(cfg)
-    larger = simulate_batch(SimConfig(d=5, R=3.0, replications=16, seed=17))
-    again = [simulate_total_area(cfg, i) for i in range(10)]
-    assert [r.total_area for r in batch] == [r.total_area for r in larger[:10]]
-    assert [r.total_area for r in batch] == [r.total_area for r in again]
-    assert [r.total_area for r in batch] == [r.total_area for r in simulate_batch(cfg)]
+    batch = simulate_batch(cfg, FLAT)
+    larger = simulate_batch(SimConfig(d=5, R=3.0, replications=16, seed=17), FLAT)
+    again = np.concatenate([sampling._simulate(cfg, FLAT, range(i, i + 1)).totals for i in range(10)])
+    assert np.array_equal(batch.totals, larger.totals[:10])
+    assert np.array_equal(batch.totals, again)
+    assert np.array_equal(batch.totals, simulate_batch(cfg, FLAT).totals)
 
 
 def test_simulate_count_tracks_mass():
     # intensity mass is exactly 2R in every dimension
     cfg = SimConfig(d=50, R=10.0, replications=500, seed=3)
-    counts = np.array([r.count for r in simulate_batch(cfg)])
+    counts = simulate_batch(cfg, FLAT).counts
     assert counts.mean() == pytest.approx(20.0, abs=4.0 * math.sqrt(20.0 / 500))
 
 
 def test_simulate_mean_matches_quadrature():
     cfg = SimConfig(d=2, R=1.0, replications=4000, seed=11)
-    totals = np.array([r.total_area for r in simulate_batch(cfg)])
+    totals = simulate_batch(cfg, FLAT).totals
     want = math.exp(log_mean(1.0, 2))
     sd = math.sqrt(math.exp(variance_closed(1.0, 2)))
     assert totals.mean() == pytest.approx(want, abs=4.0 * sd / math.sqrt(4000))
 
 
-def test_simulate_record_points_invariant():
-    bare = SimConfig(d=3, R=2.0, replications=1, seed=29)
-    recorded = SimConfig(d=3, R=2.0, replications=1, seed=29, record_points=True)
-    for index in range(4):
-        a = simulate_total_area(bare, index)
-        b = simulate_total_area(recorded, index)
-        assert a.total_area == b.total_area
-        assert len(b.points) == b.count
+def test_sample_points_replay_counts_and_totals():
+    # the replayed hyperplanes give back the batch's count and log total
+    cfg = SimConfig(d=3, R=2.0, replications=6, seed=29)
+    batch = simulate_batch(cfg, FLAT)
+    for index in range(6):
+        points = sample_points(cfg, index, FLAT)
+        assert len(points) == batch.counts[index]
+        logs = log_section_area(np.array([p.s for p in points]), cfg.R, cfg.d)
+        want = float(np.logaddexp.reduce(logs)) if points else -math.inf
+        assert want == pytest.approx(batch.log_totals[index], rel=0.0, abs=1e-13)
 
 
 def test_simulate_feasibility_cap():
     cfg = SimConfig(d=2, R=6.0e7, replications=1, seed=0)
     with pytest.raises(FeasibilityError) as excinfo:
-        simulate_total_area(cfg, 0)
+        simulate_batch(cfg, FLAT)
     assert excinfo.value.cap == 1e8
 
 
 def test_high_dimension_simulation_is_cheap():
     # the d=50 hyperbolic model is infeasible, the flat one is routine
     cfg = SimConfig(d=50, R=10.0, replications=50, seed=1)
-    results = simulate_batch(cfg)
-    assert len(results) == 50
-    assert all(r.total_area >= 0.0 for r in results)
+    totals = simulate_batch(cfg, FLAT).totals
+    assert len(totals) == 50
+    assert np.all(totals >= 0.0)
 
 
 def test_invalid_parameters_rejected():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +34,20 @@ def test_check_dimension_rejects_bad_values():
 def test_check_radius_accepts_finite_positive_values():
     assert check_radius(2) == 2.0 and isinstance(check_radius(2), float)
     assert check_radius(np.float64(1e-300)) == 1e-300
+
+
+def test_check_radius_admits_normal_doubles_up_to_a_dimension_limit():
+    big = sys.float_info.max
+    assert check_radius(sys.float_info.min) == sys.float_info.min
+    assert check_radius(big / 4) == big / 4
+    assert check_radius(big / 8, 3) == big / 8
+    assert check_radius(big / 4, 1) == big / 4
+    for R, d in ((5e-324, 2), (1e-320, 3), (big / 2, 2), (big / 4, 3), (1e300, 10**9)):
+        with pytest.raises(ValueError, match="R must be a normal double no larger than"):
+            check_radius(R, d)
+    # log_chord_area checks R against its own dimension
+    with pytest.raises(ValueError, match="no larger than"):
+        log_chord_area(0.0, big / 4, 3)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])

@@ -5,7 +5,7 @@ import pytest
 
 from horospheres.geometry import EuclideanCircle, HorosphereParam, horocycle_disc_embedding
 from horospheres.render import Scene, horocycle_scene, render_svg
-from horospheres.sampling import Realization
+from horospheres.sampling import SimConfig, simulate_batch
 
 _CIRCLE_RE = re.compile(
     r'<circle cx="(-?\d+\.\d{12})" cy="(-?\d+\.\d{12})" r="(\d+\.\d{12})"'
@@ -14,21 +14,22 @@ _CIRCLE_RE = re.compile(
 
 def test_scene_matches_realization():
     scene = horocycle_scene(3.0, seed=11)
-    assert len(scene.circles) == scene.realization.count
-    assert scene.realization.points is not None
+    count = simulate_batch(SimConfig(d=2, R=3.0, replications=1, seed=11)).counts[0]
+    assert len(scene.circles) == len(scene.points) == count
+    assert scene.circles == tuple(horocycle_disc_embedding(p) for p in scene.points)
 
 
 def test_scene_deterministic():
     a = horocycle_scene(2.5, seed=5)
     b = horocycle_scene(2.5, seed=5)
     assert a.circles == b.circles
-    assert a.realization.total_area == b.realization.total_area
+    assert a.points == b.points
 
 
 def test_scene_count_tracks_hitting_mass():
     # mass 2 sinh 3 ~ 20.04; average over seeds within Monte Carlo range
     mass = 2.0 * math.sinh(3.0)
-    counts = [horocycle_scene(3.0, seed=s).realization.count for s in range(30)]
+    counts = [len(horocycle_scene(3.0, seed=s).points) for s in range(30)]
     mean = sum(counts) / len(counts)
     assert abs(mean - mass) < 5.0 * math.sqrt(mass / 30.0)
 
@@ -71,21 +72,15 @@ def test_svg_coordinates_parse_and_are_tangent():
 
 
 def test_negative_zero_is_normalized():
-    circle = horocycle_disc_embedding(HorosphereParam(1.0, (1.0, 0.0)))
-    scene = Scene(
-        circles=(circle,),
-        realization=Realization(total_area=1.0, log_total_area=0.0, count=1),
-    )
+    point = HorosphereParam(1.0, (1.0, 0.0))
+    scene = Scene(circles=(horocycle_disc_embedding(point),), points=(point,))
     svg = render_svg(scene)
     assert "-0.000000000000" not in svg
     assert 'cy="0.000000000000"' in svg
 
 
 def test_metadata_comment():
-    scene = Scene(
-        circles=(EuclideanCircle((0.5, 0.0), 0.5),),
-        realization=Realization(total_area=1.0, log_total_area=0.0, count=1),
-    )
+    scene = Scene(circles=(EuclideanCircle((0.5, 0.0), 0.5),), points=(HorosphereParam(0.0, (-1.0, 0.0)),))
     svg = render_svg(scene, metadata='config {"seed": 3}')
     assert '<!-- config {"seed": 3} -->' in svg.splitlines()[1]
     with pytest.raises(ValueError):

@@ -7,19 +7,42 @@ import pytest
 from horospheres import euclidean, sampling
 from horospheres.geometry import log_chord_area
 from horospheres.sampling import (
+    HYPERBOLIC,
     FeasibilityError,
     MassOverflowError,
-    Realization,
     SimConfig,
     hitting_mass,
     log_hitting_mass,
     replication_stream,
     sample_direction,
+    sample_points,
     sample_poisson_count,
     sample_signed_distance,
     simulate_batch,
-    simulate_total_area,
 )
+
+_MODELS = {"hyperbolic": HYPERBOLIC, "euclidean": euclidean.FLAT}
+
+
+def _single(cfg, index, model=HYPERBOLIC):
+    return sampling._simulate(cfg, model, range(index, index + 1))
+
+
+def _singles(cfg, model=HYPERBOLIC):
+    """Every replication of ``cfg`` sampled on its own, as one batch."""
+    return _concat([_single(cfg, i, model) for i in range(cfg.replications)])
+
+
+def _concat(batches):
+    return sampling.Batch(*(np.concatenate(field) for field in zip(*batches)))
+
+
+def _bits(batch):
+    return batch.counts, batch.log_totals, batch.totals
+
+
+def _same(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(_bits(a), _bits(b)))
 
 
 def test_hitting_mass_closed_form():
@@ -147,88 +170,94 @@ def test_sim_config_validation():
 
 def test_simulate_total_area_deterministic():
     cfg = SimConfig(d=3, R=2.0, replications=1, seed=99)
-    r1 = simulate_total_area(cfg, 0)
-    r2 = simulate_total_area(cfg, 0)
-    assert r1.total_area == r2.total_area
-    assert r1.count == r2.count
+    assert _same(_single(cfg, 0), _single(cfg, 0))
 
 
 def test_recording_points_never_changes_totals():
-    bare = SimConfig(d=3, R=2.0, replications=1, seed=4)
-    recorded = SimConfig(d=3, R=2.0, replications=1, seed=4, record_points=True)
-    for index in range(6):
-        a = simulate_total_area(bare, index)
-        b = simulate_total_area(recorded, index)
-        assert a.count == b.count
-        assert b.points is not None and len(b.points) == b.count
-        assert a.total_area == b.total_area
-        assert a.log_total_area == b.log_total_area
+    # sample_points replays a replication: its count and, through the
+    # model's log area, its log total
+    for model in (HYPERBOLIC, euclidean.FLAT):
+        cfg = SimConfig(d=3, R=2.0, replications=6, seed=4)
+        batch = simulate_batch(cfg, model)
+        for index in range(6):
+            points = sample_points(cfg, index, model)
+            assert len(points) == batch.counts[index]
+            logs = model.log_area(np.array([p.s for p in points]), cfg.R, cfg.d)
+            want = float(np.logaddexp.reduce(logs)) if points else -math.inf
+            assert want == pytest.approx(batch.log_totals[index], rel=0.0, abs=1e-13)
+        assert sum(batch.counts) > 0
 
 
 def test_recorded_points_lie_in_window():
-    cfg = SimConfig(d=2, R=1.5, replications=1, seed=21, record_points=True)
-    r = simulate_total_area(cfg, 0)
-    for p in r.points:
+    cfg = SimConfig(d=2, R=1.5, replications=1, seed=21)
+    for p in sample_points(cfg, 0):
         assert -cfg.R < p.s < cfg.R
         assert np.linalg.norm(p.u) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_empty_realization():
     # mass 2 sinh(0.01) ~ 0.02, so a zero count is the typical outcome
-    cfg = SimConfig(d=2, R=0.01, replications=1, seed=0)
-    results = [simulate_total_area(cfg, i) for i in range(20)]
-    empty = [r for r in results if r.count == 0]
-    assert empty
-    for r in empty:
-        assert r.total_area == 0.0
-        assert r.log_total_area == float("-inf")
+    cfg = SimConfig(d=2, R=0.01, replications=20, seed=0)
+    batch = simulate_batch(cfg)
+    empty = batch.counts == 0
+    assert empty.any()
+    assert np.all(batch.totals[empty] == 0.0)
+    assert np.all(batch.log_totals[empty] == -math.inf)
 
 
 def test_log_total_consistent_with_total():
     cfg = SimConfig(d=3, R=3.0, replications=1, seed=8)
-    r = simulate_total_area(cfg, 0)
-    assert r.total_area == pytest.approx(math.exp(r.log_total_area), rel=1e-12)
+    batch = simulate_batch(cfg)
+    assert batch.totals[0] == pytest.approx(math.exp(batch.log_totals[0]), rel=1e-12)
 
 
 def test_batch_matches_single_replications():
     cfg = SimConfig(d=2, R=2.0, replications=5, seed=77)
-    batch = simulate_batch(cfg)
-    singles = [simulate_total_area(cfg, i) for i in range(5)]
-    assert [r.total_area for r in batch] == [r.total_area for r in singles]
-    assert [r.count for r in batch] == [r.count for r in singles]
+    assert _same(simulate_batch(cfg), _singles(cfg))
 
 
-def _bits(results):
-    return [(r.count, r.log_total_area, r.total_area) for r in results]
+def _larger_batch_prefix(model, cfg):
+    larger = simulate_batch(dataclasses.replace(cfg, replications=cfg.replications + 7), model)
+    return sampling.Batch(*(field[:cfg.replications] for field in larger))
 
 
-def _larger_batch_prefix(module, cfg):
-    larger = dataclasses.replace(cfg, replications=cfg.replications + 7)
-    return _bits(module.simulate_batch(larger))[:cfg.replications]
-
-
-def _split_batch(module, cfg):
+def _split_batch(model, cfg):
     # the same replications as two batches: the second packs its hit blocks
     # from a different starting replication
-    model = euclidean.FLAT if module is euclidean else sampling.HYPERBOLIC
     k = cfg.replications // 2 + 1
-    head = sampling._simulate(cfg, model, range(k))
-    return _bits(head + sampling._simulate(cfg, model, range(k, cfg.replications)))
+    return _concat([sampling._simulate(cfg, model, range(k)),
+                    sampling._simulate(cfg, model, range(k, cfg.replications))])
 
 
 @pytest.mark.parametrize("model", ["hyperbolic", "euclidean"])
 def test_batch_is_the_prefix_of_a_larger_batch(model):
-    module = euclidean if model == "euclidean" else sampling
+    model = _MODELS[model]
     cfg = SimConfig(d=3, R=2.5, replications=12, seed=31)
-    batch = _bits(module.simulate_batch(cfg))
-    assert batch == _larger_batch_prefix(module, cfg)
-    assert batch == _split_batch(module, cfg)
+    batch = simulate_batch(cfg, model)
+    assert _same(batch, _larger_batch_prefix(model, cfg))
+    assert _same(batch, _split_batch(model, cfg))
+
+
+def test_batch_fields_are_arrays():
+    # zero-hit rows, and flat-model rows on both sides of the largest double
+    log_max = math.log(np.finfo(float).max)
+    for cfg, model in ((SimConfig(d=2, R=0.01, replications=30, seed=0), HYPERBOLIC),
+                       (SimConfig(d=388, R=30.0, replications=40, seed=3), euclidean.FLAT)):
+        batch = simulate_batch(cfg, model)
+        for field, dtype in zip(batch, (np.int64, np.float64, np.float64)):
+            assert isinstance(field, np.ndarray) and field.dtype == dtype
+            assert field.shape == (cfg.replications,)
+        huge = batch.log_totals >= log_max
+        assert np.array_equal(np.isinf(batch.totals), huge)
+        assert np.all(batch.totals[huge] == math.inf)
+        assert np.all(batch.totals[~huge] == [math.exp(lt) for lt in batch.log_totals[~huge]])
+    assert 0 < huge.sum() < cfg.replications
 
 
 def test_feasibility_error_carries_diagnostics():
     cfg = SimConfig(d=20, R=10.0, replications=1, seed=0)
     with pytest.raises(FeasibilityError) as excinfo:
-        simulate_total_area(cfg, 0)
+        simulate_batch(cfg)
     err = excinfo.value
     assert err.log_expected_count > math.log(1e8)
     assert err.cap == 1e8
@@ -245,16 +274,9 @@ def test_feasibility_precedes_sampling_in_batch():
 def test_monte_carlo_count_mean():
     # mean count must track the hitting mass
     cfg = SimConfig(d=3, R=2.0, replications=400, seed=2024)
-    results = simulate_batch(cfg)
-    counts = np.array([r.count for r in results])
+    counts = simulate_batch(cfg).counts
     mass = hitting_mass(cfg.R, cfg.d)
     assert counts.mean() == pytest.approx(mass, abs=4.0 * math.sqrt(mass / 400))
-
-
-def test_realization_is_frozen():
-    r = Realization(total_area=1.0, log_total_area=0.0, count=1)
-    with pytest.raises(Exception):
-        r.count = 2
 
 
 @pytest.mark.parametrize("seed", [0, 20260821, 2**63, 2**64 - 1])
@@ -273,22 +295,22 @@ def test_rekeyed_stream_matches_fresh_stream(seed):
 # (d, R, replications) per model: zero-hit replications (R = 0.01), several
 # replications per hit block, and replications larger than one block
 _BLOCK_CASES = {
-    "hyperbolic": (sampling, [(2, 0.01, 200), (2, 8.0, 12), (2, 9.2, 3)]),
-    "euclidean": (euclidean, [(2, 0.01, 200), (3, 1500.0, 12), (3, 4500.0, 3)]),
+    "hyperbolic": [(2, 0.01, 200), (2, 8.0, 12), (2, 9.2, 3)],
+    "euclidean": [(2, 0.01, 200), (3, 1500.0, 12), (3, 4500.0, 3)],
 }
 
 
 @pytest.mark.parametrize("model", sorted(_BLOCK_CASES))
 def test_batch_singles_and_prefix_bit_identical_across_blocks(model):
-    module, cases = _BLOCK_CASES[model]
+    cases, model = _BLOCK_CASES[model], _MODELS[model]
     counts = []
     for d, R, n in cases:
         cfg = SimConfig(d=d, R=R, replications=n, seed=5)
-        batch = _bits(module.simulate_batch(cfg))
-        assert batch == _bits([module.simulate_total_area(cfg, i) for i in range(n)])
-        assert batch == _larger_batch_prefix(module, cfg)
-        assert batch == _split_batch(module, cfg)
-        counts += [c for c, _, _ in batch]
+        batch = simulate_batch(cfg, model)
+        assert _same(batch, _singles(cfg, model))
+        assert _same(batch, _larger_batch_prefix(model, cfg))
+        assert _same(batch, _split_batch(model, cfg))
+        counts += batch.counts.tolist()
     assert 0 in counts
     assert max(counts) > sampling._BLOCK
 
@@ -297,32 +319,30 @@ def test_batch_singles_and_prefix_bit_identical_across_blocks(model):
 def test_small_blocks_and_chunks_keep_counts_and_determinism(model, monkeypatch):
     # a tiny block and chunk put zero-hit replications, replications filling
     # a block to its boundary and multi-chunk replications into one batch
-    module = _BLOCK_CASES[model][0]
+    model = _MODELS[model]
     cfg = SimConfig(d=2, R=1.5, replications=300, seed=11)
-    want = _bits(module.simulate_batch(cfg))
+    want = simulate_batch(cfg, model)
     monkeypatch.setattr(sampling, "_BLOCK", 8)
     monkeypatch.setattr(sampling, "_CHUNK", 4)
-    got = _bits(module.simulate_batch(cfg))
-    counts = [c for c, _, _ in got]
-    assert counts == [c for c, _, _ in want]
-    assert 0 in counts and max(counts) > 8
+    got = simulate_batch(cfg, model)
+    assert np.array_equal(got.counts, want.counts)
+    assert 0 in got.counts and max(got.counts) > 8
     # chunked reduction only reorders the sum of a large replication
-    assert np.allclose([t for _, t, _ in got], [t for _, t, _ in want], rtol=0.0, atol=1e-13)
-    assert got == _larger_batch_prefix(module, cfg)
-    assert got == _split_batch(module, cfg)
-    assert got == _bits([module.simulate_total_area(cfg, i) for i in range(300)])
+    assert np.allclose(got.log_totals, want.log_totals, rtol=0.0, atol=1e-13)
+    assert _same(got, _larger_batch_prefix(model, cfg))
+    assert _same(got, _split_batch(model, cfg))
+    assert _same(got, _singles(cfg, model))
 
 
 @pytest.mark.parametrize("model", sorted(_BLOCK_CASES))
 def test_batch_matches_per_replication_reference(model):
     # the definition, one replication at a time: count, then uniforms, from
     # the replication's own stream, and a plain log-sum-exp of the hit areas
-    module = _BLOCK_CASES[model][0]
     flat = model == "euclidean"
     cfg = SimConfig(d=3, R=1.5, replications=200, seed=2**63 + 9)
     mass = 3.0 if flat else hitting_mass(1.5, 3)
-    got = module.simulate_batch(cfg)
-    for index, r in enumerate(got):
+    got = simulate_batch(cfg, _MODELS[model])
+    for index, (count, log_total) in enumerate(zip(got.counts, got.log_totals)):
         rng = replication_stream(cfg.seed, index)
         n = rng.poisson(mass)
         u = rng.random(n)
@@ -331,6 +351,6 @@ def test_batch_matches_per_replication_reference(model):
         else:
             s = sample_signed_distance(cfg.R, cfg.d, np.maximum(u, 2.0**-54))
             logs = log_chord_area(s, cfg.R, cfg.d)
-        assert r.count == n
+        assert count == n
         want = float(np.logaddexp.reduce(logs)) if n else -math.inf
-        assert r.log_total_area == pytest.approx(want, rel=0.0, abs=1e-13)
+        assert log_total == pytest.approx(want, rel=0.0, abs=1e-13)
