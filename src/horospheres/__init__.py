@@ -16,6 +16,7 @@ from .analysis import (
     kolmogorov_bound,
     moments,
     rate_envelope,
+    rate_envelopes,
     wasserstein_bound_integrals,
     wasserstein_bound_width,
     width_limit_integral,
@@ -38,7 +39,7 @@ from .geometry import (
     log_sinh,
     log_unit_ball_volume,
 )
-from .quadrature import LOG_ZERO, QuadratureError, quad_log_integral
+from .quadrature import LOG_ZERO, QuadratureError, quad_log_integral, quad_log_integrals
 from .render import Scene, horocycle_scene, render_svg
 from .sampling import (
     Batch,
@@ -87,7 +88,9 @@ __all__ = [
     "log_unit_ball_volume",
     "moments",
     "quad_log_integral",
+    "quad_log_integrals",
     "rate_envelope",
+    "rate_envelopes",
     "render_svg",
     "replication_stream",
     "sample_points",

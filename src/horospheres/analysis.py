@@ -2,20 +2,25 @@
 
 All moment integrals are evaluated in the log domain by the shared adaptive
 engine; the effective width of the intersection window drives the distance
-bounds and the growth-regime diagnostics.
+bounds and the growth-regime diagnostics.  A grid of (R, d) points is
+integrated in one batched engine call: every tree of every point (the three
+one-sided moment integrals, the width and, for the moments, the two-sided
+mean) is refined in lockstep, and each point reports its first failure in the
+order a point-by-point loop would meet it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import check_dimension, check_radius, log_chord_area, log_sinh, log_unit_ball_volume
-from .quadrature import QuadratureError, quad_log_integral
+from .quadrature import QuadratureError, _lockstep, quad_log_integral
 from .special import log_bessel_k0
 
 __all__ = [
@@ -39,11 +44,18 @@ __all__ = [
     "kolmogorov_bound",
     "width_ratio_table",
     "rate_envelope",
+    "rate_envelopes",
 ]
 
 _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
+_LOG_MAX = math.log(sys.float_info.max)
 _DEFAULT_TOL = 1e-10
+
+# trees of the grid core, per point, in the order their failures are reported
+_WIDTH = ("width",)
+_INTEGRALS = ("i1", "i2", "i4", "width")
+_MOMENTS = _INTEGRALS + ("mean",)
 
 
 @dataclass(frozen=True)
@@ -115,9 +127,89 @@ def log_area_coefficient(d) -> float:
     return 0.5 * (d - 1) * _LN2 + log_unit_ball_volume(d - 1)
 
 
-def _log_cosh_gap(s, R):
-    # log(cosh R - cosh s) for |s| < R, via the sinh product identity
-    return _LN2 + log_sinh(0.5 * (R + s)) + log_sinh(0.5 * (R - s))
+# The one-sided log-integrands over (0, R), from the nodes s, the dimension d,
+# a = log sinh((R + s)/2), b = log sinh((R - s)/2) and h = log sinh(R/2).
+# _LN2 + a + b is log(cosh R - cosh s), by the sinh product identity, which
+# stays accurate out to s = R.
+_ONE_SIDED = {
+    "i1": lambda s, d, a, b, h: 0.5 * (d - 1) * (_LN2 + a + b - s),
+    "i2": lambda s, d, a, b, h: 2.0 * (0.5 * (d - 1)) * (_LN2 + a + b),
+    "i4": lambda s, d, a, b, h: 2.0 * (0.5 * (d - 1)) * (2.0 * (_LN2 + a + b) - s),
+    "width": lambda s, d, a, b, h: (d - 1.0) * (a + b - 2.0 * h),
+}
+
+
+def _checked_points(radii, dims, minimum: int = 2) -> list[tuple[float, int]]:
+    """Validated (R, d) pairs, in grid order."""
+    points = []
+    for R, d in zip(radii, dims):
+        d = check_dimension(d, minimum=minimum)
+        points.append((check_radius(R, d), d))
+    return points
+
+
+def _grid_logs(points, kinds, rel_tol):
+    """Log integrals of the ``kinds`` trees at every validated (R, d) point,
+    all from one lockstep engine call.
+
+    Yields each point's logs, in ``kinds`` order.  A point's first failure,
+    a failed tree or a width estimate past 2R right after its width tree, is
+    raised when the iteration reaches that point.
+    """
+    n = len(points)
+    radii = np.array([R for R, _ in points])
+    dims = np.array([d for _, d in points], dtype=float)
+    lower = np.array([-1.0 if name == "mean" else 0.0 for name in kinds])
+
+    # trees are numbered kind by kind, tree = kind index * n + point, so the
+    # rows of one kind are contiguous in every call
+    def log_f(s, tree):
+        out = np.empty_like(s)
+        bounds = np.searchsorted(tree, np.arange(len(kinds) + 1) * n)
+        for index, name in enumerate(kinds):
+            rows = slice(bounds[index], bounds[index + 1])
+            point = tree[rows] - index * n
+            if name != "mean":
+                R, d, x = radii[point, None], dims[point, None], s[rows]
+                a, b, h = log_sinh(0.5 * (R + x)), log_sinh(0.5 * (R - x)), log_sinh(0.5 * R)
+                out[rows] = _ONE_SIDED[name](x, d, a, b, h)
+                continue
+            for p in sorted(set(point.tolist())):
+                own = np.flatnonzero(point == p) + bounds[index]
+                R, d = points[p]
+                out[own] = log_chord_area(s[own], R, d) - (d - 1.0) * s[own]
+        return out
+
+    logs, failures = _lockstep(log_f, np.outer(lower, radii).ravel(), np.tile(radii, len(kinds)), rel_tol)
+    logs = logs.reshape(len(kinds), n).tolist()
+    for p, (R, _) in enumerate(points):
+        for index, name in enumerate(kinds):
+            if index * n + p in failures:
+                raise failures[index * n + p]
+            log_w = logs[index][p]
+            if name == "width" and log_w > math.log(R) + _LN2:
+                raise QuadratureError(
+                    f"effective width estimate exceeds 2R at R = {R!r}", last=log_w, previous=log_w
+                )
+        yield [logs[index][p] for index in range(len(kinds))]
+
+
+def _exp(log_value: float) -> float:
+    """exp, with ``inf`` past double range."""
+    return math.exp(log_value) if log_value < _LOG_MAX else math.inf
+
+
+def _integral_set(R, d, logs) -> IntegralSet:
+    log_i1, log_i2, log_i4, log_w = logs[:4]
+    return IntegralSet(
+        R=R,
+        d=d,
+        log_mean_integral=log_i1,
+        log_variance_integral=log_i2,
+        log_cum4_integral=log_i4,
+        width=math.exp(log_w),
+        log_coefficient=log_area_coefficient(d),
+    )
 
 
 def effective_width(R, d, rel_tol: float = _DEFAULT_TOL) -> float:
@@ -128,39 +220,15 @@ def effective_width(R, d, rel_tol: float = _DEFAULT_TOL) -> float:
     An estimate past 2R means the integrand lost its precision at this R
     and raises :class:`QuadratureError`.
     """
-    d = check_dimension(d, minimum=1)
-    R = check_radius(R, d)
-    half_ls = float(log_sinh(0.5 * R))
-
-    def log_f(s):
-        return (d - 1.0) * (log_sinh(0.5 * (R + s)) + log_sinh(0.5 * (R - s)) - 2.0 * half_ls)
-
-    log_w = quad_log_integral(log_f, 0.0, R, rel_tol=rel_tol)
-    if log_w > math.log(R) + _LN2:
-        raise QuadratureError(f"effective width estimate exceeds 2R at R = {R!r}", last=log_w, previous=log_w)
+    [(log_w,)] = _grid_logs(_checked_points([R], [d], minimum=1), _WIDTH, rel_tol)
     return math.exp(log_w)
 
 
 def integrals(R, d, rel_tol: float = _DEFAULT_TOL) -> IntegralSet:
     """The three one-sided moment integrals and the effective width at (R, d)."""
-    d = check_dimension(d)
-    R = check_radius(R, d)
-    p = 0.5 * (d - 1)
-
-    log_i1 = quad_log_integral(lambda s: p * (_log_cosh_gap(s, R) - s), 0.0, R, rel_tol=rel_tol)
-    log_i2 = quad_log_integral(lambda s: 2.0 * p * _log_cosh_gap(s, R), 0.0, R, rel_tol=rel_tol)
-    log_i4 = quad_log_integral(
-        lambda s: 2.0 * p * (2.0 * _log_cosh_gap(s, R) - s), 0.0, R, rel_tol=rel_tol
-    )
-    return IntegralSet(
-        R=R,
-        d=d,
-        log_mean_integral=log_i1,
-        log_variance_integral=log_i2,
-        log_cum4_integral=log_i4,
-        width=effective_width(R, d, rel_tol=rel_tol),
-        log_coefficient=log_area_coefficient(d),
-    )
+    points = _checked_points([R], [d])
+    [logs] = _grid_logs(points, _INTEGRALS, rel_tol)
+    return _integral_set(*points[0], logs)
 
 
 def moments(R, d, rel_tol: float = _DEFAULT_TOL) -> MomentSummary:
@@ -170,18 +238,14 @@ def moments(R, d, rel_tol: float = _DEFAULT_TOL) -> MomentSummary:
     The variance is assembled from the one-sided integral through the shared
     code path, so the evenness identity holds exactly as computed.
     """
-    ints = integrals(R, d, rel_tol=rel_tol)
+    points = _checked_points([R], [d])
+    [logs] = _grid_logs(points, _MOMENTS, rel_tol)
+    ints = _integral_set(*points[0], logs)
     c = ints.log_coefficient
-    log_mean = quad_log_integral(
-        lambda s: log_chord_area(s, ints.R, ints.d) - (ints.d - 1.0) * s,
-        -ints.R,
-        ints.R,
-        rel_tol=rel_tol,
-    )
     return MomentSummary(
         R=ints.R,
         d=ints.d,
-        log_mean=log_mean,
+        log_mean=logs[4],
         log_mean_positive_part=c + ints.log_mean_integral,
         log_variance=_LN2 + 2.0 * c + ints.log_variance_integral,
         log_cum4_negative_part=4.0 * c + ints.log_cum4_integral,
@@ -207,13 +271,22 @@ class WidthScale(NamedTuple):
 
 def width_scale(R, d) -> WidthScale:
     """Scale parameter of the substituted width integral, with the companion
-    exponential whose ratio to it tends to 1 as R grows."""
+    exponential whose ratio to it tends to 1 as R grows.
+
+    A component past double range is ``inf``.  Past the range of sinh and
+    exp, a component is exponentiated from its log; below it, the direct
+    formula is kept, because exponentiating a log of size L loses about L
+    ulps.
+    """
     d = check_dimension(d, minimum=1)
     R = check_radius(R)
-    return WidthScale(
-        value=math.sinh(0.5 * R) / math.sqrt(d),
-        companion=0.5 * math.exp(0.5 * (R - math.log(d))),
-    )
+    if 0.5 * R < _LOG_MAX:
+        value = math.sinh(0.5 * R) / math.sqrt(d)
+    else:
+        value = _exp(log_sinh(0.5 * R) - 0.5 * math.log(d))
+    x = 0.5 * (R - math.log(d))
+    companion = 0.5 * math.exp(x) if x < _LOG_MAX else _exp(x - _LN2)
+    return WidthScale(value=value, companion=companion)
 
 
 def width_substituted(R, d, rel_tol: float = _DEFAULT_TOL) -> float:
@@ -221,10 +294,17 @@ def width_substituted(R, d, rel_tol: float = _DEFAULT_TOL) -> float:
     2 rho times the integral over (0, sqrt(d)) of
     (1 - x^2/d)^(d-1) / sqrt(1 + rho^2 x^2), with rho = sinh(R/2)/sqrt(d).
 
-    Must agree with :func:`effective_width` to quadrature accuracy.
+    Must agree with :func:`effective_width` to quadrature accuracy.  A rho
+    past double range raises :class:`QuadratureError`.
     """
     d = check_dimension(d)
     rho = width_scale(R, d).value
+    if not math.isfinite(rho):
+        raise QuadratureError(
+            f"width scale sinh(R/2)/sqrt(d) exceeds double range at R = {float(R)!r}",
+            last=math.nan,
+            previous=math.nan,
+        )
 
     def log_f(x):
         x = np.asarray(x, dtype=float)
@@ -319,9 +399,10 @@ def width_ratio_table(regime, d_grid, radii, rel_tol: float = _DEFAULT_TOL) -> l
     r_list = [float(r) for r in radii]
     if len(r_list) != len(d_list):
         raise ValueError("radii must match d_grid in length")
+    points = _checked_points(r_list, d_list)
     rows = []
-    for d, R in zip(d_list, r_list):
-        w = effective_width(R, d, rel_tol=rel_tol)
+    for (R, d), (log_w,) in zip(points, _grid_logs(points, _WIDTH, rel_tol)):
+        w = math.exp(log_w)
         rows.append(WidthRatioRow(d=d, R=R, width=w, ratio=_regime_ratio(regime, d, R, w)))
     return rows
 
@@ -337,32 +418,52 @@ def rate_envelope(R, d, threshold: float = 0.0, dim_cutoff: int = 50,
     ``dim_cutoff`` and as the growing-gap high-dimensional regime beyond.
     A point sitting exactly on the threshold is flagged as a boundary case.
     Sequences, not single points, own the true asymptotic dichotomy; this is
-    a labeling heuristic for tables.
+    a labeling heuristic for tables.  This is :func:`rate_envelopes` at one
+    point.
     """
-    d = check_dimension(d)
-    R = check_radius(R, d)
-    gap = R - math.log(d)
-    boundary = abs(gap - threshold) <= 1e-9
-    if gap <= threshold:
-        regime = Regime.HIGH_DIM_BOUNDED
-        envelope = math.exp(-0.5 * R)
-    elif d <= dim_cutoff:
-        regime = Regime.FIXED_DIM
-        envelope = 1.0 / math.sqrt(R)
-    else:
-        regime = Regime.HIGH_DIM_UNBOUNDED
-        envelope = 1.0 / (math.sqrt(d) * gap) + 1.0 / (d * math.sqrt(gap))
-    ints = integrals(R, d, rel_tol=rel_tol)
-    wb_width = wasserstein_bound_width(R, d, width=ints.width)
-    wb_ints = wasserstein_bound_integrals(R, d, integral_set=ints)
-    return BoundReport(
-        R=R,
-        d=d,
-        width=ints.width,
-        wasserstein_bound_width=wb_width,
-        wasserstein_bound_integrals=wb_ints,
-        kolmogorov_bound=kolmogorov_bound(wb_width),
-        regime=regime,
-        rate_envelope=envelope,
-        boundary=boundary,
-    )
+    return rate_envelopes([R], [d], threshold, dim_cutoff, rel_tol)[0]
+
+
+def rate_envelopes(radii, d_grid, threshold: float = 0.0, dim_cutoff: int = 50,
+                   rel_tol: float = _DEFAULT_TOL) -> list[BoundReport]:
+    """:func:`rate_envelope` at every point (``radii[k]``, ``d_grid[k]``).
+
+    Every point is validated before any quadrature runs, and the integrals of
+    all points come from one batched engine call.  A failing point raises the
+    error the point-by-point loop would have met first.
+    """
+    radii, d_grid = list(radii), list(d_grid)
+    if len(radii) != len(d_grid):
+        raise ValueError("radii must match d_grid in length")
+    points = _checked_points(radii, d_grid)
+    grid = _grid_logs(points, _INTEGRALS, rel_tol)
+    reports = []
+    for R, d in points:
+        gap = R - math.log(d)
+        boundary = abs(gap - threshold) <= 1e-9
+        if gap <= threshold:
+            regime = Regime.HIGH_DIM_BOUNDED
+            envelope = math.exp(-0.5 * R)
+        elif d <= dim_cutoff:
+            regime = Regime.FIXED_DIM
+            envelope = 1.0 / math.sqrt(R)
+        else:
+            regime = Regime.HIGH_DIM_UNBOUNDED
+            envelope = 1.0 / (math.sqrt(d) * gap) + 1.0 / (d * math.sqrt(gap))
+        ints = _integral_set(R, d, next(grid))
+        wb_width = wasserstein_bound_width(R, d, width=ints.width)
+        wb_ints = wasserstein_bound_integrals(R, d, integral_set=ints)
+        reports.append(
+            BoundReport(
+                R=R,
+                d=d,
+                width=ints.width,
+                wasserstein_bound_width=wb_width,
+                wasserstein_bound_integrals=wb_ints,
+                kolmogorov_bound=kolmogorov_bound(wb_width),
+                regime=regime,
+                rate_envelope=envelope,
+                boundary=boundary,
+            )
+        )
+    return reports

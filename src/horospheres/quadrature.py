@@ -6,6 +6,15 @@ handled in ordinary double precision.  Panels are refined breadth-first; a
 panel is accepted when bisecting it moves the log of its value by no more than
 the requested tolerance, or when its estimated absolute error is negligible
 against the running whole-interval estimate.
+
+There is one engine, :func:`quad_log_integrals`, and it runs many independent
+adaptive trees in lockstep, one tree per interval.  At each refinement level
+it evaluates the pending panels of all trees together, in ``log_f(x, tree)``
+calls on (k, 15) node arrays of up to _PANEL_BLOCK panels, and reduces the
+panels row by row in numpy.  Each tree keeps its own panel set, acceptance
+tests, depth cap and panel budget, so its result is the same, bit for bit,
+whichever trees share its batch.  :func:`quad_log_integral` is the engine
+run on one tree.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ import math
 
 import numpy as np
 
-__all__ = ["LOG_ZERO", "QuadratureError", "quad_log_integral"]
+__all__ = ["LOG_ZERO", "QuadratureError", "quad_log_integral", "quad_log_integrals"]
 
 LOG_ZERO = float("-inf")
 
@@ -28,6 +37,15 @@ _PANEL_BUDGET = 50_000
 # which keeps the sum of such errors under tol * total for any realistic
 # number of shortcut panels.
 _BUDGET_SHARE = 256.0
+_PANEL_BLOCK = 128
+
+_NON_FINITE = "log-integrand produced a non-finite value"
+
+# math.log applied elementwise.  numpy's vectorized log differs from the C
+# library's in the last bit for a few inputs in 10^5; taking every log of a
+# sum, width or difference from the C library keeps results equal to those of
+# a scalar evaluation with math.log.
+_C_LOG = np.frompyfunc(math.log, 1, 1)
 
 
 class QuadratureError(RuntimeError):
@@ -43,103 +61,193 @@ class QuadratureError(RuntimeError):
         self.previous = previous
 
 
-def _logsumexp(values) -> float:
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return LOG_ZERO
-    m = float(np.max(arr))
-    if m == LOG_ZERO:
-        return LOG_ZERO
-    if not math.isfinite(m):
-        raise ValueError("log-integrand produced a non-finite value")
-    return m + math.log(float(np.sum(np.exp(arr - m))))
+def _log(x) -> np.ndarray:
+    return _C_LOG(x).astype(float)
 
 
-def _panel(log_f, a: float, b: float) -> float:
-    half = 0.5 * (b - a)
-    vals = np.asarray(log_f(0.5 * (a + b) + half * _NODES), dtype=float)
-    if vals.shape != _NODES.shape:
+def _segment_logsumexp(values, starts) -> np.ndarray:
+    """log-sum-exp of each segment ``values[starts[i]:starts[i + 1]]``.
+
+    Each segment is summed as ``np.sum`` sums a 1-D array of its own, so its
+    result does not depend on its neighbours.  No value may be NaN or +inf.
+    """
+    peak = np.maximum.reduceat(values, starts)
+    empty = peak == LOG_ZERO
+    shift = np.repeat(np.where(empty, 0.0, peak), np.diff(starts, append=values.size))
+    terms = np.exp(values - shift)
+    # np.sum adds the elements to a zero start, reduceat to the first element;
+    # a leading zero in every segment makes both associate the same way
+    sums = np.add.reduceat(np.insert(terms, starts, 0.0), starts + np.arange(starts.size))
+    out = np.full(peak.shape, LOG_ZERO)
+    out[~empty] = peak[~empty] + _log(sums[~empty])
+    return out
+
+
+def _panels(log_f, lo, hi, tree):
+    """Log of the 15-point Gauss-Legendre estimate on each panel [lo, hi],
+    and a flag for the panels whose log-integrand was NaN or +inf.
+
+    ``log_f`` sees at most _PANEL_BLOCK panels per call, which bounds the
+    memory its temporaries take on a large level.
+    """
+    out = np.empty(lo.size)
+    bad = np.empty(lo.size, dtype=bool)
+    for start in range(0, lo.size, _PANEL_BLOCK):
+        block = slice(start, start + _PANEL_BLOCK)
+        out[block], bad[block] = _panel_block(log_f, lo[block], hi[block], tree[block])
+    return out, bad
+
+
+def _panel_block(log_f, lo, hi, tree):
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    vals = np.asarray(log_f(x, tree), dtype=float)
+    if vals.shape != x.shape:
         raise ValueError("log-integrand must map a node array to an equal-shaped array")
-    return _logsumexp(vals + _LOG_WEIGHTS) + math.log(half)
+    terms = vals + _LOG_WEIGHTS
+    peak = terms.max(axis=1)
+    bad = np.isnan(peak) | (peak == math.inf)
+    out = np.where(bad, math.nan, LOG_ZERO)
+    # a row sum along the last axis adds as np.sum of that row alone does
+    live = np.flatnonzero(peak > LOG_ZERO)
+    sums = np.exp(terms[live] - peak[live, None]).sum(axis=1)
+    out[live] = peak[live] + _log(sums) + _log(half[live])
+    return out, bad
 
 
-def _error_log(whole: float, refined: float) -> float:
-    """Log of the estimated absolute error of a panel's coarse estimate."""
-    if whole == refined:
-        return LOG_ZERO
-    diff = abs(whole - refined)
-    if not math.isfinite(diff):
-        return float(np.logaddexp(whole, refined))
-    return max(whole, refined) + math.log(diff)
+def _lockstep(log_f, a, b, rel_tol):
+    """Run one adaptive tree on each interval [a[j], b[j]], all in lockstep.
+
+    Returns the log integrals, NaN where a tree failed, and the failures as
+    ``{tree: exception}``; a tree fails with the first error it meets.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("interval ends must be two 1-D arrays of equal length")
+    n = a.size
+    result = np.full(n, math.nan)
+    result[a == b] = LOG_ZERO
+    failures = {}
+    dead = np.zeros(n, dtype=bool)
+
+    def fail(trees, error):
+        for t in trees.tolist():
+            if t not in failures:
+                failures[t] = error(t)
+        dead[trees] = True
+
+    fail(np.flatnonzero((a != b) & ~(a < b)),
+         lambda t: ValueError(f"reversed integration interval [{float(a[t])!r}, {float(b[t])!r}]"))
+    tree = np.flatnonzero(a < b)
+    if not rel_tol > 0:
+        fail(tree, lambda t: ValueError(f"rel_tol must be positive, got {rel_tol!r}"))
+        return result, failures
+    tol = max(float(rel_tol), 1e-14)
+    log_tol = math.log(tol)
+
+    # Pending panels, grouped by tree and in interval order within a tree,
+    # carry their own coarse estimate; refinement replaces a panel by its two
+    # halves, whose coarse estimates were just computed.
+    lo, hi = a[tree], b[tree]
+    whole, bad = _panels(log_f, lo, hi, tree)
+    fail(tree[bad], lambda t: ValueError(_NON_FINITE))
+    depth = np.zeros(tree.size, dtype=int)
+    spent = np.ones(n, dtype=int)
+    total = np.full(n, LOG_ZERO)
+    prev_total = np.full(n, LOG_ZERO)
+    accepted_tree = np.empty(0, dtype=int)
+    accepted = np.empty(0)
+
+    while True:
+        keep = ~dead[tree]
+        lo, hi, depth, whole, tree = lo[keep], hi[keep], depth[keep], whole[keep], tree[keep]
+        if not tree.size:
+            return result, failures
+        mid = 0.5 * (lo + hi)
+        halves, bad = _panels(
+            log_f, np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel(), np.repeat(tree, 2)
+        )
+        left, right = halves[0::2], halves[1::2]
+        spent += 2 * np.bincount(tree, minlength=n)
+        fail(tree[bad[0::2] | bad[1::2]], lambda t: ValueError(_NON_FINITE))
+        keep = ~dead[tree]
+        lo, mid, hi, depth, whole, left, right, tree = (
+            v[keep] for v in (lo, mid, hi, depth, whole, left, right, tree)
+        )
+        refined = np.logaddexp(left, right)
+
+        # running estimate of each tree: its accepted panels, then this level's
+        held = ~dead[accepted_tree]
+        keys = np.concatenate((accepted_tree[held], tree))
+        values = np.concatenate((accepted[held], refined))
+        order = np.argsort(keys, kind="stable")
+        keys, values = keys[order], values[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        present = keys[starts]
+        prev_total[present] = total[present]
+        total[present] = _segment_logsumexp(values, starts)
+        fail(present[spent[present] > _PANEL_BUDGET], lambda t: QuadratureError(
+            f"panel budget ({_PANEL_BUDGET}) exhausted before convergence",
+            last=float(total[t]), previous=float(prev_total[t]),
+        ))
+
+        # a panel is accepted when bisection leaves it unchanged, moves its log
+        # by at most tol, or its error is negligible against the estimate
+        accept = whole == refined
+        rest = np.flatnonzero(~accept)
+        diff = np.abs(whole[rest] - refined[rest])
+        accept[rest[diff <= tol]] = True
+        rest, diff = rest[diff > tol], diff[diff > tol]
+        w, r = whole[rest], refined[rest]
+        # log of each panel's estimated absolute error
+        error = np.where(np.isfinite(diff), np.maximum(w, r) + _log(diff), np.logaddexp(w, r))
+        accept[rest] = error <= total[tree[rest]] + log_tol - math.log(_BUDGET_SHARE)
+        split = ~accept
+        fail(tree[split & (depth >= _DEPTH_CAP)], lambda t: QuadratureError(
+            f"panel depth cap ({_DEPTH_CAP}) reached without convergence",
+            last=float(total[t]), previous=float(prev_total[t]),
+        ))
+
+        # a tree with nothing left to split accepted its whole level, so its
+        # integral is the running estimate just taken
+        is_open = np.zeros(n, dtype=bool)
+        is_open[tree[split]] = True
+        done = present[~is_open[present] & ~dead[present]]
+        result[done] = total[done]
+        kept = np.concatenate((np.ones(np.count_nonzero(held), dtype=bool), accept))[order] & is_open[keys]
+        accepted_tree, accepted = keys[kept], values[kept]
+        lo = np.column_stack((lo[split], mid[split])).ravel()
+        hi = np.column_stack((mid[split], hi[split])).ravel()
+        whole = np.column_stack((left[split], right[split])).ravel()
+        depth = np.repeat(depth[split] + 1, 2)
+        tree = np.repeat(tree[split], 2)
+
+
+def quad_log_integrals(log_f, a, b, rel_tol: float = 1e-10) -> np.ndarray:
+    """Return the log of the integral of exp(log_f) over each [a[j], b[j]].
+
+    ``log_f(x, tree)`` gets a (k, 15) array of interior nodes and the (k,)
+    index of the interval each row belongs to, rows grouped by interval in
+    ascending order, and returns the log-integrand at every node, with
+    ``-inf`` marking zeros.  Endpoints are
+    never evaluated, so integrands vanishing at the interval ends need no
+    special casing.  If a tree fails, the error of the first failed tree is
+    raised: :class:`QuadratureError` when the panel depth cap or the panel
+    budget is exhausted before the tolerance is met, :class:`ValueError` for a
+    reversed interval or a NaN or +inf log-integrand.
+    """
+    values, failures = _lockstep(log_f, a, b, rel_tol)
+    if failures:
+        raise failures[min(failures)]
+    return values
 
 
 def quad_log_integral(log_f, a: float, b: float, rel_tol: float = 1e-10) -> float:
     """Return log of the integral of exp(log_f) over [a, b].
 
     ``log_f`` must accept a numpy array of interior nodes and return the
-    log-integrand elementwise, with ``-inf`` marking zeros.  Endpoints are
-    never evaluated, so integrands vanishing at the interval ends need no
-    special casing.  Raises :class:`QuadratureError` when the panel depth cap
-    or the panel budget is exhausted before the tolerance is met.
+    log-integrand elementwise, with ``-inf`` marking zeros.  This is
+    :func:`quad_log_integrals` on one interval, with the same errors.
     """
-    a = float(a)
-    b = float(b)
-    if a == b:
-        return LOG_ZERO
-    if not a < b:
-        raise ValueError(f"reversed integration interval [{a!r}, {b!r}]")
-    if not rel_tol > 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol!r}")
-    tol = max(float(rel_tol), 1e-14)
-    log_tol = math.log(tol)
-
-    # Pending panels carry their own coarse estimate; refinement replaces a
-    # panel by its two halves, whose coarse estimates were just computed.
-    pending = [(a, b, 0, _panel(log_f, a, b))]
-    accepted: list[float] = []
-    panels_spent = 1
-    prev_total = LOG_ZERO
-    total = LOG_ZERO
-
-    while pending:
-        refined_info = []
-        for pa, pb, depth, whole in pending:
-            mid = 0.5 * (pa + pb)
-            left = _panel(log_f, pa, mid)
-            right = _panel(log_f, mid, pb)
-            refined = float(np.logaddexp(left, right))
-            refined_info.append((pa, pb, mid, depth, whole, left, right, refined))
-        panels_spent += 2 * len(pending)
-
-        prev_total = total
-        total = _logsumexp(accepted + [item[7] for item in refined_info])
-        if panels_spent > _PANEL_BUDGET:
-            raise QuadratureError(
-                f"panel budget ({_PANEL_BUDGET}) exhausted before convergence",
-                last=total,
-                previous=prev_total,
-            )
-        shortcut = total + log_tol - math.log(_BUDGET_SHARE)
-
-        next_pending = []
-        for pa, pb, mid, depth, whole, left, right, refined in refined_info:
-            if whole == refined:
-                accepted.append(refined)
-                continue
-            diff = abs(whole - refined)
-            if diff <= tol:
-                accepted.append(refined)
-            elif _error_log(whole, refined) <= shortcut:
-                accepted.append(refined)
-            elif depth >= _DEPTH_CAP:
-                raise QuadratureError(
-                    f"panel depth cap ({_DEPTH_CAP}) reached without convergence",
-                    last=total,
-                    previous=prev_total,
-                )
-            else:
-                next_pending.append((pa, mid, depth + 1, left))
-                next_pending.append((mid, pb, depth + 1, right))
-        pending = next_pending
-
-    return _logsumexp(accepted)
+    return float(quad_log_integrals(lambda x, tree: log_f(x), [a], [b], rel_tol)[0])

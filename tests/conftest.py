@@ -1,4 +1,10 @@
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, and few of them: each
+# example runs adaptive quadratures, some against an mpmath oracle.
+settings.register_profile("horospheres", derandomize=True, database=None, max_examples=20, deadline=None)
+settings.load_profile("horospheres")
 
 _LINES: dict[int, str] = {}
 

@@ -1,8 +1,13 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from horospheres import analysis
 from horospheres.analysis import (
     GrowthRegime,
     Regime,
@@ -12,6 +17,7 @@ from horospheres.analysis import (
     log_area_coefficient,
     moments,
     rate_envelope,
+    rate_envelopes,
     variance_direct,
     wasserstein_bound_integrals,
     wasserstein_bound_width,
@@ -20,7 +26,8 @@ from horospheres.analysis import (
     width_scale,
     width_substituted,
 )
-from horospheres.quadrature import QuadratureError
+from horospheres.geometry import log_chord_area, log_sinh
+from horospheres.quadrature import QuadratureError, quad_log_integral
 
 # Reference values computed two independent ways (30-digit adaptive
 # integration and a fixed million-point extended-precision Simpson rule),
@@ -267,3 +274,139 @@ def test_invalid_parameters_rejected():
         integrals(2.0, 1)
     with pytest.raises(ValueError):
         width_limit_integral(0.0)
+
+
+# ---------------------------------------------------------------------------
+# the grid core: one batched quadrature for many (R, d) points
+
+_LN2 = math.log(2.0)
+
+
+def _one_tree_logs(R, d):
+    """log i1, i2, i4, width and two-sided mean at (R, d), one one-tree
+    quadrature each, in the order a point-by-point loop runs them."""
+    p = 0.5 * (d - 1)
+
+    def gap(s):
+        return _LN2 + log_sinh(0.5 * (R + s)) + log_sinh(0.5 * (R - s))
+
+    half = float(log_sinh(0.5 * R))
+    return (
+        quad_log_integral(lambda s: p * (gap(s) - s), 0.0, R),
+        quad_log_integral(lambda s: 2.0 * p * gap(s), 0.0, R),
+        quad_log_integral(lambda s: 2.0 * p * (2.0 * gap(s) - s), 0.0, R),
+        quad_log_integral(
+            lambda s: (d - 1.0) * (log_sinh(0.5 * (R + s)) + log_sinh(0.5 * (R - s)) - 2.0 * half), 0.0, R
+        ),
+        quad_log_integral(lambda s: log_chord_area(s, R, d) - (d - 1.0) * s, -R, R),
+    )
+
+
+_POINTS = st.lists(st.tuples(st.floats(0.05, 40.0), st.integers(2, 5000)), min_size=1, max_size=4)
+
+
+@settings(max_examples=12)
+@given(_POINTS)
+def test_grid_core_equals_one_tree_calls(points):
+    radii, dims = [R for R, _ in points], [d for _, d in points]
+    reports = rate_envelopes(radii, dims)
+    assert reports == [rate_envelope(R, d) for R, d in points]
+    for (R, d), report, row in zip(points, reports, width_ratio_table("a", dims, radii)):
+        log_i1, log_i2, log_i4, log_w, log_mean = _one_tree_logs(R, d)
+        ints = integrals(R, d)
+        assert ints.log_mean_integral == log_i1
+        assert ints.log_variance_integral == log_i2
+        assert ints.log_cum4_integral == log_i4
+        assert ints.width == report.width == row.width == effective_width(R, d) == math.exp(log_w)
+        assert moments(R, d).log_mean == log_mean
+
+
+def _oracle_logs(R, d):
+    """log i1, i2, i4 and the width at (R, d) from mpmath at 30 digits."""
+    with mp.workdps(30):
+        R = mp.mpf(R)
+        p = mp.mpf(d - 1) / 2
+        nodes = mp.linspace(0, R, 9)
+
+        def gap(s):
+            return 2 * mp.sinh((R + s) / 2) * mp.sinh((R - s) / 2)
+
+        i1 = mp.quad(lambda s: gap(s) ** p * mp.exp(-p * s), nodes)
+        i2 = mp.quad(lambda s: gap(s) ** (2 * p), nodes)
+        i4 = mp.quad(lambda s: gap(s) ** (4 * p) * mp.exp(-2 * p * s), nodes)
+        width = mp.quad(lambda s: (gap(s) / (mp.cosh(R) - 1)) ** (d - 1), nodes)
+        return float(mp.log(i1)), float(mp.log(i2)), float(mp.log(i4)), float(width)
+
+
+# mpmath's own error stays below 2e-13 on this range; below R = 1 with d in
+# the tens it needs far more subintervals
+@settings(max_examples=6)
+@given(st.floats(1.0, 12.0), st.integers(2, 30))
+def test_integrals_agree_with_mpmath(R, d):
+    log_i1, log_i2, log_i4, width = _oracle_logs(R, d)
+    ints = integrals(R, d)
+    # the one-sided reference tolerances above: 1e-11 relative, 1e-10 for the width
+    assert ints.log_mean_integral == pytest.approx(log_i1, abs=1e-11)
+    assert ints.log_variance_integral == pytest.approx(log_i2, abs=1e-11)
+    assert ints.log_cum4_integral == pytest.approx(log_i4, abs=1e-11)
+    assert ints.width == pytest.approx(width, rel=1e-10)
+
+
+def _failing_engine(monkeypatch, point, kind):
+    """Make the engine report a failure of one tree, on top of its results.
+    The grid core numbers its trees kind by kind: i1 of every point, then i2,
+    i4 and the width."""
+    real = analysis._lockstep
+
+    def engine(log_f, a, b, rel_tol):
+        values, _ = real(log_f, a, b, rel_tol)
+        tree = kind * (len(a) // 4) + point
+        return values, {tree: QuadratureError(f"tree {point}/{kind}", last=0.0, previous=0.0)}
+
+    monkeypatch.setattr(analysis, "_lockstep", engine)
+
+
+@pytest.mark.parametrize(
+    "point, kind, message",
+    [
+        (0, 3, "tree 0/3"),  # point 0's width tree
+        (1, 0, "tree 1/0"),  # point 1's i1 tree, before point 1's width check
+        (1, 3, "tree 1/3"),  # point 1's width tree, before its own check
+        (2, 0, "exceeds 2R"),  # point 2's i1 tree, after point 1's width check
+    ],
+)
+def test_grid_failures_come_in_point_by_point_order(monkeypatch, point, kind, message):
+    # point 1's width estimate passes 2R; each point runs i1, i2, i4, width
+    _failing_engine(monkeypatch, point, kind)
+    with pytest.raises(QuadratureError, match=message):
+        rate_envelopes([2.0, 1e100, 3.0], [3, 3, 5])
+
+
+def test_grid_validates_every_point_before_quadrature():
+    # point 0 alone fails in quadrature; point 1's radius is invalid
+    with pytest.raises(QuadratureError, match="exceeds 2R"):
+        rate_envelopes([2.0, 1e100, 3.0], [3, 3, 5])
+    with pytest.raises(ValueError, match="R must be finite and positive, got nan"):
+        rate_envelopes([1e100, math.nan], [3, 3])
+    with pytest.raises(ValueError, match="dimension must be at least 2"):
+        rate_envelopes([1e100, 2.0], [3, 1])
+    with pytest.raises(ValueError, match="R must be finite and positive, got nan"):
+        width_ratio_table("a", [3, 3], [1e100, math.nan])
+    with pytest.raises(ValueError, match="radii must match d_grid in length"):
+        rate_envelopes([1.0, 2.0], [3])
+    assert rate_envelopes([], []) == []
+
+
+def test_width_scale_past_double_range_is_inf():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = width_scale(1500.0, 3)
+        assert far.value == far.companion == math.inf
+        # sinh(715) overflows, but divided by sqrt(10^6) it is finite again
+        near = width_scale(1430.0, 10**6)
+        with mp.workdps(30):
+            want = mp.sinh(715) / 1000
+            assert near.value == pytest.approx(float(want), rel=1e-12)
+            assert near.companion == pytest.approx(float(mp.exp((1430 - mp.log(10**6)) / 2) / 2), rel=1e-12)
+        with pytest.raises(QuadratureError, match="width scale"):
+            width_substituted(1500.0, 3)

@@ -404,6 +404,24 @@ def test_extreme_finite_radius_ends_in_one_line(capsys, argv, code):
         assert captured.err.startswith("horospheres: error: R must be a normal double no larger than ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--d-grid", "3,3", "--R-rule", "list:1e100,nan"],
+        ["width-table", "--regime", "a", "--d-grid", "3,3", "--R-rule", "list:1e100,nan"],
+    ],
+    ids=["bounds", "width-table"],
+)
+def test_grid_is_validated_before_any_quadrature(capsys, argv):
+    # point 0 alone fails in quadrature (exit 3), but the invalid radius of
+    # point 1 is found first
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "horospheres: error: R must be finite and positive, got nan\n"
+    assert main(argv[:-1] + ["fixed:1e100"]) == 3
+
+
 def test_render_writes_deterministic_svg(tmp_path, capsys):
     a = tmp_path / "a.svg"
     b = tmp_path / "b.svg"

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from horospheres.quadrature import LOG_ZERO, QuadratureError, quad_log_integral
+from horospheres import quadrature
+from horospheres.quadrature import LOG_ZERO, QuadratureError, quad_log_integral, quad_log_integrals
 
 
 def test_constant_one():
@@ -101,3 +104,221 @@ def test_additivity_over_subintervals():
     left = quad_log_integral(log_f, 0.0, 0.7)
     right = quad_log_integral(log_f, 0.7, 2.0)
     assert np.logaddexp(left, right) == pytest.approx(whole, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the lockstep engine: a batch of trees gives what separate one-tree calls give
+
+
+def _family(kind, lo, u, v):
+    """A one-argument log-integrand on an interval starting at ``lo``."""
+    if kind == "bump":  # Gaussian bump at u of width about 10^(-v/2)
+        return lambda x: -(10.0**v) * (x - u) ** 2
+    if kind == "power":  # (x - lo)^p for p in (-1, 50]; near -1 it cannot converge
+        return lambda x: (51.0 * v / 4.0 - 0.999) * np.log(x - lo)
+    if kind == "growth":  # e^(250 v x), up to e^1000 on the interval
+        return lambda x: 250.0 * v * x
+    if kind == "zero":
+        return lambda x: np.full_like(x, LOG_ZERO)
+    # non-finite past u: the tree fails with a ValueError
+    return lambda x: np.where(x > u, np.nan, 0.0)
+
+
+_TREES = st.tuples(
+    st.sampled_from(["bump", "power", "growth", "zero", "nan"]),
+    st.floats(0.0, 3.0),
+    st.one_of(st.just(0.0), st.floats(1e-3, 4.0)),
+    st.floats(-1.0, 5.0),
+    st.floats(0.0, 4.0),
+)
+
+
+def _batched(fs):
+    def log_f(x, tree):
+        out = np.empty_like(x)
+        for t in set(tree.tolist()):
+            rows = tree == t
+            out[rows] = fs[t](x[rows])
+        return out
+
+    return log_f
+
+
+def _outcome(call):
+    """A result, or the type, message and estimates of the error raised."""
+    try:
+        return call()
+    except (QuadratureError, ValueError) as exc:
+        return (type(exc), str(exc), getattr(exc, "last", None), getattr(exc, "previous", None))
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _check_batch(fs, a, b, rel_tol=1e-10):
+    singles = [
+        _outcome(lambda f=f, lo=lo, hi=hi: quad_log_integral(f, lo, hi, rel_tol)) for f, lo, hi in zip(fs, a, b)
+    ]
+    batch = _outcome(lambda: quad_log_integrals(_batched(fs), a, b, rel_tol))
+    failed = [single for single in singles if isinstance(single, tuple)]
+    if failed:
+        assert batch == failed[0]
+    else:
+        assert _hex(batch) == _hex(singles)
+    return singles
+
+
+@given(st.lists(_TREES, min_size=1, max_size=6))
+def test_batch_equals_separate_one_tree_calls(trees):
+    fs = [_family(kind, lo, u, v) for kind, lo, _, u, v in trees]
+    _check_batch(fs, [t[1] for t in trees], [t[1] + t[2] for t in trees])
+
+
+def test_empty_and_zero_trees_in_a_batch():
+    fs = [_family("bump", 0.0, 1.0, 2.0), _family("zero", 0.0, 0.0, 0.0), _family("growth", 1.0, 0.0, 4.0)]
+    singles = _check_batch(fs * 2, [0.0, 0.0, 1.0, 2.0, 5.0, 3.0], [2.0, 1.0, 2.0, 2.0, 5.0, 3.0])
+    assert singles[1] == singles[3] == singles[4] == singles[5] == LOG_ZERO
+    assert math.isfinite(singles[0]) and math.isfinite(singles[2])
+
+
+@pytest.mark.parametrize("position", [0, 2, 3])
+def test_batch_raises_the_failing_trees_error(position):
+    fs = [_family("bump", 0.0, 0.5, 3.0), _family("growth", 0.0, 0.0, 1.0), _family("bump", 0.0, 1.5, 1.0)]
+    fs.insert(position, lambda x: -0.999 * np.log(x))
+    singles = _check_batch(fs, [0.0] * 4, [2.0] * 4)
+    assert singles[position][0] is QuadratureError
+    assert sum(isinstance(single, tuple) for single in singles) == 1
+
+
+def test_batch_raises_the_first_of_several_errors():
+    fs = [_family("bump", 0.0, 0.5, 3.0), _family("nan", 0.0, 0.3, 0.0), lambda x: -0.999 * np.log(x)]
+    singles = _check_batch(fs, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        quad_log_integrals(_batched(fs), [0.0] * 3, [1.0] * 3)
+    assert singles[2][0] is QuadratureError
+    fs.reverse()
+    with pytest.raises(QuadratureError, match="depth cap"):
+        quad_log_integrals(_batched(fs), [0.0] * 3, [1.0] * 3)
+    # a reversed interval fails its own tree, in its place in the order
+    with pytest.raises(QuadratureError, match="depth cap"):
+        quad_log_integrals(_batched(fs), [0.0, 1.0, 0.0], [1.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="reversed"):
+        quad_log_integrals(_batched(fs), [1.0, 0.0, 0.0], [0.5, 1.0, 1.0])
+
+
+def test_a_tree_fails_with_its_first_error(monkeypatch):
+    # the budget runs out on the level where the panels also reach the depth
+    # cap; the budget is checked first, as the estimate is formed first
+    monkeypatch.setattr(quadrature, "_PANEL_BUDGET", 6)
+    monkeypatch.setattr(quadrature, "_DEPTH_CAP", 1)
+    log_f = _family("power", 0.0, 0.0, 0.0)
+    with pytest.raises(QuadratureError, match="panel budget"):
+        quad_log_integral(log_f, 0.0, 1.0)
+    with pytest.raises(QuadratureError, match="panel budget"):
+        quad_log_integrals(_batched([_family("bump", 0.0, 0.5, 0.0), log_f]), [0.0, 0.0], [1.0, 1.0])
+
+
+def test_level_larger_than_a_block_matches_one_tree_calls():
+    # 300 trees put 600 panels on the first level, more than one log_f call takes
+    count = 300
+    assert 2 * count > quadrature._PANEL_BLOCK
+    centres = np.linspace(0.1, 0.9, count)
+    fs = [_family("bump", 0.0, c, 1.0 + 2.0 * c) for c in centres]
+    calls = []
+
+    def log_f(x, tree):
+        calls.append(len(tree))
+        return _batched(fs)(x, tree)
+
+    batch = quad_log_integrals(log_f, [0.0] * count, [1.0] * count)
+    assert _hex(batch) == _hex(quad_log_integral(f, 0.0, 1.0) for f in fs)
+    assert max(calls) <= quadrature._PANEL_BLOCK
+
+
+def test_log_f_sees_node_rows_and_their_trees():
+    a, b = [0.0, -3.0, 10.0], [1.0, -2.0, 10.5]
+    seen = []
+
+    def log_f(x, tree):
+        seen.append((x.shape, tree.shape))
+        lo, hi = np.asarray(a)[tree], np.asarray(b)[tree]
+        assert np.all((x > lo[:, None]) & (x < hi[:, None]))
+        return -(x * x)
+
+    quad_log_integrals(log_f, a, b)
+    assert all(xs == (ts[0], 15) and len(ts) == 1 for xs, ts in seen)
+    assert seen[0] == ((3, 15), (3,))
+
+
+def test_one_tree_log_f_takes_one_argument():
+    shapes = []
+
+    def log_f(x):
+        shapes.append(np.shape(x))
+        return np.zeros_like(x)
+
+    assert quad_log_integral(log_f, 0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert shapes[0] == (1, 15)
+
+
+def test_mismatched_interval_ends_rejected():
+    with pytest.raises(ValueError, match="equal length"):
+        quad_log_integrals(lambda x, tree: np.zeros_like(x), [0.0, 1.0], [1.0])
+
+
+def _scalar_rule(log_f, a, b, rel_tol=1e-10):
+    """The adaptive rule one panel at a time, in plain Python and numpy
+    scalars: the reference the lockstep engine must match bit for bit."""
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+
+    def logsumexp(values):
+        arr = np.asarray(values, dtype=float)
+        m = float(np.max(arr))
+        if m == LOG_ZERO:
+            return LOG_ZERO
+        return m + math.log(float(np.sum(np.exp(arr - m))))
+
+    def panel(lo, hi):
+        half = 0.5 * (hi - lo)
+        return logsumexp(log_f(0.5 * (lo + hi) + half * nodes) + np.log(weights)) + math.log(half)
+
+    tol = max(rel_tol, 1e-14)
+    pending, accepted = [(a, b, panel(a, b))], []
+    while pending:
+        level = []
+        for lo, hi, whole in pending:
+            mid = 0.5 * (lo + hi)
+            left, right = panel(lo, mid), panel(mid, hi)
+            level.append((lo, mid, hi, whole, left, right, float(np.logaddexp(left, right))))
+        total = logsumexp(accepted + [item[-1] for item in level])
+        pending = []
+        for lo, mid, hi, whole, left, right, refined in level:
+            if whole == refined or abs(whole - refined) <= tol:
+                accepted.append(refined)
+                continue
+            diff = abs(whole - refined)
+            if math.isfinite(diff):
+                error = max(whole, refined) + math.log(diff)
+            else:
+                error = float(np.logaddexp(whole, refined))
+            if error <= total + math.log(tol) - math.log(256.0):
+                accepted.append(refined)
+            else:
+                pending += [(lo, mid, left), (mid, hi, right)]
+    return logsumexp(accepted)
+
+
+@pytest.mark.parametrize(
+    "log_f, a, b",
+    [
+        (lambda x: 1000.0 * np.log(x), 0.0, 1.0),
+        (lambda x: np.log(np.sin(x)), 0.0, math.pi),
+        (lambda x: -10000.0 * (x - 0.5) ** 2, 0.0, 1.0),
+        (lambda x: np.log(-np.log(x)), 0.0, 1.0),
+        (lambda x: 0.5 * np.log1p(-x), 0.0, 1.0),
+        (lambda x: 30.0 * np.log(x - 0.2), 0.2, 3.0),
+    ],
+)
+def test_engine_matches_the_scalar_rule(log_f, a, b):
+    assert quad_log_integral(log_f, a, b).hex() == _scalar_rule(log_f, a, b).hex()
