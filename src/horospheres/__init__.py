@@ -44,9 +44,7 @@ from .render import Scene, horocycle_scene, render_svg
 from .sampling import (
     Batch,
     FeasibilityError,
-    MassOverflowError,
     SimConfig,
-    hitting_mass,
     log_hitting_mass,
     replication_stream,
     sample_points,
@@ -67,7 +65,6 @@ __all__ = [
     "HorosphereParam",
     "IntegralSet",
     "LOG_ZERO",
-    "MassOverflowError",
     "MomentSummary",
     "QuadratureError",
     "Regime",
@@ -76,7 +73,6 @@ __all__ = [
     "effective_width",
     "empirical_kolmogorov",
     "empirical_wasserstein1",
-    "hitting_mass",
     "horocycle_disc_embedding",
     "horocycle_scene",
     "integrals",

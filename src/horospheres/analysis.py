@@ -34,6 +34,7 @@ __all__ = [
     "log_area_coefficient",
     "integrals",
     "moments",
+    "moments_grid",
     "variance_direct",
     "effective_width",
     "width_substituted",
@@ -74,7 +75,8 @@ class IntegralSet:
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """Exact moments of the total cap area, in log form."""
+    """Exact moments of the total cap area, in log form, and the effective
+    width their integrals share a tree with."""
 
     R: float
     d: int
@@ -82,6 +84,7 @@ class MomentSummary:
     log_mean_positive_part: float
     log_variance: float
     log_cum4_negative_part: float
+    width: float
 
     @property
     def mean(self) -> float:
@@ -238,18 +241,19 @@ def moments(R, d, rel_tol: float = _DEFAULT_TOL) -> MomentSummary:
     The variance is assembled from the one-sided integral through the shared
     code path, so the evenness identity holds exactly as computed.
     """
-    points = _checked_points([R], [d])
-    [logs] = _grid_logs(points, _MOMENTS, rel_tol)
-    ints = _integral_set(*points[0], logs)
-    c = ints.log_coefficient
-    return MomentSummary(
-        R=ints.R,
-        d=ints.d,
-        log_mean=logs[4],
-        log_mean_positive_part=c + ints.log_mean_integral,
-        log_variance=_LN2 + 2.0 * c + ints.log_variance_integral,
-        log_cum4_negative_part=4.0 * c + ints.log_cum4_integral,
-    )
+    return moments_grid([R], [d], rel_tol)[0]
+
+
+def moments_grid(radii, d_grid, rel_tol: float = _DEFAULT_TOL) -> list[MomentSummary]:
+    """:func:`moments` at every point (``radii[k]``, ``d_grid[k]``), each bit for bit
+    the one-point result, from one batched engine call."""
+    points = _checked_points(radii, d_grid)
+    summaries = []
+    for (R, d), (log_i1, log_i2, log_i4, log_w, log_mean) in zip(points, _grid_logs(points, _MOMENTS, rel_tol)):
+        c = log_area_coefficient(d)
+        summaries.append(MomentSummary(R, d, log_mean, c + log_i1, _LN2 + 2.0 * c + log_i2, 4.0 * c + log_i4,
+                                       math.exp(log_w)))
+    return summaries
 
 
 def variance_direct(R, d, rel_tol: float = _DEFAULT_TOL) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import LOG_ZERO, check_dimension, check_radius, log_unit_ball_volume
 from .quadrature import quad_log_integral
-from .sampling import Model
+from .sampling import _MIN_U, Model
 from .special import log_gamma
 
 __all__ = [
@@ -62,17 +62,12 @@ def log_section_area(s, R, d):
     ball of radius R.  Array-compatible in ``s``; -inf outside (-R, R)."""
     d = check_dimension(d, minimum=1)
     R = check_radius(R)
-    arr = np.asarray(s, dtype=float)
-    scalar = arr.ndim == 0
-    sv = np.atleast_1d(arr)
-    lower = R - sv
-    upper = R + sv
+    sv = np.asarray(s, dtype=float)
+    lower, upper = R - sv, R + sv
     inside = (lower > 0.0) & (upper > 0.0)
-    lo = np.where(inside, lower, 1.0)
-    hi = np.where(inside, upper, 1.0)
-    out = log_unit_ball_volume(d - 1) + 0.5 * (d - 1) * (np.log(lo) + np.log(hi))
-    out = np.where(inside, out, LOG_ZERO)
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    out = np.full(sv.shape, LOG_ZERO)
+    out[inside] = log_unit_ball_volume(d - 1) + 0.5 * (d - 1) * (np.log(lower[inside]) + np.log(upper[inside]))
+    return float(out) if out.ndim == 0 else out
 
 
 def variance_closed(R, d) -> float:
@@ -103,31 +98,28 @@ def fourth_cumulant_closed(R, d) -> float:
     )
 
 
-def variance_direct(R, d, rel_tol: float = 1e-12) -> float:
-    """log variance by direct quadrature of the squared section area."""
+def _log_power_integral(power: float, R, d, rel_tol: float) -> float:
+    """log of the integral over (-R, R) of the section area to ``power``, by quadrature."""
     d = check_dimension(d, minimum=1)
     R = check_radius(R)
-    return _LN2 + quad_log_integral(
-        lambda s: 2.0 * log_section_area(s, R, d), 0.0, R, rel_tol=rel_tol
-    )
+    return _LN2 + quad_log_integral(lambda s: power * log_section_area(s, R, d), 0.0, R, rel_tol=rel_tol)
+
+
+def variance_direct(R, d, rel_tol: float = 1e-12) -> float:
+    """log variance by direct quadrature of the squared section area."""
+    return _log_power_integral(2.0, R, d, rel_tol)
 
 
 def fourth_cumulant_direct(R, d, rel_tol: float = 1e-12) -> float:
     """log fourth cumulant by direct quadrature of the fourth power."""
-    d = check_dimension(d, minimum=1)
-    R = check_radius(R)
-    return _LN2 + quad_log_integral(
-        lambda s: 4.0 * log_section_area(s, R, d), 0.0, R, rel_tol=rel_tol
-    )
+    return _log_power_integral(4.0, R, d, rel_tol)
 
 
-def log_mean(R, d, rel_tol: float = 1e-12) -> float:
-    """log of the expected total section area, by quadrature."""
+def log_mean(R, d) -> float:
+    """log of the expected total section area: by Campbell's theorem, the
+    volume of the ball, log kappa_d + d log R."""
     d = check_dimension(d, minimum=1)
-    R = check_radius(R)
-    return _LN2 + quad_log_integral(
-        lambda s: log_section_area(s, R, d), 0.0, R, rel_tol=rel_tol
-    )
+    return log_unit_ball_volume(d) + d * math.log(check_radius(R))
 
 
 def wasserstein_bound(R, d) -> EuclidBound:
@@ -166,9 +158,24 @@ def euclid_moments(R, d) -> EuclidMoments:
     )
 
 
+def _flat_hits(R: float, d: int):
+    """The fused hit kernel at a valid (R, d), in place on uniforms u: with t = 2uR, the log
+    area c + (d-1)/2 (log t + log(2R - t)) is c + (d-1) log 2R + (d-1)/2 log(u (1 - u)), exact
+    at both edges because 1 - u is."""
+    k = log_unit_ball_volume(d - 1) + (d - 1.0) * math.log(2.0 * R)
+
+    def hits(u, v, x):
+        np.subtract(1.0, np.maximum(u, _MIN_U, out=u), out=v)
+        np.log(np.multiply(u, v, out=u), out=u)
+        return np.add(np.multiply(u, 0.5 * (d - 1), out=u), k, out=u)
+
+    return hits
+
+
 FLAT = Model(
     # intensity mass exactly 2R under the normalized sphere measure, distance uniform on (-R, R)
     log_mass=lambda R, d: math.log(2.0 * R),
-    distance=lambda u, R, d: (2.0 * u - 1.0) * R,
+    edge_distance=lambda u, R, d: np.multiply(np.maximum(u, _MIN_U, out=u), 2.0 * R, out=u),
     log_area=lambda s, R, d: log_section_area(s, R, d),
+    hits=_flat_hits,
 )

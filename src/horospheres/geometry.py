@@ -115,18 +115,13 @@ def log_chord_area(s, R, d):
     """
     d = check_dimension(d)
     R = check_radius(R, d)
-    arr = np.asarray(s, dtype=float)
-    scalar = arr.ndim == 0
-    sv = np.atleast_1d(arr)
-    half_plus = 0.5 * (R + sv)
-    half_minus = 0.5 * (R - sv)
+    sv = np.asarray(s, dtype=float)
+    half_plus, half_minus = 0.5 * (R + sv), 0.5 * (R - sv)
     inside = (half_plus > 0.0) & (half_minus > 0.0)
-    hp = np.where(inside, half_plus, 1.0)
-    hm = np.where(inside, half_minus, 1.0)
-    log_gap = _LN2 + log_sinh(hp) + log_sinh(hm)
-    out = log_unit_ball_volume(d - 1) + 0.5 * (d - 1) * (_LN2 + sv + log_gap)
-    out = np.where(inside, out, LOG_ZERO)
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    log_gap = _LN2 + log_sinh(half_plus[inside]) + log_sinh(half_minus[inside])
+    out = np.full(sv.shape, LOG_ZERO)
+    out[inside] = log_unit_ball_volume(d - 1) + 0.5 * (d - 1) * (_LN2 + sv[inside] + log_gap)
+    return float(out) if out.ndim == 0 else out
 
 
 def horocycle_disc_embedding(h: HorosphereParam) -> EuclideanCircle:

@@ -2,12 +2,13 @@
 
 One vectorized sampler, :func:`simulate_batch`, serves both geometric models
 and returns a :class:`Batch` of arrays; :func:`sample_points` replays one
-replication.  A :class:`Model` gives the log hitting mass, the uniform-to-
-distance map and the log area per hit (:data:`HYPERBOLIC` here, ``FLAT`` in
-:mod:`horospheres.euclidean`).  Each replication draws its count and uniforms
-from its own counter-based stream keyed by (index, seed); many replications
-share a hit block reduced by one segmented log-sum-exp, so replication k is
-the same in every batch.
+replication.  A :class:`Model` gives the log hitting mass, the map from a
+uniform to the distance t = R + s from the far edge of the ball, and a fused
+kernel that turns a block of uniforms into log areas in place
+(:data:`HYPERBOLIC` here, ``FLAT`` in :mod:`horospheres.euclidean`).  Each
+replication draws its count and uniforms from its own counter-based stream
+keyed by (index, seed); many replications share a hit block reduced by one
+segmented log-sum-exp, so replication k is the same in every batch.
 """
 
 from __future__ import annotations
@@ -18,16 +19,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import HorosphereParam, LOG_ZERO, check_dimension, check_radius, log_chord_area, log_sinh
+from .geometry import (HorosphereParam, LOG_ZERO, check_dimension, check_radius, log_chord_area, log_sinh,
+                       log_unit_ball_volume)
 
 __all__ = [
     "FeasibilityError",
-    "MassOverflowError",
     "Model",
     "HYPERBOLIC",
     "SimConfig",
     "Batch",
-    "hitting_mass",
     "log_hitting_mass",
     "sample_signed_distance",
     "sample_direction",
@@ -42,11 +42,11 @@ _LN2 = math.log(2.0)
 _SEED_LIMIT = 1 << 64
 _LOG_MAX_DOUBLE = math.log(np.finfo(float).max)
 _CHUNK = 1 << 20
-# hits per vectorized block: per-hit ufunc cost rises once a block's
-# temporaries no longer fit in cache
+# hits per vectorized block; the kernels work in place on it and two scratch
+# blocks of the same length
 _BLOCK = 1 << 13
-# rng.random can return exactly 0.0, which the strict inverse CDF rejects;
-# clamping to half the smallest regular draw keeps every uniform in (0, 1)
+# rng.random can return exactly 0.0, whose far-edge distance and log area are
+# not finite; clamping to half the smallest regular draw keeps u in (0, 1)
 _MIN_U = 2.0**-54
 
 
@@ -57,14 +57,6 @@ class FeasibilityError(RuntimeError):
         super().__init__(message)
         self.log_expected_count = log_expected_count
         self.cap = cap
-
-
-class MassOverflowError(OverflowError):
-    """The expected hitting count overflows double precision; carries its log."""
-
-    def __init__(self, message: str, log_mass: float):
-        super().__init__(message)
-        self.log_mass = log_mass
 
 
 @dataclass(frozen=True)
@@ -108,35 +100,74 @@ def log_hitting_mass(R, d) -> float:
     return float(log_sinh(a)) + _LN2 - math.log(d - 1.0)
 
 
-def hitting_mass(R, d) -> float:
-    """Expected number of horospheres meeting the ball: 2 sinh((d-1)R)/(d-1)."""
-    lm = log_hitting_mass(R, d)
-    if lm >= _LOG_MAX_DOUBLE:
-        raise MassOverflowError(
-            f"expected hitting count overflows double precision (log mass {lm:.6g})",
-            log_mass=lm,
-        )
-    return math.exp(lm)
-
-
 def sample_signed_distance(R, d, U):
     """Inverse-CDF sample of the signed distance on (-R, R).
 
     The intensity density is e^{-(d-1)s}; the inverse CDF is evaluated in log
-    form so it stays finite and strictly monotone in U even for (d-1)R of
-    several hundred.  Array-compatible in ``U``.
+    form so it stays finite and monotone in U even for (d-1)R of several
+    hundred.  It is the far-edge distance less R, so it keeps only the
+    absolute precision of R.  Array-compatible in ``U``.
     """
     d = check_dimension(d)
     R = check_radius(R)
-    arr = np.asarray(U, dtype=float)
-    scalar = arr.ndim == 0
-    uv = np.atleast_1d(arr)
-    if np.any((uv <= 0.0) | (uv >= 1.0)):
+    scalar = np.ndim(U) == 0
+    u = np.array(U, dtype=float, ndmin=1)
+    if np.any((u <= 0.0) | (u >= 1.0)):
         raise ValueError("U must lie strictly inside (0, 1)")
-    a = d - 1.0
-    w = -np.expm1(-2.0 * a * R)
-    out = -R - np.log1p(-uv * w) / a
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    s = _far_edge(u, R, d) - R
+    return float(s[0]) if scalar else s
+
+
+def _far_edge(u: np.ndarray, R: float, d: int) -> np.ndarray:
+    """The inverse CDF in the distance t = R + s from the far edge, -log1p(-u w)/(d-1) with
+    w = 1 - e^{-2(d-1)R}, in place and held below 2R (u near 1 can round t up to 2R)."""
+    t = np.divide(np.log1p(np.multiply(u, math.expm1(-2.0 * (d - 1.0) * R), out=u), out=u), 1.0 - d, out=u)
+    return np.minimum(t, math.nextafter(2.0 * R, 0.0), out=t)
+
+
+def _hyperbolic_hits(R: float, d: int):
+    """The fused hit kernel at a valid (R, d): ``hits(u, v, x)`` overwrites uniforms u with the
+    log areas of their caps, using v and x as scratch.
+
+    With t = R + s and r = R - s, the log area is c + (d-1)/2 (log(e^t - 1) + log(1 - e^{-r})).
+    t comes from u and r from 1 - u, each on its own side, so both stay accurate out to the
+    edge they approach.  In the plane the product is rational in u: u (1 - u) w^2/(1 - u w)^2.
+    """
+    a, c = d - 1.0, log_unit_ball_volume(d - 1)
+    A = 2.0 * a * R
+    E, w = math.exp(-A), -math.expm1(-A)
+    if d == 2:
+        k = c + math.log(w)
+
+        def plane(u, v, x):
+            np.subtract(1.0, np.maximum(u, _MIN_U, out=u), out=v)
+            u *= v
+            np.add(np.multiply(v, w, out=v), E, out=v)  # 1 - u w = (1 - u) w + E
+            u /= np.square(v, out=v)
+            return np.add(np.multiply(np.log(u, out=u), 0.5, out=u), k, out=u)
+
+        return plane
+
+    M = math.expm1(A) if A < _LOG_MAX_DOUBLE else math.inf
+
+    def hits(u, v, x):
+        np.subtract(1.0, np.maximum(u, _MIN_U, out=u), out=v)
+        if A < _LN2:  # 1 - u w >= 1/2
+            np.log1p(np.multiply(u, -w, out=u), out=u)
+        else:  # log(1 - u w) = log1p(-u) + log1p(u E/(1 - u)), free of the rounding of u w
+            np.log1p(np.negative(u, out=x), out=x)
+            np.log1p(np.divide(np.multiply(u, E, out=u), v, out=u), out=u)
+            u += x
+        u /= -a  # t
+        if M < math.inf:  # r = log1p((1 - u)(e^{2(d-1)R} - 1))/(d-1)
+            np.divide(np.log1p(np.multiply(v, M, out=v), out=v), -a, out=v)
+        else:
+            np.subtract(u, 2.0 * R, out=v)  # -r
+        np.log(np.expm1(u, out=u), out=u)
+        u += np.log(np.negative(np.expm1(v, out=v), out=v), out=v)
+        return np.add(np.multiply(u, 0.5 * a, out=u), c, out=u)
+
+    return hits
 
 
 def _sample_directions(k: int, d: int, rng) -> np.ndarray:
@@ -178,19 +209,23 @@ def replication_stream(seed: int, index: int):
 
 
 class Model(NamedTuple):
-    """A geometric model as the sampler sees it, each callable taking (R, d) last: log expected hit
-    count; uniforms in [0, 1) to signed distances (may overwrite them); distances to log areas."""
+    """A geometric model as the sampler sees it, each callable taking (R, d) last: the log expected
+    hit count; uniforms in [0, 1) to distances t = R + s from the far edge, in (0, 2R) (may overwrite
+    them); log areas at signed distances s; and ``hits(R, d)``, the fused kernel for a valid (R, d),
+    whose ``hits(u, v, x)`` overwrites uniforms u with their log areas, v and x being scratch."""
 
     log_mass: Callable[[float, int], float]
-    distance: Callable[[np.ndarray, float, int], np.ndarray]
+    edge_distance: Callable[[np.ndarray, float, int], np.ndarray]
     log_area: Callable[[np.ndarray, float, int], np.ndarray]
+    hits: Callable[[float, int], Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]
 
 
 # the lambdas look functions up per call, so a rebound module name (tracing) still applies
 HYPERBOLIC = Model(
     log_mass=log_hitting_mass,
-    distance=lambda u, R, d: sample_signed_distance(R, d, np.maximum(u, _MIN_U, out=u)),
+    edge_distance=lambda u, R, d: _far_edge(np.maximum(u, _MIN_U, out=u), R, d),
     log_area=lambda s, R, d: log_chord_area(s, R, d),
+    hits=_hyperbolic_hits,
 )
 
 
@@ -205,12 +240,11 @@ def check_feasible(cfg: SimConfig, model: Model = HYPERBOLIC) -> float:
 
 
 def _segment_log_sums(logs: np.ndarray, starts) -> np.ndarray:
-    """log of the sum of exp(logs) over each segment beginning at ``starts``."""
+    """log of the sum of exp(logs) over each segment beginning at ``starts``.
+    The logs must be finite; they are overwritten."""
     m = np.maximum.reduceat(logs, starts)
-    # a segment whose hits all have zero area keeps its -inf total
-    shift = np.where(m > LOG_ZERO, m, 0.0)
-    sums = np.add.reduceat(np.exp(logs - np.repeat(shift, np.diff(starts, append=logs.size))), starts)
-    return shift + np.log(sums, out=np.full_like(sums, LOG_ZERO), where=sums > 0.0)
+    logs -= np.repeat(m, np.diff(starts, append=logs.size))
+    return m + np.log(np.add.reduceat(np.exp(logs, out=logs), starts))
 
 
 def _replication_streams(seed: int):
@@ -233,22 +267,21 @@ def _replication_streams(seed: int):
 def _simulate(cfg: SimConfig, model: Model, indices: range) -> Batch:
     """The shared sampler: replications ``indices`` of ``model``, in order.
 
-    Uniforms fill a hit block, transformed and reduced at once when full.  A
-    replication never straddles two blocks, and one larger than a block is
-    reduced alone in ``_CHUNK``-sized pieces: memory stays bounded and each
-    result depends on its own stream only."""
+    Uniforms fill a hit block, which is turned into log areas in place and
+    reduced at once when full.  A replication never straddles two blocks,
+    and one larger than a block is reduced alone in ``_CHUNK``-sized pieces:
+    memory stays bounded and each result depends on its own stream only."""
     if indices and not 0 <= indices[0] <= indices[-1] < _SEED_LIMIT:
         raise ValueError("replication index must be a 64-bit unsigned integer")
-    R, d = cfg.R, cfg.d
     mean = math.exp(check_feasible(cfg, model))
+    hits = model.hits(cfg.R, cfg.d)
     stream = _replication_streams(cfg.seed)
     counts, log_totals = [], np.full(len(indices), LOG_ZERO)
-    block = np.empty(_BLOCK)
+    block, v, x = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK)
     rows, starts, pos = [], [], 0
 
-    def add_hits(u, at_rows, at_starts):
-        logs = model.log_area(model.distance(u, R, d), R, d)
-        log_totals[at_rows] = np.logaddexp(log_totals[at_rows], _segment_log_sums(logs, at_starts))
+    def add_hits(u, v, x, at_rows, at_starts):
+        log_totals[at_rows] = np.logaddexp(log_totals[at_rows], _segment_log_sums(hits(u, v, x), at_starts))
 
     for row, index in enumerate(indices):
         gen = stream(index)
@@ -256,17 +289,18 @@ def _simulate(cfg: SimConfig, model: Model, indices: range) -> Batch:
         counts.append(n)
         if n > _BLOCK:
             for done in range(0, n, _CHUNK):
-                add_hits(gen.random(min(_CHUNK, n - done)), [row], [0])
+                u = gen.random(min(_CHUNK, n - done))
+                add_hits(u, np.empty_like(u), np.empty_like(u), [row], [0])
         elif n > 0:
             if pos + n > _BLOCK:
-                add_hits(block[:pos], rows, starts)
+                add_hits(block[:pos], v[:pos], x[:pos], rows, starts)
                 rows, starts, pos = [], [], 0
             gen.random(n, out=block[pos:pos + n])
             rows.append(row)
             starts.append(pos)
             pos += n
     if rows:
-        add_hits(block[:pos], rows, starts)
+        add_hits(block[:pos], v[:pos], x[:pos], rows, starts)
     # math.exp, not np.exp: the two can differ in the last bit
     totals = [math.exp(lt) if lt < _LOG_MAX_DOUBLE else math.inf for lt in log_totals.tolist()]
     return Batch(np.array(counts, dtype=np.int64), np.array(totals, dtype=float), log_totals)
@@ -282,6 +316,6 @@ def sample_points(cfg: SimConfig, index: int, model: Model = HYPERBOLIC) -> tupl
     in the sampler's order (count, uniforms, directions): the count and log areas of its row."""
     gen = replication_stream(cfg.seed, index)
     n = sample_poisson_count(math.exp(check_feasible(cfg, model)), gen)
-    s = model.distance(gen.random(n), cfg.R, cfg.d)
+    s = model.edge_distance(gen.random(n), cfg.R, cfg.d) - cfg.R
     dirs = _sample_directions(n, cfg.d, gen)
     return tuple(HorosphereParam(float(si), tuple(float(c) for c in di)) for si, di in zip(s, dirs))

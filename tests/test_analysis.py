@@ -16,6 +16,7 @@ from horospheres.analysis import (
     kolmogorov_bound,
     log_area_coefficient,
     moments,
+    moments_grid,
     rate_envelope,
     rate_envelopes,
     variance_direct,
@@ -319,6 +320,15 @@ def test_grid_core_equals_one_tree_calls(points):
         assert ints.log_cum4_integral == log_i4
         assert ints.width == report.width == row.width == effective_width(R, d) == math.exp(log_w)
         assert moments(R, d).log_mean == log_mean
+
+
+@settings(max_examples=8)
+@given(_POINTS)
+def test_moments_grid_equals_one_point_moments(points):
+    radii, dims = [R for R, _ in points], [d for _, d in points]
+    summaries = moments_grid(radii, dims)
+    assert summaries == [moments(R, d) for R, d in points]
+    assert [m.width for m in summaries] == [effective_width(R, d) for R, d in points]
 
 
 def _oracle_logs(R, d):

@@ -329,6 +329,11 @@ def test_verify_clt_euclidean_target(capsys):
     jsonschema.validate(doc, _schema("verify_clt.schema.json"))
 
 
+def test_verify_clt_zero_replications_is_usage_error(capsys):
+    assert main(["verify-clt", "--d", "2", "--R-list", "2,3", "--n", "0", "--seed", "1"]) == 64
+    assert "replications must be at least 1" in capsys.readouterr().err
+
+
 def test_verify_clt_infeasible_exits_2(capsys):
     code = main(["verify-clt", "--d", "2", "--R-list", "30", "--n", "10", "--seed", "0"])
     assert code == 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from horospheres import sampling
+from horospheres.quadrature import quad_log_integral
 from horospheres.euclidean import (
     FLAT,
     euclid_moments,
@@ -78,6 +79,15 @@ def test_mean_low_dimensions():
     got = math.exp(log_mean(1.0, 2))
     want = 2.0 * (math.pi / 2.0)  # integral of 2 sqrt(1 - s^2) over (-1, 1)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 11, 50])
+def test_mean_closed_form_matches_quadrature(d):
+    # the ball volume kappa_d R^d against twice the integral of the section
+    # area over (0, R): relative 1e-13 on the mean is 1e-13 on its log
+    for R in (0.3, 1.0, 4.0):
+        quad = math.log(2.0) + quad_log_integral(lambda s: log_section_area(s, R, d), 0.0, R, rel_tol=1e-12)
+        assert log_mean(R, d) == pytest.approx(quad, rel=0.0, abs=1e-13)
 
 
 def test_wasserstein_bound_line_model():
