@@ -141,9 +141,15 @@ def _split_items(value) -> list:
     return [part for part in str(value).split(",") if part.strip() != ""]
 
 
-def _as_list(value, name: str, convert=_as_float) -> list:
-    """A non-empty list of ``convert``-ed items."""
-    items = [convert(v, name) for v in _split_items(value)]
+def _as_int_list(value, name: str) -> list[int]:
+    items = [_as_int(v, name) for v in _split_items(value)]
+    if not items:
+        raise UsageError(f"{name} must not be empty")
+    return items
+
+
+def _as_float_list(value, name: str) -> list[float]:
+    items = [_as_float(v, name) for v in _split_items(value)]
     if not items:
         raise UsageError(f"{name} must not be empty")
     return items
@@ -168,7 +174,7 @@ def _radius_rule(value, d_grid: list[int], name: str = "R-rule") -> list[float]:
     if kind == "fixed":
         return [_as_float(rest, name)] * len(d_grid)
     if kind == "list":
-        values = _as_list(rest, name)
+        values = _as_float_list(rest, name)
         if len(values) != len(d_grid):
             raise UsageError(f"{name} list must match the d grid in length")
         return values
@@ -305,8 +311,16 @@ def _cmd_moments(args) -> None:
     _emit(_json_doc({"config": echo, "moments": body}), args.out)
 
 
-_BOUND_HEADER = ["d", "R", "width", "wasserstein_bound_width", "wasserstein_bound_integrals",
-                 "kolmogorov_bound", "regime", "rate_envelope"]
+_BOUND_HEADER = [
+    "d",
+    "R",
+    "width",
+    "wasserstein_bound_width",
+    "wasserstein_bound_integrals",
+    "kolmogorov_bound",
+    "regime",
+    "rate_envelope",
+]
 _EUCLID_BOUND_HEADER = ["d", "R", "wasserstein_bound", "normalized_bound"]
 
 
@@ -314,19 +328,43 @@ def _cmd_bounds(args) -> None:
     raw = _merged(args, ("model", "d_grid", "R_rule", "format"))
     model = _as_choice(raw.get("model", "hyperbolic"), "model", ("hyperbolic", "euclidean"))
     fmt = _as_choice(raw.get("format", "json"), "format", ("json", "csv"))
-    d_grid = _as_list(_require(raw, "d_grid"), "d-grid", _as_int)
+    d_grid = _as_int_list(_require(raw, "d_grid"), "d-grid")
     rule = _require(raw, "R_rule")
     radii = _radius_rule(rule, d_grid)
 
     if model == "euclidean":
-        rows = [dict(zip(_EUCLID_BOUND_HEADER, (d, R, *euclidean.wasserstein_bound(R, d))))
-                for d, R in zip(d_grid, radii)]
+        rows = []
+        for d, R in zip(d_grid, radii):
+            bound = euclidean.wasserstein_bound(R, d)
+            rows.append(
+                {
+                    "d": d,
+                    "R": R,
+                    "wasserstein_bound": bound.value,
+                    "normalized_bound": bound.normalized,
+                }
+            )
     else:
-        # one batched quadrature for the whole grid; the header names BoundReport fields
-        rows = [{key: getattr(report, key) for key in _BOUND_HEADER} | {"regime": report.regime.value}
-                for report in analysis.rate_envelopes(radii, d_grid)]
+        # one batched quadrature for the whole grid
+        rows = [
+            {
+                "d": report.d,
+                "R": report.R,
+                "width": report.width,
+                "wasserstein_bound_width": report.wasserstein_bound_width,
+                "wasserstein_bound_integrals": report.wasserstein_bound_integrals,
+                "kolmogorov_bound": report.kolmogorov_bound,
+                "regime": report.regime.value,
+                "rate_envelope": report.rate_envelope,
+            }
+            for report in analysis.rate_envelopes(radii, d_grid)
+        ]
 
-    echo = _echo(args, "bounds", {"model": model, "d_grid": d_grid, "R_rule": rule, "format": fmt})
+    echo = _echo(
+        args,
+        "bounds",
+        {"model": model, "d_grid": d_grid, "R_rule": rule, "format": fmt},
+    )
     if fmt == "csv":
         header = _EUCLID_BOUND_HEADER if model == "euclidean" else _BOUND_HEADER
         _emit(_csv_table(echo, header, rows), args.out)
@@ -338,7 +376,7 @@ def _cmd_verify_clt(args) -> None:
     raw = _merged(args, ("model", "d", "R_list", "n", "seed"))
     model = _as_choice(raw.get("model", "hyperbolic"), "model", tuple(_MODELS))
     d = _as_int(_require(raw, "d"), "d")
-    radii = _as_list(_require(raw, "R_list"), "R-list")
+    radii = _as_float_list(_require(raw, "R_list"), "R-list")
     n = _as_int(_require(raw, "n"), "n")
     seed = _as_int(_require(raw, "seed"), "seed")
 
@@ -349,15 +387,18 @@ def _cmd_verify_clt(args) -> None:
         sampling.check_feasible(cfg, _MODELS[model])
     target = 1.0 if model == "euclidean" else 0.5
     allowance = 1.5 / math.sqrt(n)
-    # (center, scale, bound) per radius; the hyperbolic moments of all radii come from one grid call
-    if model == "euclidean":
-        stats = [(math.exp(euclidean.log_mean(R, d)), math.exp(0.5 * euclidean.variance_closed(R, d)),
-                  euclidean.wasserstein_bound(R, d).value) for R in radii]
-    else:
-        stats = [(m.mean, m.sd, analysis.wasserstein_bound_width(m.R, d, width=m.width))
-                 for m in analysis.moments_grid(radii, [d] * len(radii))]
+    # the hyperbolic moments and widths of all radii come from one grid call
+    grid = analysis.moments_grid(radii, [d] * len(radii)) if model == "hyperbolic" else [None] * len(radii)
     rows = []
-    for R, cfg, (center, scale, bound) in zip(radii, configs, stats):
+    for R, cfg, m in zip(radii, configs, grid):
+        if model == "euclidean":
+            center = math.exp(euclidean.log_mean(R, d))
+            scale = math.exp(0.5 * euclidean.variance_closed(R, d))
+            bound = euclidean.wasserstein_bound(R, d).value
+        else:
+            center = m.mean
+            scale = m.sd
+            bound = analysis.wasserstein_bound_width(R, d, width=m.width)
         totals = sampling.simulate_batch(cfg, _MODELS[model]).totals
         summary = empirical.summarize(totals, target, center=center, scale=scale)
         rows.append(
@@ -376,7 +417,11 @@ def _cmd_verify_clt(args) -> None:
     kol_values = [row["d_kol"] for row in rows]
     kol_decreasing = all(b < a for a, b in zip(kol_values, kol_values[1:]))
     all_w1 = all(row["w1_pass"] for row in rows)
-    echo = _echo(args, "verify-clt", {"model": model, "d": d, "R_list": radii, "n": n, "seed": seed})
+    echo = _echo(
+        args,
+        "verify-clt",
+        {"model": model, "d": d, "R_list": radii, "n": n, "seed": seed},
+    )
     doc = {
         "config": echo,
         "target_variance": target,
@@ -404,7 +449,7 @@ def _cmd_render(args) -> None:
 def _cmd_width_table(args) -> None:
     raw = _merged(args, ("regime", "d_grid", "R_rule"))
     regime = _as_choice(_require(raw, "regime"), "regime", ("a", "b1", "b2"))
-    d_grid = _as_list(_require(raw, "d_grid"), "d-grid", _as_int)
+    d_grid = _as_int_list(_require(raw, "d_grid"), "d-grid")
     rule = _require(raw, "R_rule")
     radii = _radius_rule(rule, d_grid)
     try:

@@ -98,21 +98,22 @@ def fourth_cumulant_closed(R, d) -> float:
     )
 
 
-def _log_power_integral(power: float, R, d, rel_tol: float) -> float:
-    """log of the integral over (-R, R) of the section area to ``power``, by quadrature."""
-    d = check_dimension(d, minimum=1)
-    R = check_radius(R)
-    return _LN2 + quad_log_integral(lambda s: power * log_section_area(s, R, d), 0.0, R, rel_tol=rel_tol)
-
-
 def variance_direct(R, d, rel_tol: float = 1e-12) -> float:
     """log variance by direct quadrature of the squared section area."""
-    return _log_power_integral(2.0, R, d, rel_tol)
+    d = check_dimension(d, minimum=1)
+    R = check_radius(R)
+    return _LN2 + quad_log_integral(
+        lambda s: 2.0 * log_section_area(s, R, d), 0.0, R, rel_tol=rel_tol
+    )
 
 
 def fourth_cumulant_direct(R, d, rel_tol: float = 1e-12) -> float:
     """log fourth cumulant by direct quadrature of the fourth power."""
-    return _log_power_integral(4.0, R, d, rel_tol)
+    d = check_dimension(d, minimum=1)
+    R = check_radius(R)
+    return _LN2 + quad_log_integral(
+        lambda s: 4.0 * log_section_area(s, R, d), 0.0, R, rel_tol=rel_tol
+    )
 
 
 def log_mean(R, d) -> float:
@@ -176,6 +177,5 @@ FLAT = Model(
     # intensity mass exactly 2R under the normalized sphere measure, distance uniform on (-R, R)
     log_mass=lambda R, d: math.log(2.0 * R),
     edge_distance=lambda u, R, d: np.multiply(np.maximum(u, _MIN_U, out=u), 2.0 * R, out=u),
-    log_area=lambda s, R, d: log_section_area(s, R, d),
     hits=_flat_hits,
 )

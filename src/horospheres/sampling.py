@@ -19,8 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import (HorosphereParam, LOG_ZERO, check_dimension, check_radius, log_chord_area, log_sinh,
-                       log_unit_ball_volume)
+from .geometry import HorosphereParam, LOG_ZERO, check_dimension, check_radius, log_sinh, log_unit_ball_volume
 
 __all__ = [
     "FeasibilityError",
@@ -106,7 +105,8 @@ def sample_signed_distance(R, d, U):
     The intensity density is e^{-(d-1)s}; the inverse CDF is evaluated in log
     form so it stays finite and monotone in U even for (d-1)R of several
     hundred.  It is the far-edge distance less R, so it keeps only the
-    absolute precision of R.  Array-compatible in ``U``.
+    absolute precision of R; U below 2^-54 counts as 2^-54, as in the
+    sampler.  Array-compatible in ``U``.
     """
     d = check_dimension(d)
     R = check_radius(R)
@@ -114,15 +114,28 @@ def sample_signed_distance(R, d, U):
     u = np.array(U, dtype=float, ndmin=1)
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise ValueError("U must lie strictly inside (0, 1)")
-    s = _far_edge(u, R, d) - R
+    s = _far_edge(u, np.empty_like(u), np.empty_like(u), R, d) - R
     return float(s[0]) if scalar else s
 
 
-def _far_edge(u: np.ndarray, R: float, d: int) -> np.ndarray:
-    """The inverse CDF in the distance t = R + s from the far edge, -log1p(-u w)/(d-1) with
-    w = 1 - e^{-2(d-1)R}, in place and held below 2R (u near 1 can round t up to 2R)."""
-    t = np.divide(np.log1p(np.multiply(u, math.expm1(-2.0 * (d - 1.0) * R), out=u), out=u), 1.0 - d, out=u)
-    return np.minimum(t, math.nextafter(2.0 * R, 0.0), out=t)
+def _far_edge(u: np.ndarray, v: np.ndarray, x: np.ndarray, R: float, d: int) -> np.ndarray:
+    """The inverse CDF in the distance t = R + s from the far edge, in place on uniforms u
+    (clamped to [2^-54, 1)) and held below 2R; v receives 1 - u and x is scratch.
+
+    t = -log(1 - u w)/(d-1) with w = 1 - e^{-2(d-1)R}.  Once e^{-2(d-1)R} <= 1/2, log(1 - u w)
+    is log1p(-u) + log1p(u e^{-2(d-1)R}/(1 - u)), free of the rounding of u w, so t stays
+    accurate as u -> 1 as well as u -> 0.
+    """
+    a, A = d - 1.0, 2.0 * (d - 1.0) * R
+    np.subtract(1.0, np.maximum(u, _MIN_U, out=u), out=v)
+    if A < _LN2:
+        np.log1p(np.multiply(u, math.expm1(-A), out=u), out=u)
+    else:
+        np.log1p(np.negative(u, out=x), out=x)
+        np.log1p(np.divide(np.multiply(u, math.exp(-A), out=u), v, out=u), out=u)
+        u += x
+    u /= -a
+    return np.minimum(u, math.nextafter(2.0 * R, 0.0), out=u)
 
 
 def _hyperbolic_hits(R: float, d: int):
@@ -130,42 +143,35 @@ def _hyperbolic_hits(R: float, d: int):
     log areas of their caps, using v and x as scratch.
 
     With t = R + s and r = R - s, the log area is c + (d-1)/2 (log(e^t - 1) + log(1 - e^{-r})).
-    t comes from u and r from 1 - u, each on its own side, so both stay accurate out to the
-    edge they approach.  In the plane the product is rational in u: u (1 - u) w^2/(1 - u w)^2.
+    t comes from u by :func:`_far_edge` and r from 1 - u, each on its own side, so both stay
+    accurate out to the edge they approach.  In the plane the product is rational in u,
+    u (1 - u) w^2/(1 - u w)^2: one log per hit where the general form takes seven calls.
     """
     a, c = d - 1.0, log_unit_ball_volume(d - 1)
     A = 2.0 * a * R
-    E, w = math.exp(-A), -math.expm1(-A)
     if d == 2:
-        k = c + math.log(w)
+        E, w = math.exp(-A), -math.expm1(-A)
 
         def plane(u, v, x):
             np.subtract(1.0, np.maximum(u, _MIN_U, out=u), out=v)
             u *= v
             np.add(np.multiply(v, w, out=v), E, out=v)  # 1 - u w = (1 - u) w + E
             u /= np.square(v, out=v)
-            return np.add(np.multiply(np.log(u, out=u), 0.5, out=u), k, out=u)
+            return np.add(np.multiply(np.log(u, out=u), 0.5, out=u), c + math.log(w), out=u)
 
         return plane
 
     M = math.expm1(A) if A < _LOG_MAX_DOUBLE else math.inf
 
     def hits(u, v, x):
-        np.subtract(1.0, np.maximum(u, _MIN_U, out=u), out=v)
-        if A < _LN2:  # 1 - u w >= 1/2
-            np.log1p(np.multiply(u, -w, out=u), out=u)
-        else:  # log(1 - u w) = log1p(-u) + log1p(u E/(1 - u)), free of the rounding of u w
-            np.log1p(np.negative(u, out=x), out=x)
-            np.log1p(np.divide(np.multiply(u, E, out=u), v, out=u), out=u)
-            u += x
-        u /= -a  # t
+        t = _far_edge(u, v, x, R, d)
         if M < math.inf:  # r = log1p((1 - u)(e^{2(d-1)R} - 1))/(d-1)
             np.divide(np.log1p(np.multiply(v, M, out=v), out=v), -a, out=v)
         else:
-            np.subtract(u, 2.0 * R, out=v)  # -r
-        np.log(np.expm1(u, out=u), out=u)
-        u += np.log(np.negative(np.expm1(v, out=v), out=v), out=v)
-        return np.add(np.multiply(u, 0.5 * a, out=u), c, out=u)
+            np.subtract(t, 2.0 * R, out=v)  # -r
+        np.log(np.expm1(t, out=t), out=t)
+        t += np.log(np.negative(np.expm1(v, out=v), out=v), out=v)
+        return np.add(np.multiply(t, 0.5 * a, out=t), c, out=t)
 
     return hits
 
@@ -211,20 +217,17 @@ def replication_stream(seed: int, index: int):
 class Model(NamedTuple):
     """A geometric model as the sampler sees it, each callable taking (R, d) last: the log expected
     hit count; uniforms in [0, 1) to distances t = R + s from the far edge, in (0, 2R) (may overwrite
-    them); log areas at signed distances s; and ``hits(R, d)``, the fused kernel for a valid (R, d),
-    whose ``hits(u, v, x)`` overwrites uniforms u with their log areas, v and x being scratch."""
+    them); and ``hits(R, d)``, the fused kernel for a valid (R, d), whose ``hits(u, v, x)`` overwrites
+    uniforms u with the log areas at the same distances, v and x being scratch."""
 
     log_mass: Callable[[float, int], float]
     edge_distance: Callable[[np.ndarray, float, int], np.ndarray]
-    log_area: Callable[[np.ndarray, float, int], np.ndarray]
     hits: Callable[[float, int], Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]
 
 
-# the lambdas look functions up per call, so a rebound module name (tracing) still applies
 HYPERBOLIC = Model(
     log_mass=log_hitting_mass,
-    edge_distance=lambda u, R, d: _far_edge(np.maximum(u, _MIN_U, out=u), R, d),
-    log_area=lambda s, R, d: log_chord_area(s, R, d),
+    edge_distance=lambda u, R, d: _far_edge(u, np.empty_like(u), np.empty_like(u), R, d),
     hits=_hyperbolic_hits,
 )
 

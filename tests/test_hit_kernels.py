@@ -23,15 +23,21 @@ def _kernel(model, u, R, d):
     return model.hits(R, d)(u, np.empty_like(u), np.empty_like(u))
 
 
+def _exact_t(model, u, R, d):
+    """The far-edge distance t(u), to 50 digits (call inside ``mp.workdps(50)``)."""
+    u, R, a = mp.mpf(u), mp.mpf(R), d - 1
+    if model == "euclidean":
+        return 2 * u * R
+    return -mp.log1p(-u * -mp.expm1(-2 * a * R)) / a
+
+
 def _exact_log_area(model, u, R, d):
     """log area at the exact far-edge distance t(u), to 50 digits."""
     with mp.workdps(50):
-        u, R, a = mp.mpf(u), mp.mpf(R), d - 1
+        t, R, a = _exact_t(model, u, R, d), mp.mpf(R), d - 1
         c = mp.mpf(a) / 2 * mp.log(mp.pi) - mp.loggamma(mp.mpf(a) / 2 + 1)
         if model == "euclidean":
-            t = 2 * u * R
             return c + mp.mpf(a) / 2 * (mp.log(t) + mp.log(2 * R - t))
-        t = -mp.log1p(-u * -mp.expm1(-2 * a * R)) / a
         return c + mp.mpf(a) / 2 * (t + mp.log(-mp.expm1(-t)) + mp.log(-mp.expm1(t - 2 * R)))
 
 
@@ -54,10 +60,25 @@ def test_hit_kernel_matches_mpmath_at_both_edges(model, d, R):
 
 # each branch of the kernels: (d - 1) 2R below log 2, e^{2(d-1)R} past
 # double range, e^{-2(d-1)R} below the smallest double, and the plane at both
+# extremes of R
 @pytest.mark.parametrize("model", sorted(_MODELS))
 @pytest.mark.parametrize(("d", "R"), [(3, 0.1), (50, 0.005), (3, 180.0), (11, 50.0), (2, 1e-4), (2, 400.0)])
 def test_hit_kernel_matches_mpmath_in_every_branch(model, d, R):
     _check_against_mpmath(model, R, d)
+
+
+# sample_points replays hits through the map the kernels take t from, so it
+# must hold the same accuracy out to both edges; a map through the rounded
+# product u w is off by 1e-3 of t at u = 1 - 2^-53
+@pytest.mark.parametrize("model", sorted(_MODELS))
+@pytest.mark.parametrize("d", [2, 3, 11, 50])
+@pytest.mark.parametrize("R", [0.005, 0.5, 8.0, 180.0])
+def test_far_edge_map_matches_mpmath(model, d, R):
+    got = _MODELS[model].edge_distance(np.array(_US), R, d)
+    with mp.workdps(50):
+        for u, value in zip(_US, got.tolist()):
+            exact = _exact_t(model, u, R, d)
+            assert abs(value - exact) <= 4e-15 * exact, (u, value, exact)
 
 
 @settings(max_examples=300)

@@ -172,13 +172,13 @@ def test_simulate_total_area_deterministic():
 def test_recording_points_never_changes_totals():
     # sample_points replays a replication: its count and, through the
     # model's log area, its log total
-    for model in (HYPERBOLIC, euclidean.FLAT):
+    for model, log_area in ((HYPERBOLIC, log_chord_area), (euclidean.FLAT, euclidean.log_section_area)):
         cfg = SimConfig(d=3, R=2.0, replications=6, seed=4)
         batch = simulate_batch(cfg, model)
         for index in range(6):
             points = sample_points(cfg, index, model)
             assert len(points) == batch.counts[index]
-            logs = model.log_area(np.array([p.s for p in points]), cfg.R, cfg.d)
+            logs = log_area(np.array([p.s for p in points]), cfg.R, cfg.d)
             want = float(np.logaddexp.reduce(logs)) if points else -math.inf
             assert want == pytest.approx(batch.log_totals[index], rel=0.0, abs=1e-13)
         assert sum(batch.counts) > 0
