@@ -234,6 +234,11 @@ def _emit(text: str, out_path) -> None:
             fh.write(text)
 
 
+def _linear(log_value: float) -> float:
+    """exp, with ``inf`` past double range."""
+    return math.exp(log_value) if log_value < _LOG_MAX else math.inf
+
+
 def _pair(log_value: float) -> dict:
     """Value given as {log, linear}; linear is null past double range and the
     log is null for an exact zero."""
@@ -262,21 +267,24 @@ def _cmd_simulate(args) -> None:
 
     batch = sampling.simulate_batch(SimConfig(d=d, R=R, replications=n, seed=seed), _MODELS[model])
 
-    summary = {
-        "n": n,
-        "count_mean": float(np.mean(batch.counts)),
-        "mean": float(np.mean(batch.totals)),
-        "variance": float(np.var(batch.totals, ddof=1)) if n >= 2 else None,
-        "k4": None,
-        "mean_stderr": None,
-        "variance_stderr": None,
-    }
-    if n >= 4:
-        _, k2, _, k4 = empirical.k_statistics(batch.totals)
-        summary["variance"] = k2
-        summary["k4"] = k4
-        summary["mean_stderr"] = math.sqrt(k2 / n)
-        summary["variance_stderr"] = math.sqrt(max(k4 + 2.0 * k2 * k2, 0.0) / n)
+    # the moments are taken of the totals scaled by 2^-e and scaled back, which is exact: each
+    # field is its formula's value wherever that is in double range, though the squares and fourth
+    # powers of totals past 2^200 can overflow (at or below it e = 0 and nothing is scaled)
+    top = float(np.max(batch.totals, initial=0.0, where=np.isfinite(batch.totals)))
+    e = math.frexp(top)[1] if top > 2.0**200 else 0
+    x = np.ldexp(batch.totals, -e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = {"mean": (np.mean(x), 1), "variance": (np.var(x, ddof=1) if n >= 2 else None, 2),
+                  "k4": (None, 4), "mean_stderr": (None, 1), "variance_stderr": (None, 2)}
+        if n >= 4:
+            _, k2, _, k4 = empirical.k_statistics(x)
+            scaled.update(variance=(k2, 2), k4=(k4, 4), mean_stderr=(math.sqrt(k2 / n), 1),
+                          variance_stderr=(math.sqrt(max(k4 + 2.0 * k2 * k2, 0.0) / n), 2))
+        moments = {key: None if value is None else float(np.ldexp(value, power * e))
+                   for key, (value, power) in scaled.items()}
+    # a field past double range (a total past it is inf) is null, like the variance of one total
+    summary = {"n": n, "count_mean": float(np.mean(batch.counts))}
+    summary.update({key: value if value is None or math.isfinite(value) else None for key, value in moments.items()})
 
     echo = _echo(args, "simulate", {"model": model, "d": d, "R": R, "n": n, "seed": seed})
     rows = [
@@ -389,17 +397,24 @@ def _cmd_verify_clt(args) -> None:
     allowance = 1.5 / math.sqrt(n)
     # the hyperbolic moments and widths of all radii come from one grid call
     grid = analysis.moments_grid(radii, [d] * len(radii)) if model == "hyperbolic" else [None] * len(radii)
-    rows = []
-    for R, cfg, m in zip(radii, configs, grid):
+    normalizations = []
+    for R, m in zip(radii, grid):
         if model == "euclidean":
-            center = math.exp(euclidean.log_mean(R, d))
-            scale = math.exp(0.5 * euclidean.variance_closed(R, d))
+            log_mean, log_variance = euclidean.log_mean(R, d), euclidean.variance_closed(R, d)
             bound = euclidean.wasserstein_bound(R, d).value
         else:
-            center = m.mean
-            scale = m.sd
+            log_mean, log_variance = m.log_mean, m.log_variance
             bound = analysis.wasserstein_bound_width(R, d, width=m.width)
+        center, scale = _linear(log_mean), _linear(0.5 * log_variance)
+        if not (center < math.inf and 0.0 < scale < math.inf):
+            raise FeasibilityError(f"at R = {R!r} the mean {center:.6g} or standard deviation {scale:.6g} "
+                                   "of the total area leaves double range")
+        normalizations.append((center, scale, bound))
+    rows = []
+    for R, cfg, (center, scale, bound) in zip(radii, configs, normalizations):
         totals = sampling.simulate_batch(cfg, _MODELS[model]).totals
+        if not np.all(np.isfinite(totals)):
+            raise FeasibilityError(f"at R = {R!r} a sampled total area leaves double range")
         summary = empirical.summarize(totals, target, center=center, scale=scale)
         rows.append(
             {

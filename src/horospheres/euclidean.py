@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import LOG_ZERO, check_dimension, check_radius, log_unit_ball_volume
 from .quadrature import quad_log_integral
-from .sampling import _MIN_U, Model
+from .sampling import _MIN_U, Model, _segment_log_sums
 from .special import log_gamma
 
 __all__ = [
@@ -160,15 +160,15 @@ def euclid_moments(R, d) -> EuclidMoments:
 
 
 def _flat_hits(R: float, d: int):
-    """The fused hit kernel at a valid (R, d), in place on uniforms u: with t = 2uR, the log
+    """The fused hit kernel at a valid (R, d), reducing per segment: with t = 2uR, the log
     area c + (d-1)/2 (log t + log(2R - t)) is c + (d-1) log 2R + (d-1)/2 log(u (1 - u)), exact
     at both edges because 1 - u is."""
     k = log_unit_ball_volume(d - 1) + (d - 1.0) * math.log(2.0 * R)
 
-    def hits(u, v, x):
+    def hits(u, v, x, starts, lens):
         np.subtract(1.0, np.maximum(u, _MIN_U, out=u), out=v)
         np.log(np.multiply(u, v, out=u), out=u)
-        return np.add(np.multiply(u, 0.5 * (d - 1), out=u), k, out=u)
+        return _segment_log_sums(np.add(np.multiply(u, 0.5 * (d - 1), out=u), k, out=u), starts, lens)
 
     return hits
 

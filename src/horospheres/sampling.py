@@ -4,11 +4,11 @@ One vectorized sampler, :func:`simulate_batch`, serves both geometric models
 and returns a :class:`Batch` of arrays; :func:`sample_points` replays one
 replication.  A :class:`Model` gives the log hitting mass, the map from a
 uniform to the distance t = R + s from the far edge of the ball, and a fused
-kernel that turns a block of uniforms into log areas in place
-(:data:`HYPERBOLIC` here, ``FLAT`` in :mod:`horospheres.euclidean`).  Each
-replication draws its count and uniforms from its own counter-based stream
-keyed by (index, seed); many replications share a hit block reduced by one
-segmented log-sum-exp, so replication k is the same in every batch.
+kernel that reduces a block of uniforms to the log total area of each
+replication in it (:data:`HYPERBOLIC` here, ``FLAT`` in
+:mod:`horospheres.euclidean`).  Each replication draws its count and uniforms
+from its own counter-based stream keyed by (index, seed); many replications
+share a hit block reduced at once, so replication k is the same in every batch.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ _LOG_MAX_DOUBLE = math.log(np.finfo(float).max)
 _CHUNK = 1 << 20
 # hits per vectorized block; the kernels work in place on it and two scratch
 # blocks of the same length
-_BLOCK = 1 << 13
+_BLOCK = 1 << 15
 # rng.random can return exactly 0.0, whose far-edge distance and log area are
 # not finite; clamping to half the smallest regular draw keeps u in (0, 1)
 _MIN_U = 2.0**-54
@@ -139,31 +139,35 @@ def _far_edge(u: np.ndarray, v: np.ndarray, x: np.ndarray, R: float, d: int) -> 
 
 
 def _hyperbolic_hits(R: float, d: int):
-    """The fused hit kernel at a valid (R, d): ``hits(u, v, x)`` overwrites uniforms u with the
-    log areas of their caps, using v and x as scratch.
+    """The fused hit kernel at a valid (R, d): ``hits(u, v, x, starts, lens)`` turns a block of
+    uniforms u into the log total area of each segment (v and x are scratch; u is overwritten).
 
     With t = R + s and r = R - s, the log area is c + (d-1)/2 (log(e^t - 1) + log(1 - e^{-r})).
     t comes from u by :func:`_far_edge` and r from 1 - u, each on its own side, so both stay
-    accurate out to the edge they approach.  In the plane the product is rational in u,
-    u (1 - u) w^2/(1 - u w)^2: one log per hit where the general form takes seven calls.
+    accurate out to the edge they approach.  In the plane the area is rational in u up to one
+    square root, e^K sqrt(u (1 - u))/(1 - u w) with K = c + log w, so it is summed linearly.
     """
     a, c = d - 1.0, log_unit_ball_volume(d - 1)
     A = 2.0 * a * R
     if d == 2:
         E, w = math.exp(-A), -math.expm1(-A)
+        K = c + math.log(w)
 
-        def plane(u, v, x):
+        # 1 - u w = (1 - u) w + E >= max(E, 2^-53 w) and u >= 2^-54, so every scaled area lies
+        # in about [2^-27, 2^28] at any admissible R: no hit underflows, and a _CHUNK of them
+        # cannot overflow, so the sum needs no per-segment max
+        def plane(u, v, x, starts, lens):
             np.subtract(1.0, np.maximum(u, _MIN_U, out=u), out=v)
             u *= v
-            np.add(np.multiply(v, w, out=v), E, out=v)  # 1 - u w = (1 - u) w + E
-            u /= np.square(v, out=v)
-            return np.add(np.multiply(np.log(u, out=u), 0.5, out=u), c + math.log(w), out=u)
+            np.sqrt(u, out=u)
+            u /= np.add(np.multiply(v, w, out=v), E, out=v)
+            return np.log(np.add.reduceat(u, starts)) + K
 
         return plane
 
     M = math.expm1(A) if A < _LOG_MAX_DOUBLE else math.inf
 
-    def hits(u, v, x):
+    def hits(u, v, x, starts, lens):
         t = _far_edge(u, v, x, R, d)
         if M < math.inf:  # r = log1p((1 - u)(e^{2(d-1)R} - 1))/(d-1)
             np.divide(np.log1p(np.multiply(v, M, out=v), out=v), -a, out=v)
@@ -171,7 +175,7 @@ def _hyperbolic_hits(R: float, d: int):
             np.subtract(t, 2.0 * R, out=v)  # -r
         np.log(np.expm1(t, out=t), out=t)
         t += np.log(np.negative(np.expm1(v, out=v), out=v), out=v)
-        return np.add(np.multiply(t, 0.5 * a, out=t), c, out=t)
+        return _segment_log_sums(np.add(np.multiply(t, 0.5 * a, out=t), c, out=t), starts, lens)
 
     return hits
 
@@ -217,12 +221,13 @@ def replication_stream(seed: int, index: int):
 class Model(NamedTuple):
     """A geometric model as the sampler sees it, each callable taking (R, d) last: the log expected
     hit count; uniforms in [0, 1) to distances t = R + s from the far edge, in (0, 2R) (may overwrite
-    them); and ``hits(R, d)``, the fused kernel for a valid (R, d), whose ``hits(u, v, x)`` overwrites
-    uniforms u with the log areas at the same distances, v and x being scratch."""
+    them); and ``hits(R, d)``, the fused kernel for a valid (R, d), whose ``hits(u, v, x, starts, lens)``
+    returns the log total area of the hits at uniforms u in each segment, ``lens[k]`` of them from
+    ``starts[k]``, overwriting u and scratch v and x."""
 
     log_mass: Callable[[float, int], float]
     edge_distance: Callable[[np.ndarray, float, int], np.ndarray]
-    hits: Callable[[float, int], Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]
+    hits: Callable[[float, int], Callable[..., np.ndarray]]
 
 
 HYPERBOLIC = Model(
@@ -242,11 +247,11 @@ def check_feasible(cfg: SimConfig, model: Model = HYPERBOLIC) -> float:
     return log_mass
 
 
-def _segment_log_sums(logs: np.ndarray, starts) -> np.ndarray:
-    """log of the sum of exp(logs) over each segment beginning at ``starts``.
+def _segment_log_sums(logs: np.ndarray, starts, lens) -> np.ndarray:
+    """log of the sum of exp(logs) over each segment, ``lens[k]`` values from ``starts[k]``.
     The logs must be finite; they are overwritten."""
     m = np.maximum.reduceat(logs, starts)
-    logs -= np.repeat(m, np.diff(starts, append=logs.size))
+    logs -= np.repeat(m, lens)
     return m + np.log(np.add.reduceat(np.exp(logs, out=logs), starts))
 
 
@@ -270,8 +275,8 @@ def _replication_streams(seed: int):
 def _simulate(cfg: SimConfig, model: Model, indices: range) -> Batch:
     """The shared sampler: replications ``indices`` of ``model``, in order.
 
-    Uniforms fill a hit block, which is turned into log areas in place and
-    reduced at once when full.  A replication never straddles two blocks,
+    Uniforms fill a hit block, which the model's kernel reduces to one log
+    total per replication when full.  A replication never straddles two blocks,
     and one larger than a block is reduced alone in ``_CHUNK``-sized pieces:
     memory stays bounded and each result depends on its own stream only."""
     if indices and not 0 <= indices[0] <= indices[-1] < _SEED_LIMIT:
@@ -281,11 +286,7 @@ def _simulate(cfg: SimConfig, model: Model, indices: range) -> Batch:
     stream = _replication_streams(cfg.seed)
     counts, log_totals = [], np.full(len(indices), LOG_ZERO)
     block, v, x = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK)
-    rows, starts, pos = [], [], 0
-
-    def add_hits(u, v, x, at_rows, at_starts):
-        log_totals[at_rows] = np.logaddexp(log_totals[at_rows], _segment_log_sums(hits(u, v, x), at_starts))
-
+    rows, starts, lens, pos = [], [], [], 0
     for row, index in enumerate(indices):
         gen = stream(index)
         n = sample_poisson_count(mean, gen)
@@ -293,17 +294,19 @@ def _simulate(cfg: SimConfig, model: Model, indices: range) -> Batch:
         if n > _BLOCK:
             for done in range(0, n, _CHUNK):
                 u = gen.random(min(_CHUNK, n - done))
-                add_hits(u, np.empty_like(u), np.empty_like(u), [row], [0])
+                chunk = hits(u, np.empty_like(u), np.empty_like(u), [0], [u.size])
+                log_totals[row] = np.logaddexp(log_totals[row], chunk[0])
         elif n > 0:
             if pos + n > _BLOCK:
-                add_hits(block[:pos], v[:pos], x[:pos], rows, starts)
-                rows, starts, pos = [], [], 0
+                log_totals[rows] = hits(block[:pos], v[:pos], x[:pos], starts, lens)
+                rows, starts, lens, pos = [], [], [], 0
             gen.random(n, out=block[pos:pos + n])
             rows.append(row)
             starts.append(pos)
+            lens.append(n)
             pos += n
     if rows:
-        add_hits(block[:pos], v[:pos], x[:pos], rows, starts)
+        log_totals[rows] = hits(block[:pos], v[:pos], x[:pos], starts, lens)
     # math.exp, not np.exp: the two can differ in the last bit
     totals = [math.exp(lt) if lt < _LOG_MAX_DOUBLE else math.inf for lt in log_totals.tolist()]
     return Batch(np.array(counts, dtype=np.int64), np.array(totals, dtype=float), log_totals)

@@ -3,6 +3,7 @@ import math
 from pathlib import Path
 
 import jsonschema
+import mpmath as mp
 import pytest
 
 from horospheres import analysis, euclidean
@@ -348,6 +349,76 @@ def test_verify_clt_infeasible_radius_checked_before_moments(capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("horospheres: infeasible: ")
+
+
+def _summary(out: str) -> dict:
+    trailer = out.splitlines()[-1]
+    assert trailer.startswith("# summary ")
+    return json.loads(trailer[len("# summary "):])
+
+
+def test_simulate_totals_past_double_range_give_null_fields(capsys):
+    # (R, d) = (30, 388): some totals are past double range (inf), so every
+    # moment field is too; a RuntimeWarning would fail this test
+    argv = ["simulate", "--model", "euclidean", "--d", "388", "--R", "30", "--n", "40", "--seed", "3"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert "inf" in [line.split(",")[2] for line in out.splitlines()[2:-1]]
+    summary = _summary(out)
+    assert summary["count_mean"] > 0
+    assert all(summary[key] is None for key in ("mean", "variance", "k4", "mean_stderr", "variance_stderr"))
+
+
+def test_simulate_finite_totals_with_overflowing_powers(capsys):
+    # at d = 300 every total is finite (about 1e255), and so are their mean and
+    # its standard error, but not their squares and fourth powers
+    argv = ["simulate", "--model", "euclidean", "--d", "300", "--R", "30", "--n", "40", "--seed", "3"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    totals = [float(line.split(",")[2]) for line in out.splitlines()[2:-1]]
+    assert all(math.isfinite(total) for total in totals)
+    with mp.workdps(40):
+        x = [mp.mpf(total) for total in totals]
+        mean = mp.fsum(x) / len(x)
+        stderr = mp.sqrt(mp.fsum((xi - mean) ** 2 for xi in x) / (len(x) - 1) / len(x))
+    summary = _summary(out)
+    assert summary["mean"] == pytest.approx(float(mean), rel=1e-14)
+    assert summary["mean_stderr"] == pytest.approx(float(stderr), rel=1e-12)
+    assert summary["variance"] is None and summary["k4"] is None and summary["variance_stderr"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the flat mean at R = 30 is past double range
+        ["verify-clt", "--model", "euclidean", "--d", "388", "--R-list", "2,30", "--n", "40", "--seed", "3"],
+        # the hyperbolic mean and standard deviation underflow to zero
+        ["verify-clt", "--d", "1000", "--R-list", "0.01", "--n", "40", "--seed", "3"],
+    ],
+    ids=["euclidean-overflow", "hyperbolic-underflow"],
+)
+def test_verify_clt_linear_moments_out_of_range_exit_2_before_sampling(capsys, monkeypatch, argv):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before every radius was checked")
+
+    monkeypatch.setattr("horospheres.sampling.simulate_batch", no_sampling)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("horospheres: infeasible: at R = ")
+    assert lines[0].endswith("of the total area leaves double range")
+
+
+def test_verify_clt_sampled_total_past_double_range_exits_2(capsys):
+    # the mean (e^709.7) and standard deviation are finite, but some sampled
+    # totals are not
+    argv = ["verify-clt", "--model", "euclidean", "--d", "388", "--R-list", "29.9594", "--n", "200", "--seed", "3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "horospheres: infeasible: at R = 29.9594 a sampled total area leaves double range\n"
 
 
 def _assert_bad_radius(err: str, radius: str) -> None:

@@ -19,8 +19,9 @@ _LAST_U = 1.0 - 2.0**-53
 
 
 def _kernel(model, u, R, d):
+    """The per-hit log areas: the kernel with one segment per hit."""
     u = np.array(u, dtype=float)
-    return model.hits(R, d)(u, np.empty_like(u), np.empty_like(u))
+    return model.hits(R, d)(u, np.empty_like(u), np.empty_like(u), np.arange(u.size), np.ones(u.size, int))
 
 
 def _exact_t(model, u, R, d):
@@ -123,7 +124,6 @@ def test_flat_kernel_agrees_with_log_section_area(d, R, u):
 @pytest.mark.parametrize("model", sorted(_MODELS))
 def test_hit_kernel_overwrites_its_input_with_finite_logs(model):
     # a zero draw is clamped, not turned into -inf
-    u = np.array([0.0, 0.25, _LAST_U])
-    logs = _MODELS[model].hits(2.0, 3)(u, np.empty(3), np.empty(3))
-    assert logs is u
+    logs = _kernel(_MODELS[model], [0.0, 0.25, _LAST_U], 2.0, 3)
+    assert logs.shape == (3,)
     assert np.all(np.isfinite(logs))

@@ -296,9 +296,17 @@ _BLOCK_CASES = {
 }
 
 
+def _larger_than_a_block(model):
+    """(d, R, replications) whose mean count is 1.2 blocks, whatever the block size."""
+    if model == "euclidean":
+        return 3, 0.6 * sampling._BLOCK, 3  # hit mass 2R
+    d = 2  # hit mass 2 sinh((d-1)R)/(d-1)
+    return d, math.asinh(0.6 * (d - 1) * sampling._BLOCK) / (d - 1), 3
+
+
 @pytest.mark.parametrize("model", sorted(_BLOCK_CASES))
 def test_batch_singles_and_prefix_bit_identical_across_blocks(model):
-    cases, model = _BLOCK_CASES[model], _MODELS[model]
+    cases, model = _BLOCK_CASES[model] + [_larger_than_a_block(model)], _MODELS[model]
     counts = []
     for d, R, n in cases:
         cfg = SimConfig(d=d, R=R, replications=n, seed=5)
@@ -333,20 +341,22 @@ def test_small_blocks_and_chunks_keep_counts_and_determinism(model, monkeypatch)
 @pytest.mark.parametrize("model", sorted(_BLOCK_CASES))
 def test_batch_matches_per_replication_reference(model):
     # the definition, one replication at a time: count, then uniforms, from
-    # the replication's own stream, and a plain log-sum-exp of the hit areas
+    # the replication's own stream, and a plain log-sum-exp of the hit areas;
+    # d = 2 takes the plane kernel's linear block sum
     flat = model == "euclidean"
-    cfg = SimConfig(d=3, R=1.5, replications=200, seed=2**63 + 9)
-    mass = 3.0 if flat else _hitting_mass(1.5, 3)
-    got = simulate_batch(cfg, _MODELS[model])
-    for index, (count, log_total) in enumerate(zip(got.counts, got.log_totals)):
-        rng = replication_stream(cfg.seed, index)
-        n = rng.poisson(mass)
-        u = rng.random(n)
-        if flat:
-            logs = euclidean.log_section_area((2.0 * u - 1.0) * cfg.R, cfg.R, cfg.d)
-        else:
-            s = sample_signed_distance(cfg.R, cfg.d, np.maximum(u, 2.0**-54))
-            logs = log_chord_area(s, cfg.R, cfg.d)
-        assert count == n
-        want = float(np.logaddexp.reduce(logs)) if n else -math.inf
-        assert log_total == pytest.approx(want, rel=0.0, abs=1e-13)
+    for d in (3, 2):
+        cfg = SimConfig(d=d, R=1.5, replications=200, seed=2**63 + 9)
+        mass = 3.0 if flat else _hitting_mass(1.5, d)
+        got = simulate_batch(cfg, _MODELS[model])
+        for index, (count, log_total) in enumerate(zip(got.counts, got.log_totals)):
+            rng = replication_stream(cfg.seed, index)
+            n = rng.poisson(mass)
+            u = rng.random(n)
+            if flat:
+                logs = euclidean.log_section_area((2.0 * u - 1.0) * cfg.R, cfg.R, cfg.d)
+            else:
+                s = sample_signed_distance(cfg.R, cfg.d, np.maximum(u, 2.0**-54))
+                logs = log_chord_area(s, cfg.R, cfg.d)
+            assert count == n
+            want = float(np.logaddexp.reduce(logs)) if n else -math.inf
+            assert log_total == pytest.approx(want, rel=0.0, abs=1e-13)
