@@ -8,13 +8,13 @@ the requested tolerance, or when its estimated absolute error is negligible
 against the running whole-interval estimate.
 
 There is one engine, :func:`quad_log_integrals`, and it runs many independent
-adaptive trees in lockstep, one tree per interval.  At each refinement level
-it evaluates the pending panels of all trees together, in ``log_f(x, tree)``
-calls on (k, 15) node arrays of up to _PANEL_BLOCK panels, and reduces the
-panels row by row in numpy.  Each tree keeps its own panel set, acceptance
-tests, depth cap and panel budget, so its result is the same, bit for bit,
-whichever trees share its batch.  :func:`quad_log_integral` is the engine
-run on one tree.
+adaptive trees in lockstep, one tree per interval.  Each refinement level
+evaluates the pending panels of all trees in one ``log_f(x, tree)`` call on a
+(k, 15) node array, in blocks of _PANEL_BLOCK panels only past that cap, and
+reduces the panels row by row in numpy.  Each tree keeps its own panel set,
+acceptance tests, depth cap and panel budget, so its result is the same, bit
+for bit, whichever trees share its batch.  :func:`quad_log_integral` is the
+engine run on one tree.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ _PANEL_BUDGET = 50_000
 # which keeps the sum of such errors under tol * total for any realistic
 # number of shortcut panels.
 _BUDGET_SHARE = 256.0
-_PANEL_BLOCK = 128
+_PANEL_BLOCK = 2048
 
 _NON_FINITE = "log-integrand produced a non-finite value"
 
@@ -87,8 +87,9 @@ def _panels(log_f, lo, hi, tree):
     """Log of the 15-point Gauss-Legendre estimate on each panel [lo, hi],
     and a flag for the panels whose log-integrand was NaN or +inf.
 
-    ``log_f`` sees at most _PANEL_BLOCK panels per call, which bounds the
-    memory its temporaries take on a large level.
+    One ``log_f`` call takes a level of up to _PANEL_BLOCK panels; a larger
+    level is cut into blocks of that size, which bounds the memory of the
+    temporaries.  The cut changes no bit: a panel's values come from its row.
     """
     out = np.empty(lo.size)
     bad = np.empty(lo.size, dtype=bool)
@@ -104,13 +105,17 @@ def _panel_block(log_f, lo, hi, tree):
     vals = np.asarray(log_f(x, tree), dtype=float)
     if vals.shape != x.shape:
         raise ValueError("log-integrand must map a node array to an equal-shaped array")
-    terms = vals + _LOG_WEIGHTS
+    # the terms take over the spent node array, freed once the live rows are copied
+    terms = np.add(vals, _LOG_WEIGHTS, out=x)
+    del vals, x
     peak = terms.max(axis=1)
     bad = np.isnan(peak) | (peak == math.inf)
     out = np.where(bad, math.nan, LOG_ZERO)
     # a row sum along the last axis adds as np.sum of that row alone does
     live = np.flatnonzero(peak > LOG_ZERO)
-    sums = np.exp(terms[live] - peak[live, None]).sum(axis=1)
+    terms = terms[live]
+    terms -= peak[live, None]
+    sums = np.exp(terms, out=terms).sum(axis=1)
     out[live] = peak[live] + _log(sums) + _log(half[live])
     return out, bad
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horospheres import analysis
+from horospheres import analysis, quadrature
 from horospheres.analysis import (
     GrowthRegime,
     Regime,
@@ -329,6 +330,22 @@ def test_moments_grid_equals_one_point_moments(points):
     summaries = moments_grid(radii, dims)
     assert summaries == [moments(R, d) for R, d in points]
     assert [m.width for m in summaries] == [effective_width(R, d) for R, d in points]
+
+
+def _hex_fields(records):
+    return [[v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r)] for r in records]
+
+
+def test_grid_results_do_not_depend_on_the_panel_block(monkeypatch):
+    # moments_grid runs all five kinds of tree, rate_envelopes the four one-sided
+    # ones; a block of 1 gives every panel its own log_f call
+    dims = [2, 3, 5, 11, 40, 120, 500, 1500, 4000, 10000]
+    radii = [0.3, 8.0, 2.5, 4.0, 1.0, math.log(120) + 1.0, 12.0, 0.05, math.log(4000), 20.0]
+    results = {}
+    for block in (1, 7, 128, quadrature._PANEL_BLOCK):
+        monkeypatch.setattr(quadrature, "_PANEL_BLOCK", block)
+        results[block] = (_hex_fields(rate_envelopes(radii, dims)), _hex_fields(moments_grid(radii, dims)))
+    assert all(got == results[1] for got in results.values())
 
 
 def _oracle_logs(R, d):

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from horospheres import analysis, euclidean
 from horospheres.cli import main
@@ -179,6 +184,53 @@ def test_config_round_trip_reproduces_output(tmp_path, capsys):
     code, second = _run(capsys, ["moments", "--config", str(cfg)])
     assert code == 0
     assert second == first
+
+
+def _captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def _grid_flags(draw):
+    """--d-grid and --R-rule flags: 1 to 8 dimensions, each rule kind."""
+    dims = draw(st.lists(st.integers(2, 10_000), min_size=1, max_size=8))
+    kind = draw(st.sampled_from(["fixed", "list", "alpha-log-d", "log-d-offset"]))
+    if kind == "list":
+        value = ",".join(repr(r) for r in draw(st.lists(st.floats(0.1, 12.0), min_size=len(dims), max_size=len(dims))))
+    else:
+        value = repr(draw({"fixed": st.floats(0.1, 12.0), "alpha-log-d": st.floats(0.5, 2.0),
+                           "log-d-offset": st.floats(-0.5, 3.0)}[kind]))
+    return ["--d-grid", ",".join(map(str, dims)), "--R-rule", f"{kind}:{value}"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("bounds"), st.sampled_from(["hyperbolic", "euclidean"]), st.sampled_from(["json", "csv"])),
+        st.tuples(st.just("width-table"), st.sampled_from(["a", "b1", "b2"])),
+    ),
+    _grid_flags(),
+)
+def test_config_echo_round_trips_random_grids(command, grid):
+    if command[0] == "bounds":
+        argv = ["bounds", "--model", command[1], "--format", command[2], *grid]
+    else:
+        argv = ["width-table", "--regime", command[1], *grid]
+    first = _captured(argv)
+    # regime b2 needs R > log d at every point; other grids have no echo to test
+    assume(first[0] == 0 or argv[2] != "b2")
+    assert first[0] == 0 and first[2] == ""
+    if first[1].startswith("{"):
+        echo = json.loads(first[1])["config"]
+    else:
+        echo = json.loads(first[1].splitlines()[0].removeprefix("# config "))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "echo.json"
+        cfg.write_text(json.dumps(echo))
+        assert _captured([argv[0], "--config", str(cfg)]) == first
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):

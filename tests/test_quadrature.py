@@ -220,8 +220,9 @@ def test_a_tree_fails_with_its_first_error(monkeypatch):
 
 
 def test_level_larger_than_a_block_matches_one_tree_calls():
-    # 300 trees put 600 panels on the first level, more than one log_f call takes
-    count = 300
+    # half a block of trees plus one puts more panels on the first split level
+    # than one log_f call takes
+    count = quadrature._PANEL_BLOCK // 2 + 1
     assert 2 * count > quadrature._PANEL_BLOCK
     centres = np.linspace(0.1, 0.9, count)
     fs = [_family("bump", 0.0, c, 1.0 + 2.0 * c) for c in centres]
