@@ -4,9 +4,9 @@ All moment integrals are evaluated in the log domain by the shared adaptive
 engine; the effective width of the intersection window drives the distance
 bounds and the growth-regime diagnostics.  A grid of (R, d) points is
 integrated in one batched engine call: every tree of every point (the three
-one-sided moment integrals, the width and, for the moments, the two-sided
-mean) is refined in lockstep, and each point reports its first failure in the
-order a point-by-point loop would meet it.
+moment integrals, the width and, for the moments, the ball volume that is
+the mean) runs over (0, R) and is refined in lockstep, and each point reports
+its first failure in the order a point-by-point loop would meet it.
 """
 
 from __future__ import annotations
@@ -130,15 +130,22 @@ def log_area_coefficient(d) -> float:
     return 0.5 * (d - 1) * _LN2 + log_unit_ball_volume(d - 1)
 
 
-# The one-sided log-integrands over (0, R), from the nodes s, the dimension d,
-# a = log sinh((R + s)/2), b = log sinh((R - s)/2) and h = log sinh(R/2).
-# _LN2 + a + b is log(cosh R - cosh s), by the sinh product identity, which
-# stays accurate out to s = R.
-_ONE_SIDED = {
-    "i1": lambda s, d, a, b, h: 0.5 * (d - 1) * (_LN2 + a + b - s),
-    "i2": lambda s, d, a, b, h: 2.0 * (0.5 * (d - 1)) * (_LN2 + a + b),
-    "i4": lambda s, d, a, b, h: 2.0 * (0.5 * (d - 1)) * (2.0 * (_LN2 + a + b) - s),
-    "width": lambda s, d, a, b, h: (d - 1.0) * (a + b - 2.0 * h),
+def _log_gap(s, R):
+    """log(cosh R - cosh s) as log 2 + log sinh((R + s)/2) + log sinh((R - s)/2),
+    by the sinh product identity, which stays accurate out to s = R."""
+    return _LN2 + log_sinh(0.5 * (R + s)) + log_sinh(0.5 * (R - s))
+
+
+# The log-integrands over (0, R), from the nodes s, the dimension d and R.  The
+# mean is vol(B_R) by Campbell's theorem, the area of the unit sphere S^{d-1}
+# times the integral of sinh^{d-1}.
+_LOG_INTEGRANDS = {
+    "i1": lambda s, d, R: 0.5 * (d - 1) * (_log_gap(s, R) - s),
+    "i2": lambda s, d, R: 2.0 * (0.5 * (d - 1)) * _log_gap(s, R),
+    "i4": lambda s, d, R: 2.0 * (0.5 * (d - 1)) * (2.0 * _log_gap(s, R) - s),
+    "width": lambda s, d, R: (d - 1.0) * (log_sinh(0.5 * (R + s)) + log_sinh(0.5 * (R - s))
+                                          - 2.0 * log_sinh(0.5 * R)),
+    "mean": lambda s, d, R: (d - 1) * log_sinh(s),
 }
 
 
@@ -152,8 +159,8 @@ def _checked_points(radii, dims, minimum: int = 2) -> list[tuple[float, int]]:
 
 
 def _grid_logs(points, kinds, rel_tol):
-    """Log integrals of the ``kinds`` trees at every validated (R, d) point,
-    all from one lockstep engine call.
+    """Log integrals over (0, R) of the ``kinds`` trees at every validated
+    (R, d) point, all from one lockstep engine call.
 
     Yields each point's logs, in ``kinds`` order.  A point's first failure,
     a failed tree or a width estimate past 2R right after its width tree, is
@@ -162,7 +169,6 @@ def _grid_logs(points, kinds, rel_tol):
     n = len(points)
     radii = np.array([R for R, _ in points])
     dims = np.array([d for _, d in points], dtype=float)
-    lower = np.array([-1.0 if name == "mean" else 0.0 for name in kinds])
 
     # trees are numbered kind by kind, tree = kind index * n + point, so the
     # rows of one kind are contiguous in every call
@@ -172,18 +178,10 @@ def _grid_logs(points, kinds, rel_tol):
         for index, name in enumerate(kinds):
             rows = slice(bounds[index], bounds[index + 1])
             point = tree[rows] - index * n
-            if name != "mean":
-                R, d, x = radii[point, None], dims[point, None], s[rows]
-                a, b, h = log_sinh(0.5 * (R + x)), log_sinh(0.5 * (R - x)), log_sinh(0.5 * R)
-                out[rows] = _ONE_SIDED[name](x, d, a, b, h)
-                continue
-            for p in sorted(set(point.tolist())):
-                own = np.flatnonzero(point == p) + bounds[index]
-                R, d = points[p]
-                out[own] = log_chord_area(s[own], R, d) - (d - 1.0) * s[own]
+            out[rows] = _LOG_INTEGRANDS[name](s[rows], dims[point, None], radii[point, None])
         return out
 
-    logs, failures = _lockstep(log_f, np.outer(lower, radii).ravel(), np.tile(radii, len(kinds)), rel_tol)
+    logs, failures = _lockstep(log_f, np.zeros(len(kinds) * n), np.tile(radii, len(kinds)), rel_tol)
     logs = logs.reshape(len(kinds), n).tolist()
     for p, (R, _) in enumerate(points):
         for index, name in enumerate(kinds):
@@ -249,8 +247,9 @@ def moments_grid(radii, d_grid, rel_tol: float = _DEFAULT_TOL) -> list[MomentSum
     the one-point result, from one batched engine call."""
     points = _checked_points(radii, d_grid)
     summaries = []
-    for (R, d), (log_i1, log_i2, log_i4, log_w, log_mean) in zip(points, _grid_logs(points, _MOMENTS, rel_tol)):
+    for (R, d), (log_i1, log_i2, log_i4, log_w, log_v) in zip(points, _grid_logs(points, _MOMENTS, rel_tol)):
         c = log_area_coefficient(d)
+        log_mean = math.log(d) + log_unit_ball_volume(d) + log_v
         summaries.append(MomentSummary(R, d, log_mean, c + log_i1, _LN2 + 2.0 * c + log_i2, 4.0 * c + log_i4,
                                        math.exp(log_w)))
     return summaries

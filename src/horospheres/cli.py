@@ -301,11 +301,10 @@ def _cmd_moments(args) -> None:
     R = _as_float(_require(raw, "R"), "R")
 
     if model == "euclidean":
-        em = euclidean.euclid_moments(R, d)
         body = {
             "mean": _pair(euclidean.log_mean(R, d)),
-            "variance": _pair(em.log_variance),
-            "fourth_cumulant": _pair(em.log_cum4),
+            "variance": _pair(euclidean.variance_closed(R, d)),
+            "fourth_cumulant": _pair(euclidean.fourth_cumulant_closed(R, d)),
         }
     else:
         m = analysis.moments(R, d)

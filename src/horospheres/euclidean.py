@@ -9,7 +9,6 @@ Wasserstein bound from gamma ratios.  Simulation is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -20,7 +19,6 @@ from .sampling import _MIN_U, Model, _segment_log_sums
 from .special import log_gamma
 
 __all__ = [
-    "EuclidMoments",
     "EuclidBound",
     "log_section_area",
     "variance_closed",
@@ -30,24 +28,11 @@ __all__ = [
     "log_mean",
     "wasserstein_bound",
     "normalized_rate_constant",
-    "euclid_moments",
     "FLAT",
 ]
 
 _LN2 = math.log(2.0)
 _LOG_PI = math.log(math.pi)
-
-
-@dataclass(frozen=True)
-class EuclidMoments:
-    """Closed-form moments and bound for the flat model at (R, d)."""
-
-    R: float
-    d: int
-    log_variance: float
-    log_cum4: float
-    wass_bound: float
-    normalized_bound: float
 
 
 class EuclidBound(NamedTuple):
@@ -144,19 +129,6 @@ def wasserstein_bound(R, d) -> EuclidBound:
 def normalized_rate_constant(d) -> float:
     """The dimension-normalized bound constant, independent of R."""
     return wasserstein_bound(1.0, d).normalized
-
-
-def euclid_moments(R, d) -> EuclidMoments:
-    """Closed-form moments and the Wasserstein bound in one record."""
-    bound = wasserstein_bound(R, d)
-    return EuclidMoments(
-        R=float(R),
-        d=check_dimension(d, minimum=1),
-        log_variance=variance_closed(R, d),
-        log_cum4=fourth_cumulant_closed(R, d),
-        wass_bound=bound.value,
-        normalized_bound=bound.normalized,
-    )
 
 
 def _flat_hits(R: float, d: int):

@@ -131,8 +131,11 @@ def _lockstep(log_f, a, b, rel_tol):
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError("interval ends must be two 1-D arrays of equal length")
     n = a.size
+    # the engine halves b - a and a + b, so an interval where either leaves double range fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(b - a) & np.isfinite(a + b)
     result = np.full(n, math.nan)
-    result[a == b] = LOG_ZERO
+    result[(a == b) & finite] = LOG_ZERO
     failures = {}
     dead = np.zeros(n, dtype=bool)
 
@@ -144,7 +147,9 @@ def _lockstep(log_f, a, b, rel_tol):
 
     fail(np.flatnonzero((a != b) & ~(a < b)),
          lambda t: ValueError(f"reversed integration interval [{float(a[t])!r}, {float(b[t])!r}]"))
-    tree = np.flatnonzero(a < b)
+    fail(np.flatnonzero(~finite), lambda t: ValueError(
+        f"integration interval [{float(a[t])!r}, {float(b[t])!r}] has b - a or a + b past double range"))
+    tree = np.flatnonzero((a < b) & finite)
     if not rel_tol > 0:
         fail(tree, lambda t: ValueError(f"rel_tol must be positive, got {rel_tol!r}"))
         return result, failures
@@ -240,7 +245,8 @@ def quad_log_integrals(log_f, a, b, rel_tol: float = 1e-10) -> np.ndarray:
     special casing.  If a tree fails, the error of the first failed tree is
     raised: :class:`QuadratureError` when the panel depth cap or the panel
     budget is exhausted before the tolerance is met, :class:`ValueError` for a
-    reversed interval or a NaN or +inf log-integrand.
+    reversed interval, an interval whose b - a or a + b is not a finite double
+    (an infinite end among them), or a NaN or +inf log-integrand.
     """
     values, failures = _lockstep(log_f, a, b, rel_tol)
     if failures:

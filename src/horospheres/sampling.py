@@ -196,16 +196,10 @@ def sample_direction(d, rng) -> np.ndarray:
     return _sample_directions(1, d, rng)[0]
 
 
-def sample_poisson_count(mean, rng, cap=None) -> int:
-    """Poisson variate with the given mean, guarded by an optional cap."""
+def sample_poisson_count(mean, rng) -> int:
+    """Poisson variate with the given mean; :func:`check_feasible` owns the count cap."""
     if not mean >= 0:
         raise ValueError(f"mean must be nonnegative, got {mean!r}")
-    if cap is not None and mean > cap:
-        raise FeasibilityError(
-            f"expected count {mean:.6g} exceeds the count cap {cap:.6g}",
-            log_expected_count=math.log(mean) if mean > 0 else LOG_ZERO,
-            cap=float(cap),
-        )
     return int(rng.poisson(mean))
 
 

@@ -28,7 +28,7 @@ from horospheres.analysis import (
     width_scale,
     width_substituted,
 )
-from horospheres.geometry import log_chord_area, log_sinh
+from horospheres.geometry import log_sinh, log_unit_ball_volume
 from horospheres.quadrature import QuadratureError, quad_log_integral
 
 # Reference values computed two independent ways (30-digit adaptive
@@ -285,8 +285,8 @@ _LN2 = math.log(2.0)
 
 
 def _one_tree_logs(R, d):
-    """log i1, i2, i4, width and two-sided mean at (R, d), one one-tree
-    quadrature each, in the order a point-by-point loop runs them."""
+    """log i1, i2, i4, width and mean at (R, d), one one-tree quadrature
+    each, in the order a point-by-point loop runs them."""
     p = 0.5 * (d - 1)
 
     def gap(s):
@@ -300,7 +300,7 @@ def _one_tree_logs(R, d):
         quad_log_integral(
             lambda s: (d - 1.0) * (log_sinh(0.5 * (R + s)) + log_sinh(0.5 * (R - s)) - 2.0 * half), 0.0, R
         ),
-        quad_log_integral(lambda s: log_chord_area(s, R, d) - (d - 1.0) * s, -R, R),
+        math.log(d) + log_unit_ball_volume(d) + quad_log_integral(lambda s: (d - 1) * log_sinh(s), 0.0, R),
     )
 
 
@@ -377,6 +377,42 @@ def test_integrals_agree_with_mpmath(R, d):
     assert ints.log_variance_integral == pytest.approx(log_i2, abs=1e-11)
     assert ints.log_cum4_integral == pytest.approx(log_i4, abs=1e-11)
     assert ints.width == pytest.approx(width, rel=1e-10)
+
+
+def _oracle_log_volume(R, d):
+    """log omega_d and log vol(B_R) at 50 digits: vol(B_R) is omega_d times the
+    integral of sinh^{d-1} over (0, R), in closed form at d = 2 and 3 and
+    through 2F1 elsewhere."""
+    with mp.workdps(50):
+        R, half = mp.mpf(R), mp.mpf(d) / 2
+        log_omega = mp.log(2 * mp.pi**half / mp.gamma(half))
+        if d == 2:
+            return log_omega, mp.log(4 * mp.pi * mp.sinh(R / 2) ** 2)
+        if d == 3:
+            return log_omega, mp.log(mp.pi * (mp.sinh(2 * R) - 2 * R))
+        x = mp.sinh(R)
+        return log_omega, log_omega + mp.log(x**d / d * mp.hyp2f1(0.5, half, half + 1, -x * x))
+
+
+def _check_mean_is_ball_volume(R, d):
+    # log_mean sums log d, (d/2) log pi, -log Gamma(d/2 + 1) and the log of the
+    # integral, each rounded at its own size, so the error is measured per unit
+    # of the largest of them; 2,000 random points in this range reach 6.3e-16
+    log_omega, log_volume = _oracle_log_volume(R, d)
+    parts = (math.log(d), 0.5 * d * math.log(math.pi), math.lgamma(0.5 * d + 1.0), float(log_volume - log_omega))
+    assert abs(moments(R, d).log_mean - float(log_volume)) <= 1e-15 * max(1.0, *map(abs, parts))
+
+
+@pytest.mark.parametrize("R, d", [(0.001, 2), (0.5, 2), (3.0, 2), (50.0, 2), (0.5, 3), (3.0, 3), (30.0, 3),
+                                  (0.01, 1000), (1.0, 7), (6.0, 100), (50.0, 1000), (math.log(500) + 1, 500)])
+def test_mean_is_the_ball_volume(R, d):
+    _check_mean_is_ball_volume(R, d)
+
+
+@settings(max_examples=8)
+@given(st.floats(1e-3, 50.0), st.integers(2, 1000))
+def test_mean_is_the_ball_volume_anywhere(R, d):
+    _check_mean_is_ball_volume(R, d)
 
 
 def _failing_engine(monkeypatch, point, kind):

@@ -7,7 +7,6 @@ from horospheres import sampling
 from horospheres.quadrature import quad_log_integral
 from horospheres.euclidean import (
     FLAT,
-    euclid_moments,
     fourth_cumulant_closed,
     fourth_cumulant_direct,
     log_mean,
@@ -115,13 +114,6 @@ def test_normalized_rate_constant_converges():
     a = normalized_rate_constant(10**3)
     b = normalized_rate_constant(10**4)
     assert abs(b - a) / a < 0.01
-
-
-def test_euclid_moments_bundle():
-    em = euclid_moments(2.0, 3)
-    assert em.log_variance == pytest.approx(variance_closed(2.0, 3), rel=1e-14)
-    assert em.log_cum4 == pytest.approx(fourth_cumulant_closed(2.0, 3), rel=1e-14)
-    assert em.wass_bound == pytest.approx(wasserstein_bound(2.0, 3).value, rel=1e-14)
 
 
 def test_simulate_deterministic_and_batch_invariant():

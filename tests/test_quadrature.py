@@ -71,6 +71,17 @@ def test_reversed_interval_rejected():
         quad_log_integral(lambda x: np.zeros_like(np.asarray(x, dtype=float)), 1.0, 0.0)
 
 
+@pytest.mark.parametrize("a, b", [(-1e308, 1e308), (0.0, math.inf), (-math.inf, 0.0), (1e308, 1.7e308),
+                                  (math.inf, math.inf), (-math.inf, math.inf)])
+def test_interval_past_double_range_rejected(a, b):
+    # an infinite end, or a width or end sum that overflows, fails the tree
+    # with its own message instead of reaching the nodes
+    with pytest.raises(ValueError, match="past double range"):
+        quad_log_integral(lambda x: np.zeros_like(np.asarray(x, dtype=float)), a, b)
+    with pytest.raises(ValueError, match="past double range"):
+        quad_log_integrals(lambda x, tree: np.zeros_like(x), [0.0, a, 0.0], [1.0, b, 1.0])
+
+
 def test_nonintegrable_singularity_raises():
     # x^(-0.999) integrates, but the refinement cannot certify it within the
     # depth cap; the error object keeps the last two estimates

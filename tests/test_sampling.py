@@ -136,13 +136,6 @@ def test_poisson_count_moments():
     assert draws.var() == pytest.approx(mean, rel=0.05)
 
 
-def test_poisson_count_cap():
-    rng = replication_stream(5, 9)
-    with pytest.raises(FeasibilityError) as excinfo:
-        sample_poisson_count(1e12, rng, cap=1e8)
-    assert excinfo.value.cap == 1e8
-
-
 def test_replication_stream_reproducible_and_distinct():
     a = replication_stream(42, 0).random(8)
     b = replication_stream(42, 0).random(8)
