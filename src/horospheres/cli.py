@@ -217,10 +217,13 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_table(echo: dict, header: list[str], rows: list[dict], trailer: dict | None = None) -> str:
-    lines = [f"# config {_json_line(echo)}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(row[key]) for key in header))
+def _csv_rows(header: list[str], rows: list[dict]) -> list[str]:
+    return [",".join(_cell(row[key]) for key in header) for row in rows]
+
+
+def _csv_table(echo: dict, header: list[str], body: list[str], trailer: dict | None = None) -> str:
+    """The CSV document: config echo, header, the formatted body lines, optional summary."""
+    lines = [f"# config {_json_line(echo)}", ",".join(header), *body]
     if trailer is not None:
         lines.append(f"# summary {_json_line(trailer)}")
     return "\n".join(lines) + "\n"
@@ -287,11 +290,9 @@ def _cmd_simulate(args) -> None:
     summary.update({key: value if value is None or math.isfinite(value) else None for key, value in moments.items()})
 
     echo = _echo(args, "simulate", {"model": model, "d": d, "R": R, "n": n, "seed": seed})
-    rows = [
-        {"index": i, "count": count, "total_area": total}
-        for i, (count, total) in enumerate(zip(batch.counts.tolist(), batch.totals.tolist()))
-    ]
-    _emit(_csv_table(echo, ["index", "count", "total_area"], rows, trailer=summary), args.out)
+    # each row formatted directly, as _cell would: an int by str, a float by repr
+    body = [f"{i},{c},{t!r}" for i, (c, t) in enumerate(zip(batch.counts.tolist(), batch.totals.tolist()))]
+    _emit(_csv_table(echo, ["index", "count", "total_area"], body, trailer=summary), args.out)
 
 
 def _cmd_moments(args) -> None:
@@ -374,7 +375,7 @@ def _cmd_bounds(args) -> None:
     )
     if fmt == "csv":
         header = _EUCLID_BOUND_HEADER if model == "euclidean" else _BOUND_HEADER
-        _emit(_csv_table(echo, header, rows), args.out)
+        _emit(_csv_table(echo, header, _csv_rows(header, rows)), args.out)
     else:
         _emit(_json_doc({"config": echo, "rows": rows}), args.out)
 
@@ -471,10 +472,9 @@ def _cmd_width_table(args) -> None:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     echo = _echo(args, "width-table", {"regime": regime, "d_grid": d_grid, "R_rule": rule})
-    rows = [
-        {"d": row.d, "R": row.R, "width": row.width, "ratio": row.ratio} for row in table
-    ]
-    _emit(_csv_table(echo, ["d", "R", "width", "ratio"], rows), args.out)
+    header = ["d", "R", "width", "ratio"]
+    rows = [{"d": row.d, "R": row.R, "width": row.width, "ratio": row.ratio} for row in table]
+    _emit(_csv_table(echo, header, _csv_rows(header, rows)), args.out)
 
 
 # ---------------------------------------------------------------------------

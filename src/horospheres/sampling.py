@@ -251,12 +251,18 @@ def _segment_log_sums(logs: np.ndarray, starts, lens) -> np.ndarray:
 
 def _replication_streams(seed: int):
     """``stream(index)`` is ``replication_stream(seed, index)``: one reused Philox re-keyed
-    to [index, seed] with counter 0 and an empty buffer, cheaper than a new one."""
+    to [index, seed] with counter 0 and an empty buffer, cheaper than a new one.
+
+    The state holds Python ints, not numpy arrays: the ``state`` setter reads its ten counter,
+    key and buffer entries one by one, and an int converts to uint64 with no numpy scalar in
+    between, which cuts the cost of a re-key by more than half.  Every field is set, so
+    nothing of the previous replication (a half-used buffer, a pending 32-bit half) carries
+    over."""
     bits = np.random.Philox(0)
     gen = np.random.Generator(bits)
-    key = np.array([0, seed], dtype=np.uint64)
-    state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": key},
-             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    key = [0, int(seed)]
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def stream(index: int):
         key[0] = index
@@ -294,7 +300,7 @@ def _simulate(cfg: SimConfig, model: Model, indices: range) -> Batch:
             if pos + n > _BLOCK:
                 log_totals[rows] = hits(block[:pos], v[:pos], x[:pos], starts, lens)
                 rows, starts, lens, pos = [], [], [], 0
-            gen.random(n, out=block[pos:pos + n])
+            gen.random(out=block[pos:pos + n])  # the slice fixes the size
             rows.append(row)
             starts.append(pos)
             lens.append(n)

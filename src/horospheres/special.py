@@ -1,8 +1,8 @@
-"""Special functions: log-gamma and the error functions from the standard
-library, plus log K0 by quadrature.
+"""Special functions: log-gamma and the complementary error function from the
+standard library, plus log K0 by quadrature.
 
-The error functions apply ``math.erf``/``math.erfc`` elementwise because the
-empirical-distance routines call them on full Monte Carlo samples.
+``erfc`` applies ``math.erfc`` elementwise because the empirical-distance
+routines call it on full Monte Carlo samples.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from .quadrature import quad_log_integral
 
-__all__ = ["log_gamma", "erf", "erfc", "log_bessel_k0"]
+__all__ = ["log_gamma", "erfc", "log_bessel_k0"]
 
 
 def log_gamma(x: float) -> float:
@@ -23,25 +23,15 @@ def log_gamma(x: float) -> float:
     return math.lgamma(float(x))
 
 
-_ERF = np.frompyfunc(math.erf, 1, 1)
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
-def _elementwise(ufunc, x):
-    # a float for a scalar, else a float array of the input's shape
-    arr = np.asarray(x, dtype=float)
-    out = ufunc(arr)
-    return float(out) if arr.ndim == 0 else out.astype(float)
-
-
-def erf(x):
-    """Error function, elementwise over numpy arrays."""
-    return _elementwise(_ERF, x)
-
-
 def erfc(x):
-    """Complementary error function, elementwise; accurate in both tails."""
-    return _elementwise(_ERFC, x)
+    """Complementary error function, elementwise; accurate in both tails.
+    A float for a scalar, else a float array of the input's shape."""
+    arr = np.asarray(x, dtype=float)
+    out = _ERFC(arr)
+    return float(out) if arr.ndim == 0 else out.astype(float)
 
 
 def log_bessel_k0(z: float) -> float:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -222,6 +223,11 @@ def test_config_echo_round_trips_random_grids(command, grid):
     first = _captured(argv)
     # regime b2 needs R > log d at every point; other grids have no echo to test
     assume(first[0] == 0 or argv[2] != "b2")
+    _assert_echo_round_trips(argv[0], first)
+
+
+def _assert_echo_round_trips(command, first):
+    """The config echo of a successful run, fed back through --config, gives the same bytes."""
     assert first[0] == 0 and first[2] == ""
     if first[1].startswith("{"):
         echo = json.loads(first[1])["config"]
@@ -230,7 +236,24 @@ def test_config_echo_round_trips_random_grids(command, grid):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "echo.json"
         cfg.write_text(json.dumps(echo))
-        assert _captured([argv[0], "--config", str(cfg)]) == first
+        assert _captured([command, "--config", str(cfg)]) == first
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(["simulate", "moments"]),
+    st.sampled_from(["hyperbolic", "euclidean"]),
+    st.integers(2, 5),
+    st.floats(0.01, 2.0),
+    st.integers(1, 20),
+    st.integers(0, 2**64 - 1),
+)
+def test_config_echo_round_trips_simulate_and_moments(command, model, d, R, n, seed):
+    # small (d, R, n): at most a few hundred hits per simulate run
+    argv = [command, "--model", model, "--d", str(d), "--R", repr(R)]
+    if command == "simulate":
+        argv += ["--n", str(n), "--seed", str(seed)]
+    _assert_echo_round_trips(command, _captured(argv))
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
@@ -261,6 +284,27 @@ def test_out_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     doc = json.loads(target.read_text())
     assert doc["config"]["d"] == 3
+
+
+# sha256 of the stdout of `simulate ... --seed 20260821`, recorded at a54a275 (rows written
+# through per-row dicts, streams re-keyed from numpy arrays); the cases take several plane hit
+# blocks, the general kernel, and the flat model at about 4 hits per replication
+_SIMULATE_SHA256 = {
+    "--d 2 --R 8 --n 64": "a3e9e916d144f7c47c70bc61ff7be7d4c17b90883a014e1195d6e1e64e57428b",
+    "--d 3 --R 3 --n 64": "ee587d6ddae13d99d360982b457cce618f9ae6a675a8083a16ac31e4ee317a48",
+    "--model euclidean --d 3 --R 2 --n 500": "05fb231e1627165cb84e983f549783879596b94e7d7e29d896084193d295d8a8",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(_SIMULATE_SHA256))
+def test_simulate_bytes_are_pinned(flags, tmp_path):
+    argv = ["simulate", *flags.split(), "--seed", "20260821"]
+    code, out, err = _captured(argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == _SIMULATE_SHA256[flags]
+    target = tmp_path / "sim.csv"
+    assert _captured([*argv, "--out", str(target)]) == (0, "", "")
+    assert target.read_bytes() == out.encode()
 
 
 def test_quadrature_failure_exits_3(capsys, monkeypatch):

@@ -279,6 +279,24 @@ def test_rekeyed_stream_matches_fresh_stream(seed):
             reused = stream(index)
             assert reused.poisson(mean) == fresh.poisson(mean)
             assert np.array_equal(reused.random(37), fresh.random(37))
+        # leave a pending 32-bit half (has_uint32 = 1) and a half-used buffer:
+        # a re-key must reset the whole state, not just the key and counter
+        stale = stream(index)
+        stale.integers(2**32, size=5, dtype=np.uint32)
+        stale.random(3)
+        assert stale.bit_generator.state["has_uint32"] == 1
+        assert stale.bit_generator.state["buffer_pos"] not in (0, 4)
+        reused = stream(index)
+        fresh = replication_stream(seed, index)
+        got, want = reused.bit_generator.state, fresh.bit_generator.state
+        assert got.keys() == want.keys()
+        for field in ("buffer_pos", "has_uint32", "uinteger"):
+            assert got[field] == want[field], field
+        assert np.array_equal(got["buffer"], want["buffer"])
+        for field in ("counter", "key"):
+            assert np.array_equal(got["state"][field], want["state"][field]), field
+        assert reused.poisson(3.25) == fresh.poisson(3.25)
+        assert np.array_equal(reused.random(37), fresh.random(37))
 
 
 # (d, R, replications) per model: zero-hit replications (R = 0.01), several
