@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import check_dimension, check_radius, log_chord_area, log_sinh, log_unit_ball_volume
+from .geometry import (
+    _LOG_MAX, _exp_or_inf, check_dimension, check_radius, log_chord_area, log_sinh, log_unit_ball_volume,
+)
 from .quadrature import QuadratureError, _lockstep, quad_log_integral
 from .special import log_bessel_k0
 
@@ -29,7 +29,6 @@ __all__ = [
     "BoundReport",
     "Regime",
     "GrowthRegime",
-    "WidthScale",
     "WidthRatioRow",
     "log_area_coefficient",
     "integrals",
@@ -50,8 +49,11 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
-_LOG_MAX = math.log(sys.float_info.max)
 _DEFAULT_TOL = 1e-10
+# rate_envelope's labels: a gap R - log d at or below _GAP_THRESHOLD is the bounded-gap
+# regime, and a larger one is the fixed-dimension regime up to d = _DIM_CUTOFF
+_GAP_THRESHOLD = 0.0
+_DIM_CUTOFF = 50
 
 # trees of the grid core, per point, in the order their failures are reported
 _WIDTH = ("width",)
@@ -150,7 +152,10 @@ _LOG_INTEGRANDS = {
 
 
 def _checked_points(radii, dims, minimum: int = 2) -> list[tuple[float, int]]:
-    """Validated (R, d) pairs, in grid order."""
+    """Validated (R, d) pairs, in grid order, from radii and dimensions of equal length."""
+    radii, dims = list(radii), list(dims)
+    if len(radii) != len(dims):
+        raise ValueError("radii must match d_grid in length")
     points = []
     for R, d in zip(radii, dims):
         d = check_dimension(d, minimum=minimum)
@@ -158,7 +163,7 @@ def _checked_points(radii, dims, minimum: int = 2) -> list[tuple[float, int]]:
     return points
 
 
-def _grid_logs(points, kinds, rel_tol):
+def _grid_logs(points, kinds):
     """Log integrals over (0, R) of the ``kinds`` trees at every validated
     (R, d) point, all from one lockstep engine call.
 
@@ -181,7 +186,7 @@ def _grid_logs(points, kinds, rel_tol):
             out[rows] = _LOG_INTEGRANDS[name](s[rows], dims[point, None], radii[point, None])
         return out
 
-    logs, failures = _lockstep(log_f, np.zeros(len(kinds) * n), np.tile(radii, len(kinds)), rel_tol)
+    logs, failures = _lockstep(log_f, np.zeros(len(kinds) * n), np.tile(radii, len(kinds)), _DEFAULT_TOL)
     logs = logs.reshape(len(kinds), n).tolist()
     for p, (R, _) in enumerate(points):
         for index, name in enumerate(kinds):
@@ -193,11 +198,6 @@ def _grid_logs(points, kinds, rel_tol):
                     f"effective width estimate exceeds 2R at R = {R!r}", last=log_w, previous=log_w
                 )
         yield [logs[index][p] for index in range(len(kinds))]
-
-
-def _exp(log_value: float) -> float:
-    """exp, with ``inf`` past double range."""
-    return math.exp(log_value) if log_value < _LOG_MAX else math.inf
 
 
 def _integral_set(R, d, logs) -> IntegralSet:
@@ -213,7 +213,7 @@ def _integral_set(R, d, logs) -> IntegralSet:
     )
 
 
-def effective_width(R, d, rel_tol: float = _DEFAULT_TOL) -> float:
+def effective_width(R, d) -> float:
     """Integral over (0, R) of (1 - (cosh s - 1)/(cosh R - 1))^(d-1).
 
     Equals R for the degenerate exponent d = 1 and shrinks as d grows; the
@@ -221,33 +221,33 @@ def effective_width(R, d, rel_tol: float = _DEFAULT_TOL) -> float:
     An estimate past 2R means the integrand lost its precision at this R
     and raises :class:`QuadratureError`.
     """
-    [(log_w,)] = _grid_logs(_checked_points([R], [d], minimum=1), _WIDTH, rel_tol)
+    [(log_w,)] = _grid_logs(_checked_points([R], [d], minimum=1), _WIDTH)
     return math.exp(log_w)
 
 
-def integrals(R, d, rel_tol: float = _DEFAULT_TOL) -> IntegralSet:
+def integrals(R, d) -> IntegralSet:
     """The three one-sided moment integrals and the effective width at (R, d)."""
     points = _checked_points([R], [d])
-    [logs] = _grid_logs(points, _INTEGRALS, rel_tol)
+    [logs] = _grid_logs(points, _INTEGRALS)
     return _integral_set(*points[0], logs)
 
 
-def moments(R, d, rel_tol: float = _DEFAULT_TOL) -> MomentSummary:
+def moments(R, d) -> MomentSummary:
     """Exact mean, positive-part mean, variance, and negative-part fourth
     cumulant of the total cap area.
 
     The variance is assembled from the one-sided integral through the shared
     code path, so the evenness identity holds exactly as computed.
     """
-    return moments_grid([R], [d], rel_tol)[0]
+    return moments_grid([R], [d])[0]
 
 
-def moments_grid(radii, d_grid, rel_tol: float = _DEFAULT_TOL) -> list[MomentSummary]:
+def moments_grid(radii, d_grid) -> list[MomentSummary]:
     """:func:`moments` at every point (``radii[k]``, ``d_grid[k]``), each bit for bit
     the one-point result, from one batched engine call."""
     points = _checked_points(radii, d_grid)
     summaries = []
-    for (R, d), (log_i1, log_i2, log_i4, log_w, log_v) in zip(points, _grid_logs(points, _MOMENTS, rel_tol)):
+    for (R, d), (log_i1, log_i2, log_i4, log_w, log_v) in zip(points, _grid_logs(points, _MOMENTS)):
         c = log_area_coefficient(d)
         log_mean = math.log(d) + log_unit_ball_volume(d) + log_v
         summaries.append(MomentSummary(R, d, log_mean, c + log_i1, _LN2 + 2.0 * c + log_i2, 4.0 * c + log_i4,
@@ -255,44 +255,32 @@ def moments_grid(radii, d_grid, rel_tol: float = _DEFAULT_TOL) -> list[MomentSum
     return summaries
 
 
-def variance_direct(R, d, rel_tol: float = _DEFAULT_TOL) -> float:
+def variance_direct(R, d) -> float:
     """log variance from the two-sided integral of the squared cap area
     against the intensity, independent of the one-sided route."""
     d = check_dimension(d)
     R = check_radius(R, d)
     return quad_log_integral(
-        lambda s: 2.0 * log_chord_area(s, R, d) - (d - 1.0) * s, -R, R, rel_tol=rel_tol
+        lambda s: 2.0 * log_chord_area(s, R, d) - (d - 1.0) * s, -R, R, rel_tol=_DEFAULT_TOL
     )
 
 
-class WidthScale(NamedTuple):
-    """sinh(R/2)/sqrt(d) together with its large-R companion (1/2)e^{(R-ln d)/2}."""
+def width_scale(R, d) -> float:
+    """Scale parameter sinh(R/2)/sqrt(d) of the substituted width integral, ``inf`` past
+    double range.
 
-    value: float
-    companion: float
-
-
-def width_scale(R, d) -> WidthScale:
-    """Scale parameter of the substituted width integral, with the companion
-    exponential whose ratio to it tends to 1 as R grows.
-
-    A component past double range is ``inf``.  Past the range of sinh and
-    exp, a component is exponentiated from its log; below it, the direct
-    formula is kept, because exponentiating a log of size L loses about L
-    ulps.
+    Past the range of sinh, it is exponentiated from its log; below it, the
+    direct formula is kept, because exponentiating a log of size L loses
+    about L ulps.
     """
     d = check_dimension(d, minimum=1)
     R = check_radius(R)
     if 0.5 * R < _LOG_MAX:
-        value = math.sinh(0.5 * R) / math.sqrt(d)
-    else:
-        value = _exp(log_sinh(0.5 * R) - 0.5 * math.log(d))
-    x = 0.5 * (R - math.log(d))
-    companion = 0.5 * math.exp(x) if x < _LOG_MAX else _exp(x - _LN2)
-    return WidthScale(value=value, companion=companion)
+        return math.sinh(0.5 * R) / math.sqrt(d)
+    return _exp_or_inf(log_sinh(0.5 * R) - 0.5 * math.log(d))
 
 
-def width_substituted(R, d, rel_tol: float = _DEFAULT_TOL) -> float:
+def width_substituted(R, d) -> float:
     """Effective width through the sinh change of variables:
     2 rho times the integral over (0, sqrt(d)) of
     (1 - x^2/d)^(d-1) / sqrt(1 + rho^2 x^2), with rho = sinh(R/2)/sqrt(d).
@@ -301,7 +289,7 @@ def width_substituted(R, d, rel_tol: float = _DEFAULT_TOL) -> float:
     past double range raises :class:`QuadratureError`.
     """
     d = check_dimension(d)
-    rho = width_scale(R, d).value
+    rho = width_scale(R, d)
     if not math.isfinite(rho):
         raise QuadratureError(
             f"width scale sinh(R/2)/sqrt(d) exceeds double range at R = {float(R)!r}",
@@ -313,7 +301,7 @@ def width_substituted(R, d, rel_tol: float = _DEFAULT_TOL) -> float:
         x = np.asarray(x, dtype=float)
         return (d - 1.0) * np.log1p(-(x * x) / d) - np.log(np.hypot(1.0, rho * x))
 
-    return 2.0 * rho * math.exp(quad_log_integral(log_f, 0.0, math.sqrt(d), rel_tol=rel_tol))
+    return 2.0 * rho * math.exp(quad_log_integral(log_f, 0.0, math.sqrt(d), rel_tol=_DEFAULT_TOL))
 
 
 def width_limit_integral(L) -> float:
@@ -331,22 +319,21 @@ def width_limit_integral(L) -> float:
     return math.exp(-math.log(2.0 * L) + z + log_bessel_k0(z))
 
 
-def wasserstein_bound_width(R, d, width=None, rel_tol: float = _DEFAULT_TOL) -> float:
+def wasserstein_bound_width(R, d, width=None) -> float:
     """Wasserstein bound in terms of the effective width:
     sqrt(2) (1/(sqrt(d-1) w) + 2/((d-1) sqrt(w)))."""
     d = check_dimension(d)
     if width is None:
-        width = effective_width(R, d, rel_tol=rel_tol)
+        width = effective_width(R, d)
     if not width > 0:
         raise ValueError(f"width must be positive, got {width!r}")
     return _SQRT2 * (1.0 / (math.sqrt(d - 1.0) * width) + 2.0 / ((d - 1.0) * math.sqrt(width)))
 
 
-def wasserstein_bound_integrals(R, d, integral_set: IntegralSet | None = None,
-                                rel_tol: float = _DEFAULT_TOL) -> float:
+def wasserstein_bound_integrals(R, d, integral_set: IntegralSet | None = None) -> float:
     """Wasserstein bound straight from the moment integrals:
     sqrt(2) (sqrt(I4)/I2 + I1/sqrt(I2)) in the one-sided notation."""
-    ints = integral_set if integral_set is not None else integrals(R, d, rel_tol=rel_tol)
+    ints = integral_set if integral_set is not None else integrals(R, d)
     t1 = math.exp(0.5 * ints.log_cum4_integral - ints.log_variance_integral)
     t2 = math.exp(ints.log_mean_integral - 0.5 * ints.log_variance_integral)
     return _SQRT2 * (t1 + t2)
@@ -388,7 +375,7 @@ def _regime_ratio(regime: GrowthRegime, d: int, R: float, width: float) -> float
     return width / gap
 
 
-def width_ratio_table(regime, d_grid, radii, rel_tol: float = _DEFAULT_TOL) -> list[WidthRatioRow]:
+def width_ratio_table(regime, d_grid, radii) -> list[WidthRatioRow]:
     """Width and regime ratio over a grid of (d, R) pairs, ``radii[k]`` at ``d_grid[k]``.
 
     Ratios: width/R for the fixed-dimension regime, width sqrt(d) e^{-R/2}
@@ -399,55 +386,47 @@ def width_ratio_table(regime, d_grid, radii, rel_tol: float = _DEFAULT_TOL) -> l
     d_list = [check_dimension(d) for d in d_grid]
     if not d_list:
         raise ValueError("d_grid must not be empty")
-    r_list = [float(r) for r in radii]
-    if len(r_list) != len(d_list):
-        raise ValueError("radii must match d_grid in length")
-    points = _checked_points(r_list, d_list)
+    points = _checked_points([float(r) for r in radii], d_list)
     rows = []
-    for (R, d), (log_w,) in zip(points, _grid_logs(points, _WIDTH, rel_tol)):
+    for (R, d), (log_w,) in zip(points, _grid_logs(points, _WIDTH)):
         w = math.exp(log_w)
         rows.append(WidthRatioRow(d=d, R=R, width=w, ratio=_regime_ratio(regime, d, R, w)))
     return rows
 
 
-def rate_envelope(R, d, threshold: float = 0.0, dim_cutoff: int = 50,
-                  rel_tol: float = _DEFAULT_TOL) -> BoundReport:
+def rate_envelope(R, d) -> BoundReport:
     """Classify (R, d) into a growth regime and report its rate envelope
     alongside both computable distance bounds.
 
-    The classification compares R - log d against ``threshold``; a gap at or
+    The classification compares the gap R - log d against 0; a gap at or
     below it means the radius stays within a bounded window of log d, and a
-    larger gap is read as the fixed-dimension regime for d up to
-    ``dim_cutoff`` and as the growing-gap high-dimensional regime beyond.
-    A point sitting exactly on the threshold is flagged as a boundary case.
+    larger gap is read as the fixed-dimension regime for d up to 50 and as
+    the growing-gap high-dimensional regime beyond.  A point whose gap is 0
+    to within 1e-9 is flagged as a boundary case.
     Sequences, not single points, own the true asymptotic dichotomy; this is
     a labeling heuristic for tables.  This is :func:`rate_envelopes` at one
     point.
     """
-    return rate_envelopes([R], [d], threshold, dim_cutoff, rel_tol)[0]
+    return rate_envelopes([R], [d])[0]
 
 
-def rate_envelopes(radii, d_grid, threshold: float = 0.0, dim_cutoff: int = 50,
-                   rel_tol: float = _DEFAULT_TOL) -> list[BoundReport]:
+def rate_envelopes(radii, d_grid) -> list[BoundReport]:
     """:func:`rate_envelope` at every point (``radii[k]``, ``d_grid[k]``).
 
     Every point is validated before any quadrature runs, and the integrals of
     all points come from one batched engine call.  A failing point raises the
     error the point-by-point loop would have met first.
     """
-    radii, d_grid = list(radii), list(d_grid)
-    if len(radii) != len(d_grid):
-        raise ValueError("radii must match d_grid in length")
     points = _checked_points(radii, d_grid)
-    grid = _grid_logs(points, _INTEGRALS, rel_tol)
+    grid = _grid_logs(points, _INTEGRALS)
     reports = []
     for R, d in points:
         gap = R - math.log(d)
-        boundary = abs(gap - threshold) <= 1e-9
-        if gap <= threshold:
+        boundary = abs(gap - _GAP_THRESHOLD) <= 1e-9
+        if gap <= _GAP_THRESHOLD:
             regime = Regime.HIGH_DIM_BOUNDED
             envelope = math.exp(-0.5 * R)
-        elif d <= dim_cutoff:
+        elif d <= _DIM_CUTOFF:
             regime = Regime.FIXED_DIM
             envelope = 1.0 / math.sqrt(R)
         else:

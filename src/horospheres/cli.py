@@ -21,6 +21,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, analysis, empirical, euclidean, render, sampling
+from .geometry import _LOG_MAX, _exp_or_inf
 from .quadrature import QuadratureError
 from .sampling import FeasibilityError, SimConfig
 
@@ -31,8 +32,6 @@ EXIT_INFEASIBLE = 2
 EXIT_QUADRATURE = 3
 EXIT_USAGE = 64
 EXIT_IO = 74
-
-_LOG_MAX = math.log(sys.float_info.max)
 
 # config-echo keys that are ignored when an echoed file is fed back in
 _ECHO_ONLY_KEYS = {"command", "version", "timestamp"}
@@ -237,11 +236,6 @@ def _emit(text: str, out_path) -> None:
             fh.write(text)
 
 
-def _linear(log_value: float) -> float:
-    """exp, with ``inf`` past double range."""
-    return math.exp(log_value) if log_value < _LOG_MAX else math.inf
-
-
 def _pair(log_value: float) -> dict:
     """Value given as {log, linear}; linear is null past double range and the
     log is null for an exact zero."""
@@ -405,7 +399,7 @@ def _cmd_verify_clt(args) -> None:
         else:
             log_mean, log_variance = m.log_mean, m.log_variance
             bound = analysis.wasserstein_bound_width(R, d, width=m.width)
-        center, scale = _linear(log_mean), _linear(0.5 * log_variance)
+        center, scale = _exp_or_inf(log_mean), _exp_or_inf(0.5 * log_variance)
         if not (center < math.inf and 0.0 < scale < math.inf):
             raise FeasibilityError(f"at R = {R!r} the mean {center:.6g} or standard deviation {scale:.6g} "
                                    "of the total area leaves double range")
@@ -416,6 +410,11 @@ def _cmd_verify_clt(args) -> None:
         if not np.all(np.isfinite(totals)):
             raise FeasibilityError(f"at R = {R!r} a sampled total area leaves double range")
         summary = empirical.summarize(totals, target, center=center, scale=scale)
+        # checked after summarize, which rejects fewer than four totals: equal totals pass it,
+        # but have no spread, so their excess kurtosis would be 0/0 or rounding noise
+        if totals.min() == totals.max():
+            raise FeasibilityError(f"at R = {R!r} all {n} sampled total areas equal {float(totals[0])!r}: "
+                                   "the sample has no spread")
         rows.append(
             {
                 "R": R,
@@ -546,9 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     ren.set_defaults(func=_cmd_render)
 
     wt = commands.add_parser(
-        "width-table",
-        aliases=["j-table"],
-        help="effective width and growth-regime ratio over a grid, emit CSV",
+        "width-table", help="effective width and growth-regime ratio over a grid, emit CSV"
     )
     wt.add_argument("--regime", choices=("a", "b1", "b2"))
     wt.add_argument("--d-grid", dest="d_grid")

@@ -22,7 +22,6 @@ __all__ = [
     "standardize",
     "empirical_kolmogorov",
     "empirical_wasserstein1",
-    "wasserstein1_samples",
     "k_statistics",
     "summarize",
 ]
@@ -137,15 +136,6 @@ def empirical_wasserstein1(sorted_samples, target_variance: float = 1.0) -> floa
             (Ab[cross] - At) - cc * (b[cross] - t)
         )
     return total + float(np.sum(seg))
-
-
-def wasserstein1_samples(a, b) -> float:
-    """Exact W1 between two empirical laws of equal sample size."""
-    av = np.sort(np.asarray(a, dtype=float).ravel())
-    bv = np.sort(np.asarray(b, dtype=float).ravel())
-    if av.size == 0 or av.size != bv.size:
-        raise ValueError("samples must be nonempty and of equal size")
-    return float(np.mean(np.abs(av - bv)))
 
 
 def k_statistics(samples) -> tuple[float, float, float, float]:

@@ -83,21 +83,21 @@ def fourth_cumulant_closed(R, d) -> float:
     )
 
 
-def variance_direct(R, d, rel_tol: float = 1e-12) -> float:
+def variance_direct(R, d) -> float:
     """log variance by direct quadrature of the squared section area."""
     d = check_dimension(d, minimum=1)
     R = check_radius(R)
     return _LN2 + quad_log_integral(
-        lambda s: 2.0 * log_section_area(s, R, d), 0.0, R, rel_tol=rel_tol
+        lambda s: 2.0 * log_section_area(s, R, d), 0.0, R, rel_tol=1e-12
     )
 
 
-def fourth_cumulant_direct(R, d, rel_tol: float = 1e-12) -> float:
+def fourth_cumulant_direct(R, d) -> float:
     """log fourth cumulant by direct quadrature of the fourth power."""
     d = check_dimension(d, minimum=1)
     R = check_radius(R)
     return _LN2 + quad_log_integral(
-        lambda s: 4.0 * log_section_area(s, R, d), 0.0, R, rel_tol=rel_tol
+        lambda s: 4.0 * log_section_area(s, R, d), 0.0, R, rel_tol=1e-12
     )
 
 

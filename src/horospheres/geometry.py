@@ -30,6 +30,13 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _UNIT_TOL = 1e-12
+# log of the largest double: math.exp overflows past it
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _exp_or_inf(log_value: float) -> float:
+    """exp, with ``inf`` past double range."""
+    return math.exp(log_value) if log_value < _LOG_MAX else math.inf
 
 
 def check_dimension(d, minimum: int = 2) -> int:

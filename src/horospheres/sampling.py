@@ -19,7 +19,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import HorosphereParam, LOG_ZERO, check_dimension, check_radius, log_sinh, log_unit_ball_volume
+from .geometry import (
+    LOG_ZERO, HorosphereParam, _LOG_MAX, _exp_or_inf, check_dimension, check_radius, log_sinh, log_unit_ball_volume,
+)
 
 __all__ = [
     "FeasibilityError",
@@ -28,8 +30,6 @@ __all__ = [
     "SimConfig",
     "Batch",
     "log_hitting_mass",
-    "sample_signed_distance",
-    "sample_direction",
     "sample_poisson_count",
     "replication_stream",
     "check_feasible",
@@ -39,7 +39,8 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _SEED_LIMIT = 1 << 64
-_LOG_MAX_DOUBLE = math.log(np.finfo(float).max)
+# bound on the expected hit count per replication
+_COUNT_CAP = 10**8
 _CHUNK = 1 << 20
 # hits per vectorized block; the kernels work in place on it and two scratch
 # blocks of the same length
@@ -50,7 +51,7 @@ _MIN_U = 2.0**-54
 
 
 class FeasibilityError(RuntimeError):
-    """An experiment would exceed the configured count cap."""
+    """An experiment would exceed the count cap."""
 
     def __init__(self, message: str, log_expected_count: float | None = None, cap: float | None = None):
         super().__init__(message)
@@ -60,27 +61,22 @@ class FeasibilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo experiment parameters; ``count_cap`` bounds the expected
-    hit count per replication."""
+    """Monte Carlo experiment parameters."""
 
     d: int
     R: float
     replications: int
     seed: int
-    count_cap: int = 10**8
 
     def __post_init__(self):
         object.__setattr__(self, "d", check_dimension(self.d))
         object.__setattr__(self, "R", check_radius(self.R))
         object.__setattr__(self, "replications", int(self.replications))
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "count_cap", int(self.count_cap))
         if self.replications < 1:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
         if not 0 <= self.seed < _SEED_LIMIT:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.count_cap < 1:
-            raise ValueError(f"count_cap must be at least 1, got {self.count_cap}")
 
 
 class Batch(NamedTuple):
@@ -97,25 +93,6 @@ def log_hitting_mass(R, d) -> float:
     d = check_dimension(d)
     a = (d - 1.0) * check_radius(R, d)
     return float(log_sinh(a)) + _LN2 - math.log(d - 1.0)
-
-
-def sample_signed_distance(R, d, U):
-    """Inverse-CDF sample of the signed distance on (-R, R).
-
-    The intensity density is e^{-(d-1)s}; the inverse CDF is evaluated in log
-    form so it stays finite and monotone in U even for (d-1)R of several
-    hundred.  It is the far-edge distance less R, so it keeps only the
-    absolute precision of R; U below 2^-54 counts as 2^-54, as in the
-    sampler.  Array-compatible in ``U``.
-    """
-    d = check_dimension(d)
-    R = check_radius(R)
-    scalar = np.ndim(U) == 0
-    u = np.array(U, dtype=float, ndmin=1)
-    if np.any((u <= 0.0) | (u >= 1.0)):
-        raise ValueError("U must lie strictly inside (0, 1)")
-    s = _far_edge(u, np.empty_like(u), np.empty_like(u), R, d) - R
-    return float(s[0]) if scalar else s
 
 
 def _far_edge(u: np.ndarray, v: np.ndarray, x: np.ndarray, R: float, d: int) -> np.ndarray:
@@ -165,7 +142,7 @@ def _hyperbolic_hits(R: float, d: int):
 
         return plane
 
-    M = math.expm1(A) if A < _LOG_MAX_DOUBLE else math.inf
+    M = math.expm1(A) if A < _LOG_MAX else math.inf
 
     def hits(u, v, x, starts, lens):
         t = _far_edge(u, v, x, R, d)
@@ -188,12 +165,6 @@ def _sample_directions(k: int, d: int, rng) -> np.ndarray:
         v[bad] = rng.standard_normal((int(bad.sum()), d))
         norms = np.linalg.norm(v, axis=1)
     return v / norms[:, None]
-
-
-def sample_direction(d, rng) -> np.ndarray:
-    """One uniform draw from the unit sphere (normalized Gaussian vector)."""
-    d = check_dimension(d)
-    return _sample_directions(1, d, rng)[0]
 
 
 def sample_poisson_count(mean, rng) -> int:
@@ -234,10 +205,10 @@ HYPERBOLIC = Model(
 def check_feasible(cfg: SimConfig, model: Model = HYPERBOLIC) -> float:
     """log expected hit count per replication; FeasibilityError past the cap."""
     log_mass = model.log_mass(cfg.R, cfg.d)
-    if log_mass > math.log(cfg.count_cap):
-        expected = f"{math.exp(log_mass):.6g}" if log_mass < _LOG_MAX_DOUBLE else f"exp({log_mass:.6g})"
-        raise FeasibilityError(f"expected hitting count {expected} exceeds the count cap {cfg.count_cap:g}; "
-                               "use the analytic routines for this regime", log_mass, float(cfg.count_cap))
+    if log_mass > math.log(_COUNT_CAP):
+        expected = f"{math.exp(log_mass):.6g}" if log_mass < _LOG_MAX else f"exp({log_mass:.6g})"
+        raise FeasibilityError(f"expected hitting count {expected} exceeds the count cap {_COUNT_CAP:g}; "
+                               "use the analytic routines for this regime", log_mass, float(_COUNT_CAP))
     return log_mass
 
 
@@ -308,7 +279,7 @@ def _simulate(cfg: SimConfig, model: Model, indices: range) -> Batch:
     if rows:
         log_totals[rows] = hits(block[:pos], v[:pos], x[:pos], starts, lens)
     # math.exp, not np.exp: the two can differ in the last bit
-    totals = [math.exp(lt) if lt < _LOG_MAX_DOUBLE else math.inf for lt in log_totals.tolist()]
+    totals = list(map(_exp_or_inf, log_totals.tolist()))
     return Batch(np.array(counts, dtype=np.int64), np.array(totals, dtype=float), log_totals)
 
 

@@ -123,14 +123,6 @@ def test_substitution_identity():
             assert width_substituted(R, d) == pytest.approx(j, rel=1e-9)
 
 
-def test_width_scale_companion_ratio():
-    # sinh(R/2)/sqrt(d) against (1/2) e^{(R - log d)/2}: ratio 1 - e^{-R}
-    ws = width_scale(40.0, 7)
-    assert ws.value / ws.companion == pytest.approx(1.0, rel=1e-15)
-    ws_small = width_scale(1.0, 3)
-    assert ws_small.value / ws_small.companion == pytest.approx(1.0 - math.exp(-1.0), rel=1e-13)
-
-
 def test_width_limit_integral_reference_table():
     for L, want in _LIMIT_TABLE.items():
         assert width_limit_integral(L) == pytest.approx(want, rel=1e-9)
@@ -455,21 +447,22 @@ def test_grid_validates_every_point_before_quadrature():
         rate_envelopes([1e100, 2.0], [3, 1])
     with pytest.raises(ValueError, match="R must be finite and positive, got nan"):
         width_ratio_table("a", [3, 3], [1e100, math.nan])
-    with pytest.raises(ValueError, match="radii must match d_grid in length"):
-        rate_envelopes([1.0, 2.0], [3])
-    assert rate_envelopes([], []) == []
+    # a longer list is not cut to the shorter one
+    for radii, dims in (([1.0, 2.0], [3]), ([1.0], [2, 3])):
+        with pytest.raises(ValueError, match="radii must match d_grid in length"):
+            rate_envelopes(radii, dims)
+        with pytest.raises(ValueError, match="radii must match d_grid in length"):
+            moments_grid(radii, dims)
+    assert rate_envelopes([], []) == moments_grid([], []) == []
 
 
 def test_width_scale_past_double_range_is_inf():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        far = width_scale(1500.0, 3)
-        assert far.value == far.companion == math.inf
+        assert width_scale(1500.0, 3) == math.inf
         # sinh(715) overflows, but divided by sqrt(10^6) it is finite again
         near = width_scale(1430.0, 10**6)
         with mp.workdps(30):
-            want = mp.sinh(715) / 1000
-            assert near.value == pytest.approx(float(want), rel=1e-12)
-            assert near.companion == pytest.approx(float(mp.exp((1430 - mp.log(10**6)) / 2) / 2), rel=1e-12)
+            assert near == pytest.approx(float(mp.sinh(715) / 1000), rel=1e-12)
         with pytest.raises(QuadratureError, match="width scale"):
             width_substituted(1500.0, 3)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -307,6 +308,40 @@ def test_simulate_bytes_are_pinned(flags, tmp_path):
     assert target.read_bytes() == out.encode()
 
 
+_REFERENCE_GRID = ["--d-grid", ",".join(str(100 * k) for k in range(1, 101)), "--R-rule", "log-d-offset:1"]
+
+# sha256 of the stdout of every other command, recorded at c45c987; bounds runs on the
+# 100-point grid of the bounds benchmark, width-table on one grid per regime
+_COMMAND_SHA256 = {
+    "bounds": (["bounds", *_REFERENCE_GRID],
+               "4eac1f01ac10d92d59cd02608677fe11a5ff76c9dd9156f0f8449dda0b41f348"),
+    "bounds-csv": (["bounds", *_REFERENCE_GRID, "--format", "csv"],
+                   "4ef765a269e9d42a1af3bbf699eab6b750e9bd4e1be5d596ec551efebfa74cb2"),
+    "bounds-euclidean": (["bounds", "--model", "euclidean", *_REFERENCE_GRID],
+                         "879973d9bd3e65e93694cad61d1e32a553c7f1e7d30deee73e4a56a6936e3dc9"),
+    "width-table-a": ("width-table --regime a --d-grid 3,5,10 --R-rule fixed:10".split(),
+                      "420c99144ec926bc0bc25079ce5c7e9acbb7d502561bb049466d1e298965bb54"),
+    "width-table-b1": ("width-table --regime b1 --d-grid 100,1000 --R-rule log-d-offset:-1".split(),
+                       "f572f170c21443ac0e4381de5179f7d6925c8aae257d3c05b5cc1d636678b35e"),
+    "width-table-b2": ("width-table --regime b2 --d-grid 100,1000 --R-rule log-d-offset:2".split(),
+                       "3901f479857e9e63e116d5776bdab64cc5565d99efb1523edcf6e4ac089427e6"),
+    "moments": ("moments --d 3 --R 3".split(),
+                "48cd93a0e3ea69925a0a89d824dd22e067df8000d11ef16010438f75233e00fd"),
+    "moments-euclidean": ("moments --model euclidean --d 3 --R 3".split(),
+                          "368bbba8e30311e4751f9b588768f0dad19612d9da9cf7f290b333c4c33b3aa8"),
+    "verify-clt": ("verify-clt --d 2 --R-list 2,4,8 --n 2000 --seed 20260821".split(),
+                   "92484be9c661efdccc76fe4cc06a981658ab83bad0e6e27e96e71c5c8769d0f0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COMMAND_SHA256))
+def test_command_bytes_are_pinned(name):
+    argv, sha256 = _COMMAND_SHA256[name]
+    code, out, err = _captured(argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_quadrature_failure_exits_3(capsys, monkeypatch):
     def boom(R, d):
         raise QuadratureError("did not converge", last=0.0, previous=0.0)
@@ -507,6 +542,17 @@ def test_verify_clt_linear_moments_out_of_range_exit_2_before_sampling(capsys, m
     assert lines[0].endswith("of the total area leaves double range")
 
 
+@pytest.mark.parametrize("radius", ["0.001", "1e-05"])
+def test_verify_clt_sample_without_spread_exits_2(radius):
+    # no horosphere meets the ball in any replication, so every total is 0; at R = 1e-5 the
+    # excess kurtosis was 0/0, and at R = 0.001 the rounding of the normalization gave noise
+    argv = ["verify-clt", "--d", "2", "--R-list", radius, "--n", "100", "--seed", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _captured(argv) == (2, "", f"horospheres: infeasible: at R = {float(radius)!r} all 100 sampled "
+                                          "total areas equal 0.0: the sample has no spread\n")
+
+
 def test_verify_clt_sampled_total_past_double_range_exits_2(capsys):
     # the mean (e^709.7) and standard deviation are finite, but some sampled
     # totals are not
@@ -632,14 +678,6 @@ def test_width_table_output(capsys):
     assert lines[1] == "d,R,width,ratio"
     cells = lines[2].split(",")
     assert float(cells[3]) == pytest.approx(float(cells[2]) / 10.0, rel=1e-12)
-
-
-def test_width_table_alias(capsys):
-    code, out = _run(
-        capsys, ["j-table", "--regime", "a", "--d-grid", "3", "--R-rule", "fixed:10"]
-    )
-    assert code == 0
-    assert json.loads(out.splitlines()[0][len("# config "):])["command"] == "width-table"
 
 
 def test_width_table_growing_gap_precondition(capsys):

@@ -12,7 +12,6 @@ from horospheres.empirical import (
     k_statistics,
     standardize,
     summarize,
-    wasserstein1_samples,
 )
 from horospheres.sampling import replication_stream
 
@@ -136,23 +135,6 @@ def test_wasserstein1_nonstandard_variance():
     base = empirical_wasserstein1(x, target_variance=1.0)
     scaled = empirical_wasserstein1(x * 2.0, target_variance=4.0)
     assert scaled == pytest.approx(2.0 * base, rel=1e-10)
-
-
-def test_wasserstein1_samples_basics():
-    a = np.array([0.0, 1.0, 2.0])
-    assert wasserstein1_samples(a, a) == 0.0
-    assert wasserstein1_samples(a, a + 0.25) == pytest.approx(0.25, abs=1e-15)
-    with pytest.raises(ValueError):
-        wasserstein1_samples(a, a[:2])
-
-
-def test_wasserstein1_samples_matches_scipy():
-    rng = replication_stream(8, 5)
-    a = rng.standard_normal(300)
-    b = rng.standard_normal(300) + 0.3
-    got = wasserstein1_samples(a, b)
-    want = scipy.stats.wasserstein_distance(a, b)
-    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_k_statistics_hand_values():

@@ -12,10 +12,8 @@ from horospheres.sampling import (
     SimConfig,
     log_hitting_mass,
     replication_stream,
-    sample_direction,
     sample_points,
     sample_poisson_count,
-    sample_signed_distance,
     simulate_batch,
 )
 
@@ -47,6 +45,16 @@ def _hitting_mass(R, d):
     return math.exp(log_hitting_mass(R, d))
 
 
+def _signed_distance(R, d, u):
+    """The sampler's inverse CDF as a signed distance s on (-R, R); the edge map overwrites
+    its input, so it gets a copy."""
+    return HYPERBOLIC.edge_distance(np.array(u, dtype=float, ndmin=1), R, d) - R
+
+
+def _direction(d, rng):
+    return sampling._sample_directions(1, d, rng)[0]
+
+
 def test_hitting_mass_closed_form():
     # 2 sinh((d-1) R)/(d-1)
     assert _hitting_mass(1.0, 2) == pytest.approx(2.0 * math.sinh(1.0), rel=1e-13)
@@ -65,7 +73,7 @@ def test_log_hitting_mass_extreme_parameters():
 def test_signed_distance_endpoints_and_monotonicity():
     R, d = 2.0, 3
     us = np.linspace(1e-9, 1.0 - 1e-9, 1001)
-    ss = sample_signed_distance(R, d, us)
+    ss = _signed_distance(R, d, us)
     assert np.all(np.diff(ss) > 0)
     assert ss[0] == pytest.approx(-R, abs=1e-7)
     # the density decays like e^{-(d-1)s}, so the CDF is nearly flat at +R
@@ -79,21 +87,15 @@ def test_signed_distance_median():
     # F(s) = (e^{a R} - e^{-a s})/(e^{a R} - e^{-a R}); invert at U = 1/2
     R, d = 1.5, 4
     a = d - 1.0
-    s_half = float(sample_signed_distance(R, d, 0.5))
+    s_half = float(_signed_distance(R, d, 0.5)[0])
     num = math.exp(a * R) - math.exp(-a * s_half)
     den = math.exp(a * R) - math.exp(-a * R)
     assert num / den == pytest.approx(0.5, abs=1e-13)
 
 
-def test_signed_distance_rejects_boundary_uniforms():
-    for bad in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
-            sample_signed_distance(1.0, 2, bad)
-
-
 def test_signed_distance_extreme_rate_no_overflow():
     # a R = 495: linear-domain weights overflow, the log form cannot
-    ss = sample_signed_distance(5.0, 100, np.array([1e-12, 0.5, 1.0 - 1e-12]))
+    ss = _signed_distance(5.0, 100, [1e-12, 0.5, 1.0 - 1e-12])
     assert np.all(np.isfinite(ss))
     assert np.all((ss > -5.0) & (ss < 5.0))
 
@@ -106,7 +108,7 @@ def test_signed_distance_distribution_kolmogorov():
     n = 100_000
     u = rng.random(n)
     u = np.maximum(u, 2.0**-54)
-    s = np.sort(sample_signed_distance(R, d, u))
+    s = np.sort(_signed_distance(R, d, u))
     den = math.exp(a * R) - math.exp(-a * R)
     cdf = (math.exp(a * R) - np.exp(-a * s)) / den
     i = np.arange(1, n + 1)
@@ -117,14 +119,14 @@ def test_signed_distance_distribution_kolmogorov():
 def test_direction_is_unit_norm():
     rng = replication_stream(7, 3)
     for d in (2, 3, 10):
-        u = sample_direction(d, rng)
+        u = _direction(d, rng)
         assert u.shape == (d,)
         assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_direction_mean_near_zero():
     rng = replication_stream(11, 0)
-    draws = np.array([sample_direction(3, rng) for _ in range(4000)])
+    draws = np.array([_direction(3, rng) for _ in range(4000)])
     assert np.max(np.abs(draws.mean(axis=0))) < 4.0 / math.sqrt(4000)
 
 
@@ -147,6 +149,7 @@ def test_replication_stream_reproducible_and_distinct():
 
 
 def test_sim_config_validation():
+    assert [field.name for field in dataclasses.fields(SimConfig)] == ["d", "R", "replications", "seed"]
     with pytest.raises(ValueError):
         SimConfig(d=2, R=0.0, replications=1, seed=0)
     with pytest.raises(ValueError):
@@ -366,7 +369,7 @@ def test_batch_matches_per_replication_reference(model):
             if flat:
                 logs = euclidean.log_section_area((2.0 * u - 1.0) * cfg.R, cfg.R, cfg.d)
             else:
-                s = sample_signed_distance(cfg.R, cfg.d, np.maximum(u, 2.0**-54))
+                s = _signed_distance(cfg.R, cfg.d, u)
                 logs = log_chord_area(s, cfg.R, cfg.d)
             assert count == n
             want = float(np.logaddexp.reduce(logs)) if n else -math.inf
