@@ -5,8 +5,9 @@ engine; the effective width of the intersection window drives the distance
 bounds and the growth-regime diagnostics.  A grid of (R, d) points is
 integrated in one batched engine call: every tree of every point (the three
 moment integrals, the width and, for the moments, the ball volume that is
-the mean) runs over (0, R) and is refined in lockstep, and each point reports
-its first failure in the order a point-by-point loop would meet it.
+the mean) is refined in lockstep, and each point reports its first failure in
+the order a point-by-point loop would meet it.  The trees run over (0, R),
+except i1 and i4, which stop at the edge of their 1/(d-1) boundary layer.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ _DIM_CUTOFF = 50
 _WIDTH = ("width",)
 _INTEGRALS = ("i1", "i2", "i4", "width")
 _MOMENTS = _INTEGRALS + ("mean",)
+_CLT = ("i2", "width", "mean")
 
 
 @dataclass(frozen=True)
@@ -151,6 +153,14 @@ _LOG_INTEGRANDS = {
 }
 
 
+# The i1 and i4 trees stop at min(R, cut/(d-1)).  f(s) = log(cosh R - cosh s) is concave and
+# decreasing on (0, R) with f'(0) = 0, so each log-integrand g is concave with slope at most
+# -lam, lam = (d-1)/2 for i1 and d-1 for i4, and the cut c = 40/lam has g(0) - g(c) = D >= 40.
+# The tail past c is at most e^{g(c)}/lam and, by the chord bound, the head is at least
+# c e^{g(0)} (1 - e^-D)/D, so tail/head <= e^-40 (4e-18), below 1/50 of an ulp.
+_CUTS = {"i1": 80.0, "i4": 40.0}
+
+
 def _checked_points(radii, dims, minimum: int = 2) -> list[tuple[float, int]]:
     """Validated (R, d) pairs, in grid order, from radii and dimensions of equal length."""
     radii, dims = list(radii), list(dims)
@@ -164,8 +174,8 @@ def _checked_points(radii, dims, minimum: int = 2) -> list[tuple[float, int]]:
 
 
 def _grid_logs(points, kinds):
-    """Log integrals over (0, R) of the ``kinds`` trees at every validated
-    (R, d) point, all from one lockstep engine call.
+    """Log integrals of the ``kinds`` trees at every validated (R, d) point, all
+    from one lockstep engine call, each over (0, R) or its cut interval.
 
     Yields each point's logs, in ``kinds`` order.  A point's first failure,
     a failed tree or a width estimate past 2R right after its width tree, is
@@ -186,7 +196,9 @@ def _grid_logs(points, kinds):
             out[rows] = _LOG_INTEGRANDS[name](s[rows], dims[point, None], radii[point, None])
         return out
 
-    logs, failures = _lockstep(log_f, np.zeros(len(kinds) * n), np.tile(radii, len(kinds)), _DEFAULT_TOL)
+    ends = np.concatenate([np.minimum(radii, _CUTS[name] / (dims - 1.0)) if name in _CUTS else radii
+                           for name in kinds])
+    logs, failures = _lockstep(log_f, np.zeros(len(kinds) * n), ends, _DEFAULT_TOL)
     logs = logs.reshape(len(kinds), n).tolist()
     for p, (R, _) in enumerate(points):
         for index, name in enumerate(kinds):
@@ -249,10 +261,23 @@ def moments_grid(radii, d_grid) -> list[MomentSummary]:
     summaries = []
     for (R, d), (log_i1, log_i2, log_i4, log_w, log_v) in zip(points, _grid_logs(points, _MOMENTS)):
         c = log_area_coefficient(d)
-        log_mean = math.log(d) + log_unit_ball_volume(d) + log_v
-        summaries.append(MomentSummary(R, d, log_mean, c + log_i1, _LN2 + 2.0 * c + log_i2, 4.0 * c + log_i4,
-                                       math.exp(log_w)))
+        log_mean, log_variance = _log_mean_variance(d, log_i2, log_v)
+        summaries.append(MomentSummary(R, d, log_mean, c + log_i1, log_variance, 4.0 * c + log_i4, math.exp(log_w)))
     return summaries
+
+
+def _log_mean_variance(d, log_i2, log_v):
+    """log mean and log variance of the total cap area from log i2 and the log of
+    the ball-volume integral."""
+    return math.log(d) + log_unit_ball_volume(d) + log_v, _LN2 + 2.0 * log_area_coefficient(d) + log_i2
+
+
+def _clt_grid(radii, d_grid) -> list[tuple[float, float, float]]:
+    """(log mean, log variance, width) at every point, bit for bit those of
+    :func:`moments_grid`, from the i2, width and mean trees alone."""
+    points = _checked_points(radii, d_grid)
+    return [(*_log_mean_variance(d, log_i2, log_v), math.exp(log_w))
+            for (R, d), (log_i2, log_w, log_v) in zip(points, _grid_logs(points, _CLT))]
 
 
 def variance_direct(R, d) -> float:
@@ -383,10 +408,7 @@ def width_ratio_table(regime, d_grid, radii) -> list[WidthRatioRow]:
     grows.
     """
     regime = GrowthRegime(regime)
-    d_list = [check_dimension(d) for d in d_grid]
-    if not d_list:
-        raise ValueError("d_grid must not be empty")
-    points = _checked_points([float(r) for r in radii], d_list)
+    points = _checked_points(radii, d_grid)
     rows = []
     for (R, d), (log_w,) in zip(points, _grid_logs(points, _WIDTH)):
         w = math.exp(log_w)

@@ -382,23 +382,25 @@ def _cmd_verify_clt(args) -> None:
     n = _as_int(_require(raw, "n"), "n")
     seed = _as_int(_require(raw, "seed"), "seed")
 
+    configs = [SimConfig(d=d, R=R, replications=n, seed=seed) for R in radii]
+    if n < 4:
+        raise UsageError(f"--n must be at least 4 for the sample k-statistics, got {n}")
     # every radius must be feasible before any moments are computed: a radius
     # past the count cap can also be past the range of the linear moments
-    configs = [SimConfig(d=d, R=R, replications=n, seed=seed) for R in radii]
     for cfg in configs:
         sampling.check_feasible(cfg, _MODELS[model])
     target = 1.0 if model == "euclidean" else 0.5
     allowance = 1.5 / math.sqrt(n)
-    # the hyperbolic moments and widths of all radii come from one grid call
-    grid = analysis.moments_grid(radii, [d] * len(radii)) if model == "hyperbolic" else [None] * len(radii)
+    # the hyperbolic means, variances and widths of all radii come from one grid call
+    grid = analysis._clt_grid(radii, [d] * len(radii)) if model == "hyperbolic" else [None] * len(radii)
     normalizations = []
     for R, m in zip(radii, grid):
         if model == "euclidean":
             log_mean, log_variance = euclidean.log_mean(R, d), euclidean.variance_closed(R, d)
             bound = euclidean.wasserstein_bound(R, d).value
         else:
-            log_mean, log_variance = m.log_mean, m.log_variance
-            bound = analysis.wasserstein_bound_width(R, d, width=m.width)
+            log_mean, log_variance, width = m
+            bound = analysis.wasserstein_bound_width(R, d, width=width)
         center, scale = _exp_or_inf(log_mean), _exp_or_inf(0.5 * log_variance)
         if not (center < math.inf and 0.0 < scale < math.inf):
             raise FeasibilityError(f"at R = {R!r} the mean {center:.6g} or standard deviation {scale:.6g} "

@@ -278,7 +278,8 @@ _LN2 = math.log(2.0)
 
 def _one_tree_logs(R, d):
     """log i1, i2, i4, width and mean at (R, d), one one-tree quadrature
-    each, in the order a point-by-point loop runs them."""
+    each, in the order a point-by-point loop runs them; i1 stops at
+    min(R, 80/(d-1)) and i4 at min(R, 40/(d-1)), the others at R."""
     p = 0.5 * (d - 1)
 
     def gap(s):
@@ -286,9 +287,9 @@ def _one_tree_logs(R, d):
 
     half = float(log_sinh(0.5 * R))
     return (
-        quad_log_integral(lambda s: p * (gap(s) - s), 0.0, R),
+        quad_log_integral(lambda s: p * (gap(s) - s), 0.0, min(R, 80.0 / (d - 1.0))),
         quad_log_integral(lambda s: 2.0 * p * gap(s), 0.0, R),
-        quad_log_integral(lambda s: 2.0 * p * (2.0 * gap(s) - s), 0.0, R),
+        quad_log_integral(lambda s: 2.0 * p * (2.0 * gap(s) - s), 0.0, min(R, 40.0 / (d - 1.0))),
         quad_log_integral(
             lambda s: (d - 1.0) * (log_sinh(0.5 * (R + s)) + log_sinh(0.5 * (R - s)) - 2.0 * half), 0.0, R
         ),
@@ -369,6 +370,54 @@ def test_integrals_agree_with_mpmath(R, d):
     assert ints.log_variance_integral == pytest.approx(log_i2, abs=1e-11)
     assert ints.log_cum4_integral == pytest.approx(log_i4, abs=1e-11)
     assert ints.width == pytest.approx(width, rel=1e-10)
+
+
+def _layer_oracle(R, d, kind):
+    """log i1 or log i4 at (R, d) from mpmath at 40 digits, over all of (0, R).
+    The log-integrand falls off at rate at least lam, (d-1)/2 for i1 and d-1 for
+    i4, from its peak at s = 0, so the breakpoints sit at multiples of 1/lam."""
+    with mp.workdps(40):
+        R = mp.mpf(R)
+        lam = mp.mpf(d - 1) / (2 if kind == "i1" else 1)
+
+        def f(s):
+            return mp.log(2 * mp.sinh((R + s) / 2) * mp.sinh((R - s) / 2))
+
+        def g(s):
+            return lam * (f(s) - s) if kind == "i1" else lam * (2 * f(s) - s)
+
+        g0 = g(mp.mpf(0))
+        marks = [k / lam for k in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128) if k / lam < R]
+        return g0 + mp.log(mp.quad(lambda s: mp.exp(g(s) - g0), [mp.mpf(0), *marks, R]))
+
+
+@pytest.mark.parametrize(
+    "R, d",
+    [(math.log(d) + 1.0, d) for d in (100, 1000, 5000, 10000)] + [(0.5, 10**5), (30.0, 10**4), (200.0, 10**4)],
+)
+def test_cut_layer_integrals_agree_with_mpmath(R, d):
+    # i1 and i4 stop at the edge of their 1/(d-1) layer, which loses at most e^-40 of
+    # either; the error is per unit of |log|, whose ulp is 2.2e-16 per unit or less
+    ints = integrals(R, d)
+    for kind, value in (("i1", ints.log_mean_integral), ("i4", ints.log_cum4_integral)):
+        exact = _layer_oracle(R, d, kind)
+        assert abs(value - exact) <= 4.4e-16 * abs(exact)
+
+
+@settings(max_examples=10)
+@given(st.floats(0.05, 40.0), st.integers(2, 5000))
+def test_cut_layer_integrals_match_the_whole_interval(R, d):
+    # one uncut tree over (0, R) each, at the engine's 1e-10 tolerance
+    p = 0.5 * (d - 1)
+
+    def gap(s):
+        return _LN2 + log_sinh(0.5 * (R + s)) + log_sinh(0.5 * (R - s))
+
+    ints = integrals(R, d)
+    assert ints.log_mean_integral == pytest.approx(quad_log_integral(lambda s: p * (gap(s) - s), 0.0, R), abs=1e-10)
+    assert ints.log_cum4_integral == pytest.approx(
+        quad_log_integral(lambda s: 2.0 * p * (2.0 * gap(s) - s), 0.0, R), abs=1e-10
+    )
 
 
 def _oracle_log_volume(R, d):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from horospheres import analysis, euclidean
+from horospheres import analysis, euclidean, sampling
 from horospheres.cli import main
 from horospheres.quadrature import QuadratureError
 
@@ -311,12 +311,15 @@ def test_simulate_bytes_are_pinned(flags, tmp_path):
 _REFERENCE_GRID = ["--d-grid", ",".join(str(100 * k) for k in range(1, 101)), "--R-rule", "log-d-offset:1"]
 
 # sha256 of the stdout of every other command, recorded at c45c987; bounds runs on the
-# 100-point grid of the bounds benchmark, width-table on one grid per regime
+# 100-point grid of the bounds benchmark, width-table on one grid per regime.  The two
+# hyperbolic bounds hashes were re-recorded when the i1 and i4 trees were cut to their
+# boundary layer, which moved 85 wasserstein_bound_integrals cells by up to 2.8e-11
+# relative, each changed log integral within 3.5e-16 per unit of a 40-digit mpmath value
 _COMMAND_SHA256 = {
     "bounds": (["bounds", *_REFERENCE_GRID],
-               "4eac1f01ac10d92d59cd02608677fe11a5ff76c9dd9156f0f8449dda0b41f348"),
+               "bc9f239b2c0daebb21b96feb169a0e17278f36f49b3beb7308e005c4c3765ac1"),
     "bounds-csv": (["bounds", *_REFERENCE_GRID, "--format", "csv"],
-                   "4ef765a269e9d42a1af3bbf699eab6b750e9bd4e1be5d596ec551efebfa74cb2"),
+                   "dd3115294115ec1378ea9f2586163f75151e2fb74aea3da26b0a74e9fa94c95d"),
     "bounds-euclidean": (["bounds", "--model", "euclidean", *_REFERENCE_GRID],
                          "879973d9bd3e65e93694cad61d1e32a553c7f1e7d30deee73e4a56a6936e3dc9"),
     "width-table-a": ("width-table --regime a --d-grid 3,5,10 --R-rule fixed:10".split(),
@@ -464,6 +467,16 @@ def test_verify_clt_euclidean_target(capsys):
 def test_verify_clt_zero_replications_is_usage_error(capsys):
     assert main(["verify-clt", "--d", "2", "--R-list", "2,3", "--n", "0", "--seed", "1"]) == 64
     assert "replications must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["1", "3"])
+def test_verify_clt_fewer_than_four_replications_is_usage_error(n, monkeypatch):
+    # rejected before any feasibility check, quadrature or sampling
+    monkeypatch.setattr(analysis, "_clt_grid", None)
+    monkeypatch.setattr(sampling, "simulate_batch", None)
+    argv = ["verify-clt", "--d", "2", "--R-list", "2,30", "--n", n, "--seed", "1"]
+    assert _captured(argv) == (64, "", f"horospheres: error: --n must be at least 4 for the sample "
+                                       f"k-statistics, got {n}\n")
 
 
 def test_verify_clt_infeasible_exits_2(capsys):
@@ -638,6 +651,14 @@ def test_grid_is_validated_before_any_quadrature(capsys, argv):
     assert captured.out == ""
     assert captured.err == "horospheres: error: R must be finite and positive, got nan\n"
     assert main(argv[:-1] + ["fixed:1e100"]) == 3
+
+
+def test_grid_commands_report_the_same_first_error():
+    # point 0's radius is invalid and point 1's dimension is: both commands check point by point
+    grid = ["--d-grid", "3,1", "--R-rule", "list:nan,2"]
+    expected = (64, "", "horospheres: error: R must be finite and positive, got nan\n")
+    assert _captured(["bounds", *grid]) == expected
+    assert _captured(["width-table", "--regime", "a", *grid]) == expected
 
 
 def test_render_writes_deterministic_svg(tmp_path, capsys):
