@@ -37,7 +37,7 @@ EXIT_IO = 74
 _ECHO_ONLY_KEYS = {"command", "version", "timestamp"}
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Invalid flags, config keys, or parameter values."""
 
 
@@ -49,7 +49,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# parameter resolution: flag > config file > built-in default
+# parameter parsing: each parser takes the raw value and the parameter's name
+
+
+def _json_int(text: str):
+    # an integer past Python's int-digit limit reads as its float, +-inf
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def _load_config(path: str) -> dict:
@@ -57,8 +65,8 @@ def _load_config(path: str) -> dict:
         text = fh.read()
     if text.lstrip().startswith("{"):
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
+            data = json.loads(text, parse_int=_json_int)
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise UsageError(f"config file {path}: invalid JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise UsageError(f"config file {path}: top level must be an object")
@@ -75,83 +83,57 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _merged(args, allowed: tuple[str, ...]) -> dict:
-    """Resolved raw parameters for one command, config file first, flags on top."""
-    raw = {}
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
-        for key, value in _load_config(config_path).items():
-            norm = key.replace("-", "_")
-            if norm in _ECHO_ONLY_KEYS:
-                continue
-            if norm not in allowed:
-                raise UsageError(f"unknown config key {key!r}")
-            raw[norm] = value
-    for key in allowed:
-        value = getattr(args, key, None)
-        if value is not None:
-            raw[key] = value
-    return raw
-
-
-def _require(raw: dict, key: str):
-    if key not in raw:
-        flag = key.replace("_", "-")
-        raise UsageError(f"missing required parameter --{flag}")
-    return raw[key]
-
-
 def _as_int(value, name: str) -> int:
-    if isinstance(value, bool):
-        raise UsageError(f"{name} must be an integer, got {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, float):
-        if value != int(value):
-            raise UsageError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    try:
-        return int(str(value).strip())
-    except ValueError:
-        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+    if not isinstance(value, (bool, float)):
+        try:
+            return int(str(value).strip())
+        except ValueError:
+            pass
+    raise UsageError(f"{name} must be an integer, got {value!r}")
 
 
 def _as_float(value, name: str) -> float:
-    if isinstance(value, bool):
-        raise UsageError(f"{name} must be a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    try:
-        return float(str(value).strip())
-    except ValueError:
-        raise UsageError(f"{name} must be a number, got {value!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return float(value if isinstance(value, (int, float)) else str(value).strip())
+        except OverflowError:
+            # an integer past double range reads as +-inf, as its decimal string does
+            return math.inf if value > 0 else -math.inf
+        except ValueError:
+            pass
+    raise UsageError(f"{name} must be a number, got {value!r}")
 
 
-def _as_choice(value, name: str, choices: tuple[str, ...]) -> str:
-    text = str(value).strip()
-    if text not in choices:
-        raise UsageError(f"{name} must be one of {', '.join(choices)}; got {text!r}")
-    return text
+def _as_rule(value, name: str):
+    # echoed as given; _radius_rule reads it against the d grid
+    return value
 
 
-def _split_items(value) -> list:
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    return [part for part in str(value).split(",") if part.strip() != ""]
+def _choice(*choices: str):
+    def parse(value, name: str) -> str:
+        text = str(value).strip()
+        if text not in choices:
+            raise UsageError(f"{name} must be one of {', '.join(choices)}; got {text!r}")
+        return text
+
+    parse.choices = choices
+    return parse
 
 
-def _as_int_list(value, name: str) -> list[int]:
-    items = [_as_int(v, name) for v in _split_items(value)]
-    if not items:
-        raise UsageError(f"{name} must not be empty")
-    return items
+def _list_of(item):
+    """Parser of a non-empty list: a JSON list, or comma-separated text."""
 
+    def parse(value, name: str) -> list:
+        parts = value if isinstance(value, (list, tuple)) else [p for p in str(value).split(",") if p.strip() != ""]
+        if not parts:
+            raise UsageError(f"{name} must not be empty")
+        return [item(v, name) for v in parts]
 
-def _as_float_list(value, name: str) -> list[float]:
-    items = [_as_float(v, name) for v in _split_items(value)]
-    if not items:
-        raise UsageError(f"{name} must not be empty")
-    return items
+    return parse
 
 
 def _radius_rule(value, d_grid: list[int], name: str = "R-rule") -> list[float]:
@@ -159,45 +141,33 @@ def _radius_rule(value, d_grid: list[int], name: str = "R-rule") -> list[float]:
     of the string forms fixed:V, list:V1,V2,..., alpha-log-d:A, log-d-offset:C.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return [float(value)] * len(d_grid)
+        return [_as_float(value, name)] * len(d_grid)
     if isinstance(value, (list, tuple)):
         values = [_as_float(v, name) for v in value]
-        if len(values) != len(d_grid):
-            raise UsageError(f"{name} list must match the d grid in length")
-        return values
-    text = str(value).strip()
-    kind, sep, rest = text.partition(":")
-    if not sep:
-        raise UsageError(f"{name} must look like kind:value, got {text!r}")
-    kind = kind.strip()
-    if kind == "fixed":
-        return [_as_float(rest, name)] * len(d_grid)
-    if kind == "list":
-        values = _as_float_list(rest, name)
-        if len(values) != len(d_grid):
-            raise UsageError(f"{name} list must match the d grid in length")
-        return values
-    if kind == "alpha-log-d":
-        alpha = _as_float(rest, name)
-        return [alpha * math.log(d) for d in d_grid]
-    if kind == "log-d-offset":
-        offset = _as_float(rest, name)
-        return [math.log(d) + offset for d in d_grid]
-    raise UsageError(
-        f"unknown {name} kind {kind!r}; use fixed, list, alpha-log-d, or log-d-offset"
-    )
+    else:
+        text = str(value).strip()
+        kind, sep, rest = text.partition(":")
+        if not sep:
+            raise UsageError(f"{name} must look like kind:value, got {text!r}")
+        kind = kind.strip()
+        if kind == "fixed":
+            return [_as_float(rest, name)] * len(d_grid)
+        if kind == "alpha-log-d":
+            alpha = _as_float(rest, name)
+            return [alpha * math.log(d) for d in d_grid]
+        if kind == "log-d-offset":
+            offset = _as_float(rest, name)
+            return [math.log(d) + offset for d in d_grid]
+        if kind != "list":
+            raise UsageError(f"unknown {name} kind {kind!r}; use fixed, list, alpha-log-d, or log-d-offset")
+        values = _list_of(_as_float)(rest, name)
+    if len(values) != len(d_grid):
+        raise UsageError(f"{name} list must match the d grid in length")
+    return values
 
 
 # ---------------------------------------------------------------------------
 # output plumbing
-
-
-def _echo(args, command: str, params: dict) -> dict:
-    out = {"command": command, "version": __version__}
-    out.update(params)
-    if getattr(args, "stamp", False):
-        out["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return out
 
 
 def _json_line(obj) -> str:
@@ -228,14 +198,6 @@ def _csv_table(echo: dict, header: list[str], body: list[str], trailer: dict | N
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
 def _pair(log_value: float) -> dict:
     """Value given as {log, linear}; linear is null past double range and the
     log is null for an exact zero."""
@@ -254,14 +216,8 @@ def _pair(log_value: float) -> dict:
 _MODELS = {"hyperbolic": sampling.HYPERBOLIC, "euclidean": euclidean.FLAT}
 
 
-def _cmd_simulate(args) -> None:
-    raw = _merged(args, ("model", "d", "R", "n", "seed"))
-    model = _as_choice(raw.get("model", "hyperbolic"), "model", tuple(_MODELS))
-    d = _as_int(_require(raw, "d"), "d")
-    R = _as_float(_require(raw, "R"), "R")
-    n = _as_int(_require(raw, "n"), "n")
-    seed = _as_int(_require(raw, "seed"), "seed")
-
+def _cmd_simulate(echo, model, d, R, n, seed) -> str:
+    """run a replicated simulation, emit CSV"""
     batch = sampling.simulate_batch(SimConfig(d=d, R=R, replications=n, seed=seed), _MODELS[model])
 
     # the moments are taken of the totals scaled by 2^-e and scaled back, which is exact: each
@@ -283,18 +239,13 @@ def _cmd_simulate(args) -> None:
     summary = {"n": n, "count_mean": float(np.mean(batch.counts))}
     summary.update({key: value if value is None or math.isfinite(value) else None for key, value in moments.items()})
 
-    echo = _echo(args, "simulate", {"model": model, "d": d, "R": R, "n": n, "seed": seed})
     # each row formatted directly, as _cell would: an int by str, a float by repr
     body = [f"{i},{c},{t!r}" for i, (c, t) in enumerate(zip(batch.counts.tolist(), batch.totals.tolist()))]
-    _emit(_csv_table(echo, ["index", "count", "total_area"], body, trailer=summary), args.out)
+    return _csv_table(echo, ["index", "count", "total_area"], body, trailer=summary)
 
 
-def _cmd_moments(args) -> None:
-    raw = _merged(args, ("model", "d", "R"))
-    model = _as_choice(raw.get("model", "hyperbolic"), "model", ("hyperbolic", "euclidean"))
-    d = _as_int(_require(raw, "d"), "d")
-    R = _as_float(_require(raw, "R"), "R")
-
+def _cmd_moments(echo, model, d, R) -> str:
+    """exact moments at (d, R), emit JSON"""
     if model == "euclidean":
         body = {
             "mean": _pair(euclidean.log_mean(R, d)),
@@ -309,80 +260,34 @@ def _cmd_moments(args) -> None:
             "variance": _pair(m.log_variance),
             "fourth_cumulant_negative_part": _pair(m.log_cum4_negative_part),
         }
-    echo = _echo(args, "moments", {"model": model, "d": d, "R": R})
-    _emit(_json_doc({"config": echo, "moments": body}), args.out)
+    return _json_doc({"config": echo, "moments": body})
 
 
-_BOUND_HEADER = [
-    "d",
-    "R",
-    "width",
-    "wasserstein_bound_width",
-    "wasserstein_bound_integrals",
-    "kolmogorov_bound",
-    "regime",
-    "rate_envelope",
-]
+_BOUND_HEADER = ["d", "R", "width", "wasserstein_bound_width", "wasserstein_bound_integrals", "kolmogorov_bound",
+                 "regime", "rate_envelope"]
 _EUCLID_BOUND_HEADER = ["d", "R", "wasserstein_bound", "normalized_bound"]
 
 
-def _cmd_bounds(args) -> None:
-    raw = _merged(args, ("model", "d_grid", "R_rule", "format"))
-    model = _as_choice(raw.get("model", "hyperbolic"), "model", ("hyperbolic", "euclidean"))
-    fmt = _as_choice(raw.get("format", "json"), "format", ("json", "csv"))
-    d_grid = _as_int_list(_require(raw, "d_grid"), "d-grid")
-    rule = _require(raw, "R_rule")
-    radii = _radius_rule(rule, d_grid)
-
+def _cmd_bounds(echo, model, format, d_grid, R_rule) -> str:
+    """distance bounds over a (d, R) grid"""
+    radii = _radius_rule(R_rule, d_grid)
     if model == "euclidean":
-        rows = []
-        for d, R in zip(d_grid, radii):
-            bound = euclidean.wasserstein_bound(R, d)
-            rows.append(
-                {
-                    "d": d,
-                    "R": R,
-                    "wasserstein_bound": bound.value,
-                    "normalized_bound": bound.normalized,
-                }
-            )
+        header = _EUCLID_BOUND_HEADER
+        rows = [{"d": d, "R": R, "wasserstein_bound": bound.value, "normalized_bound": bound.normalized}
+                for d, R, bound in zip(d_grid, radii, map(euclidean.wasserstein_bound, radii, d_grid))]
     else:
         # one batched quadrature for the whole grid
-        rows = [
-            {
-                "d": report.d,
-                "R": report.R,
-                "width": report.width,
-                "wasserstein_bound_width": report.wasserstein_bound_width,
-                "wasserstein_bound_integrals": report.wasserstein_bound_integrals,
-                "kolmogorov_bound": report.kolmogorov_bound,
-                "regime": report.regime.value,
-                "rate_envelope": report.rate_envelope,
-            }
-            for report in analysis.rate_envelopes(radii, d_grid)
-        ]
-
-    echo = _echo(
-        args,
-        "bounds",
-        {"model": model, "d_grid": d_grid, "R_rule": rule, "format": fmt},
-    )
-    if fmt == "csv":
-        header = _EUCLID_BOUND_HEADER if model == "euclidean" else _BOUND_HEADER
-        _emit(_csv_table(echo, header, _csv_rows(header, rows)), args.out)
-    else:
-        _emit(_json_doc({"config": echo, "rows": rows}), args.out)
+        header = _BOUND_HEADER
+        rows = [{**{key: getattr(report, key) for key in header}, "regime": report.regime.value}
+                for report in analysis.rate_envelopes(radii, d_grid)]
+    if format == "csv":
+        return _csv_table(echo, header, _csv_rows(header, rows))
+    return _json_doc({"config": echo, "rows": rows})
 
 
-def _cmd_verify_clt(args) -> None:
-    raw = _merged(args, ("model", "d", "R_list", "n", "seed"))
-    model = _as_choice(raw.get("model", "hyperbolic"), "model", tuple(_MODELS))
-    d = _as_int(_require(raw, "d"), "d")
-    radii = _as_float_list(_require(raw, "R_list"), "R-list")
-    n = _as_int(_require(raw, "n"), "n")
-    seed = _as_int(_require(raw, "seed"), "seed")
-
-    configs = [SimConfig(d=d, R=R, replications=n, seed=seed) for R in radii]
+def _cmd_verify_clt(echo, model, d, R_list, n, seed) -> str:
+    """empirical distances to the Gaussian limit over radii"""
+    configs = [SimConfig(d=d, R=R, replications=n, seed=seed) for R in R_list]
     if n < 4:
         raise UsageError(f"--n must be at least 4 for the sample k-statistics, got {n}")
     # every radius must be feasible before any moments are computed: a radius
@@ -392,9 +297,9 @@ def _cmd_verify_clt(args) -> None:
     target = 1.0 if model == "euclidean" else 0.5
     allowance = 1.5 / math.sqrt(n)
     # the hyperbolic means, variances and widths of all radii come from one grid call
-    grid = analysis._clt_grid(radii, [d] * len(radii)) if model == "hyperbolic" else [None] * len(radii)
+    grid = analysis._clt_grid(R_list, [d] * len(R_list)) if model == "hyperbolic" else [None] * len(R_list)
     normalizations = []
-    for R, m in zip(radii, grid):
+    for R, m in zip(R_list, grid):
         if model == "euclidean":
             log_mean, log_variance = euclidean.log_mean(R, d), euclidean.variance_closed(R, d)
             bound = euclidean.wasserstein_bound(R, d).value
@@ -407,7 +312,7 @@ def _cmd_verify_clt(args) -> None:
                                    "of the total area leaves double range")
         normalizations.append((center, scale, bound))
     rows = []
-    for R, cfg, (center, scale, bound) in zip(radii, configs, normalizations):
+    for R, cfg, (center, scale, bound) in zip(R_list, configs, normalizations):
         totals = sampling.simulate_batch(cfg, _MODELS[model]).totals
         if not np.all(np.isfinite(totals)):
             raise FeasibilityError(f"at R = {R!r} a sampled total area leaves double range")
@@ -433,11 +338,6 @@ def _cmd_verify_clt(args) -> None:
     kol_values = [row["d_kol"] for row in rows]
     kol_decreasing = all(b < a for a, b in zip(kol_values, kol_values[1:]))
     all_w1 = all(row["w1_pass"] for row in rows)
-    echo = _echo(
-        args,
-        "verify-clt",
-        {"model": model, "d": d, "R_list": radii, "n": n, "seed": seed},
-    )
     doc = {
         "config": echo,
         "target_variance": target,
@@ -447,50 +347,80 @@ def _cmd_verify_clt(args) -> None:
         "all_w1_pass": all_w1,
         "pass": kol_decreasing and all_w1,
     }
-    _emit(_json_doc(doc), args.out)
+    return _json_doc(doc)
 
 
-def _cmd_render(args) -> None:
-    # "d" is accepted so an echoed config round-trips, but it is forced to 2
-    raw = _merged(args, ("R", "seed", "d"))
-    if "d" in raw and _as_int(raw["d"], "d") != 2:
-        raise UsageError("render draws the planar model; d must be 2")
-    R = _as_float(_require(raw, "R"), "R")
-    seed = _as_int(_require(raw, "seed"), "seed")
+def _cmd_render(echo, d, R, seed) -> str:
+    """SVG picture of a planar sample"""
     scene = render.horocycle_scene(R, seed)
-    echo = _echo(args, "render", {"R": R, "seed": seed, "d": 2})
-    _emit(render.render_svg(scene, metadata=f"config {_json_line(echo)}"), args.out)
+    return render.render_svg(scene, metadata=f"config {_json_line(echo)}")
 
 
-def _cmd_width_table(args) -> None:
-    raw = _merged(args, ("regime", "d_grid", "R_rule"))
-    regime = _as_choice(_require(raw, "regime"), "regime", ("a", "b1", "b2"))
-    d_grid = _as_int_list(_require(raw, "d_grid"), "d-grid")
-    rule = _require(raw, "R_rule")
-    radii = _radius_rule(rule, d_grid)
-    try:
-        table = analysis.width_ratio_table(regime, d_grid, radii)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    echo = _echo(args, "width-table", {"regime": regime, "d_grid": d_grid, "R_rule": rule})
+def _cmd_width_table(echo, regime, d_grid, R_rule) -> str:
+    """effective width and growth-regime ratio over a grid, emit CSV"""
+    table = analysis.width_ratio_table(regime, d_grid, _radius_rule(R_rule, d_grid))
     header = ["d", "R", "width", "ratio"]
     rows = [{"d": row.d, "R": row.R, "width": row.width, "ratio": row.ratio} for row in table]
-    _emit(_csv_table(echo, header, _csv_rows(header, rows)), args.out)
+    return _csv_table(echo, header, _csv_rows(header, rows))
 
 
 # ---------------------------------------------------------------------------
-# parser and entry point
+# parameters: flag > config file > default, parsed in table order
 
 
-def _add_common(sub, config: bool = True):
-    sub.add_argument("--out", help="output file (default: stdout)")
-    if config:
-        sub.add_argument("--config", help="config file supplying defaults (key = value lines, or a JSON object)")
-    sub.add_argument(
-        "--stamp",
-        action="store_true",
-        help="include a wall-clock timestamp in the config echo (breaks byte reproducibility)",
-    )
+def _planar(value, name: str) -> int:
+    # render takes d only from a config file, so that an echoed config round-trips
+    if _as_int(value, name) != 2:
+        raise UsageError("render draws the planar model; d must be 2")
+    return 2
+
+
+_MODEL = (_choice(*_MODELS), "hyperbolic", "geometric model")
+_DIM = (_as_int, None, "ambient dimension")
+_SEED = (_as_int, None, "base seed for the replication streams")
+_D_GRID = (_list_of(_as_int), None, "comma-separated dimensions")
+_R_RULE = (_as_rule, None, "radius rule: fixed:V, list:V1,V2,..., alpha-log-d:A, or log-d-offset:C")
+
+# command -> key -> (parser, default or None if required, flag help or None if config-only)
+_PARAMS = {
+    "simulate": {"model": _MODEL, "d": _DIM, "R": (_as_float, None, "ball radius"),
+                 "n": (_as_int, None, "number of replications"), "seed": _SEED},
+    "moments": {"model": _MODEL, "d": _DIM, "R": (_as_float, None, "ball radius")},
+    "bounds": {"model": _MODEL, "format": (_choice("json", "csv"), "json", "output format"),
+               "d_grid": _D_GRID, "R_rule": _R_RULE},
+    "verify-clt": {"model": _MODEL, "d": _DIM, "R_list": (_list_of(_as_float), None, "comma-separated radii"),
+                   "n": (_as_int, None, "replications per radius"), "seed": _SEED},
+    "render": {"d": (_planar, 2, None), "R": (_as_float, None, "ball radius (dimension is fixed at 2)"),
+               "seed": _SEED},
+    "width-table": {"regime": (_choice("a", "b1", "b2"), None, "growth regime"), "d_grid": _D_GRID,
+                    "R_rule": _R_RULE},
+}
+_COMMANDS = {"simulate": _cmd_simulate, "moments": _cmd_moments, "bounds": _cmd_bounds,
+             "verify-clt": _cmd_verify_clt, "render": _cmd_render, "width-table": _cmd_width_table}
+
+
+def _params(args, command: str) -> dict:
+    """Each parameter of a command, resolved flag > config file > default and parsed."""
+    table = _PARAMS[command]
+    config = {}
+    if args.config is not None:
+        for key, value in _load_config(args.config).items():
+            norm = key.replace("-", "_")
+            if norm in _ECHO_ONLY_KEYS:
+                continue
+            if norm not in table:
+                raise UsageError(f"unknown config key {key!r}")
+            config[norm] = value
+    params = {}
+    for key, (parse, default, _) in table.items():
+        name = key.replace("_", "-")
+        value = getattr(args, key, None)
+        if value is None:
+            if key not in config and default is None:
+                raise UsageError(f"missing required parameter --{name}")
+            value = config.get(key, default)
+        params[key] = parse(value, name)
+    return params
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -500,61 +430,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", metavar="command")
-
-    sim = commands.add_parser("simulate", help="run a replicated simulation, emit CSV")
-    sim.add_argument("--model", choices=("hyperbolic", "euclidean"))
-    sim.add_argument("--d", help="ambient dimension")
-    sim.add_argument("--R", help="ball radius")
-    sim.add_argument("--n", help="number of replications")
-    sim.add_argument("--seed", help="base seed for the replication streams")
-    _add_common(sim)
-    sim.set_defaults(func=_cmd_simulate)
-
-    mom = commands.add_parser("moments", help="exact moments at (d, R), emit JSON")
-    mom.add_argument("--model", choices=("hyperbolic", "euclidean"))
-    mom.add_argument("--d")
-    mom.add_argument("--R")
-    _add_common(mom)
-    mom.set_defaults(func=_cmd_moments)
-
-    bnd = commands.add_parser("bounds", help="distance bounds over a (d, R) grid")
-    bnd.add_argument("--model", choices=("hyperbolic", "euclidean"))
-    bnd.add_argument("--d-grid", dest="d_grid", help="comma-separated dimensions")
-    bnd.add_argument(
-        "--R-rule",
-        dest="R_rule",
-        help="radius rule: fixed:V, list:V1,V2,..., alpha-log-d:A, or log-d-offset:C",
-    )
-    bnd.add_argument("--format", choices=("json", "csv"))
-    _add_common(bnd)
-    bnd.set_defaults(func=_cmd_bounds)
-
-    ver = commands.add_parser(
-        "verify-clt", help="empirical distances to the Gaussian limit over radii"
-    )
-    ver.add_argument("--model", choices=("hyperbolic", "euclidean"))
-    ver.add_argument("--d")
-    ver.add_argument("--R-list", dest="R_list", help="comma-separated radii")
-    ver.add_argument("--n", help="replications per radius")
-    ver.add_argument("--seed")
-    _add_common(ver)
-    ver.set_defaults(func=_cmd_verify_clt)
-
-    ren = commands.add_parser("render", help="SVG picture of a planar sample")
-    ren.add_argument("--R", help="ball radius (dimension is fixed at 2)")
-    ren.add_argument("--seed")
-    _add_common(ren)
-    ren.set_defaults(func=_cmd_render)
-
-    wt = commands.add_parser(
-        "width-table", help="effective width and growth-regime ratio over a grid, emit CSV"
-    )
-    wt.add_argument("--regime", choices=("a", "b1", "b2"))
-    wt.add_argument("--d-grid", dest="d_grid")
-    wt.add_argument("--R-rule", dest="R_rule")
-    _add_common(wt)
-    wt.set_defaults(func=_cmd_width_table)
-
+    for command, params in _PARAMS.items():
+        sub = commands.add_parser(command, help=_COMMANDS[command].__doc__)
+        for key, (parse, _, help) in params.items():
+            if help is not None:
+                sub.add_argument(f"--{key.replace('_', '-')}", choices=getattr(parse, "choices", None), help=help)
+        sub.add_argument("--out", help="output file (default: stdout)")
+        sub.add_argument("--config", help="config file supplying defaults (key = value lines, or a JSON object)")
+        sub.add_argument("--stamp", action="store_true",
+                         help="include a wall-clock timestamp in the config echo (breaks byte reproducibility)")
     return parser
 
 
@@ -562,13 +446,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        func = getattr(args, "func", None)
-        if func is None:
+        if args.command is None:
             raise UsageError("a command is required (try --help)")
-        func(args)
-    except UsageError as exc:
-        print(f"horospheres: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        params = _params(args, args.command)
+        echo = {"command": args.command, "version": __version__, **params}
+        if args.stamp:
+            echo["timestamp"] = datetime.now(timezone.utc).isoformat()
+        text = _COMMANDS[args.command](echo, **params)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except FeasibilityError as exc:
         print(f"horospheres: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -576,6 +465,7 @@ def main(argv=None) -> int:
         print(f"horospheres: quadrature failure: {exc}", file=sys.stderr)
         return EXIT_QUADRATURE
     except ValueError as exc:
+        # UsageError, and the library's own checks of a parameter's value
         print(f"horospheres: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

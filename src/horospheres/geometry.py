@@ -46,6 +46,8 @@ def check_dimension(d, minimum: int = 2) -> int:
     d = int(d)
     if d < minimum:
         raise ValueError(f"dimension must be at least {minimum}, got {d}")
+    if d > sys.float_info.max:
+        raise ValueError(f"dimension must be at most {sys.float_info.max:.6g}, got an integer of {d.bit_length()} bits")
     return d
 
 

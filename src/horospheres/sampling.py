@@ -75,6 +75,9 @@ class SimConfig:
         object.__setattr__(self, "seed", int(self.seed))
         if self.replications < 1:
             raise ValueError(f"replications must be at least 1, got {self.replications}")
+        if self.replications > _SEED_LIMIT:
+            # replication k is keyed by the 64-bit index k
+            raise ValueError("replications must be at most 2^64")
         if not 0 <= self.seed < _SEED_LIMIT:
             raise ValueError("seed must be a 64-bit unsigned integer")
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import jsonschema
 import mpmath as mp
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from horospheres import analysis, euclidean, sampling
@@ -711,3 +711,245 @@ def test_width_table_growing_gap_precondition(capsys):
 
 def test_width_table_bad_regime(capsys):
     assert main(["width-table", "--regime", "z", "--d-grid", "3", "--R-rule", "fixed:1"]) == 64
+
+
+# every failure path's exit code and stderr line, recorded at 9838cb5 before the parameter table
+# replaced the per-command parsing; "{cfg}" stands for the path of the config file given as text
+_FAILURES = {
+    "no-command": ([], None, 64, "error: a command is required (try --help)"),
+    "unknown-command": (["frobnicate"], None, 64,
+                        "error: argument command: invalid choice: 'frobnicate' (choose from 'simulate', 'moments', "
+                        "'bounds', 'verify-clt', 'render', 'width-table')"),
+    "unknown-flag": ("moments --d 3 --R 1 --wat".split(), None, 64, "error: unrecognized arguments: --wat"),
+    "render-d-flag": ("render --R 2 --seed 1 --d 2".split(), None, 64, "error: unrecognized arguments: --d 2"),
+    "missing-flag": ("moments --d 3".split(), None, 64, "error: missing required parameter --R"),
+    "missing-regime": ("width-table --d-grid 3 --R-rule fixed:1".split(), None, 64,
+                       "error: missing required parameter --regime"),
+    "bad-model": ("simulate --model foo --d 2 --R 2 --n 4 --seed 1".split(), None, 64,
+                  "error: simulate: argument --model: invalid choice: 'foo' (choose from 'hyperbolic', 'euclidean')"),
+    "bad-format": ("bounds --d-grid 3 --R-rule fixed:1 --format xml".split(), None, 64,
+                   "error: bounds: argument --format: invalid choice: 'xml' (choose from 'json', 'csv')"),
+    "empty-d-grid": (["bounds", "--d-grid", "", "--R-rule", "fixed:1"], None, 64, "error: d-grid must not be empty"),
+    "empty-R-list": (["verify-clt", "--d", "2", "--R-list", ",", "--n", "10", "--seed", "1"], None, 64,
+                     "error: R-list must not be empty"),
+    "d-grid-text": ("bounds --d-grid 3,x --R-rule fixed:1".split(), None, 64, "error: d-grid must be an integer, got 'x'"),
+    "d-float": ("moments --d 2.5 --R 1".split(), None, 64, "error: d must be an integer, got '2.5'"),
+    "R-text": ("moments --d 3 --R abc".split(), None, 64, "error: R must be a number, got 'abc'"),
+    "list-length": ("bounds --d-grid 2,3 --R-rule list:1".split(), None, 64,
+                    "error: R-rule list must match the d grid in length"),
+    "unknown-rule": ("bounds --d-grid 2 --R-rule surprise:1".split(), None, 64,
+                     "error: unknown R-rule kind 'surprise'; use fixed, list, alpha-log-d, or log-d-offset"),
+    "rule-without-kind": ("bounds --d-grid 2 --R-rule 5".split(), None, 64,
+                          "error: R-rule must look like kind:value, got '5'"),
+    "nan-grid": ("bounds --d-grid 3,1 --R-rule list:nan,2".split(), None, 64,
+                 "error: R must be finite and positive, got nan"),
+    "b2-precondition": ("width-table --regime b2 --d-grid 100 --R-rule log-d-offset:0".split(), None, 64,
+                        "error: growing-gap regime requires R > log d, got R = 4.605170185988092 at d = 100"),
+    "render-d3-json": (["render", "--config", "{cfg}"], '{"R": 2.0, "seed": 1, "d": 3}', 64,
+                       "error: render draws the planar model; d must be 2"),
+    "render-d3-lines": (["render", "--config", "{cfg}"], "R = 2\nseed = 1\nd = 3\n", 64,
+                        "error: render draws the planar model; d must be 2"),
+    "render-missing-R": ("render --seed 1".split(), None, 64, "error: missing required parameter --R"),
+    "unknown-key": (["moments", "--config", "{cfg}"], "d = 3\nR = 3\nbogus = 1\n", 64,
+                    "error: unknown config key 'bogus'"),
+    "malformed-line": (["moments", "--config", "{cfg}"], "d 3\n", 64,
+                       "error: config file {cfg}, line 1: expected key = value"),
+    "invalid-json": (["moments", "--config", "{cfg}"], '{"d": 3,', 64,
+                     "error: config file {cfg}: invalid JSON (Expecting property name enclosed in double quotes: "
+                     "line 1 column 9 (char 8))"),
+    "null-d": (["moments", "--config", "{cfg}"], '{"d": null, "R": 2}', 64, "error: d must be an integer, got None"),
+    "bool-d": (["moments", "--config", "{cfg}"], '{"d": true, "R": 2}', 64, "error: d must be an integer, got True"),
+    "config-model": (["moments", "--config", "{cfg}"], '{"d": 3, "R": 2, "model": "flat"}', 64,
+                     "error: model must be one of hyperbolic, euclidean; got 'flat'"),
+    "config-format": (["bounds", "--config", "{cfg}"], '{"d_grid": [3], "R_rule": "fixed:1", "format": "xml"}', 64,
+                      "error: format must be one of json, csv; got 'xml'"),
+    "config-regime": (["width-table", "--config", "{cfg}"], '{"d_grid": [3], "R_rule": "fixed:1", "regime": "z"}', 64,
+                      "error: regime must be one of a, b1, b2; got 'z'"),
+    "verify-clt-n3": ("verify-clt --d 2 --R-list 2,30 --n 3 --seed 1".split(), None, 64,
+                      "error: --n must be at least 4 for the sample k-statistics, got 3"),
+    "simulate-n0": ("simulate --d 2 --R 2 --n 0 --seed 1".split(), None, 64,
+                    "error: replications must be at least 1, got 0"),
+    "negative-seed": ("simulate --d 2 --R 2 --n 4 --seed -1".split(), None, 64,
+                      "error: seed must be a 64-bit unsigned integer"),
+    "simulate-infeasible": ("simulate --d 20 --R 10 --n 5 --seed 0".split(), None, 2,
+                            "infeasible: expected hitting count 1.72662e+81 exceeds the count cap 1e+08; "
+                            "use the analytic routines for this regime"),
+    "moments-tiny-R": ("moments --d 1000000 --R 1e-300".split(), None, 3,
+                       "quadrature failure: panel budget (50000) exhausted before convergence"),
+    "bounds-huge-R": ("bounds --d-grid 3 --R-rule fixed:1e100".split(), None, 3,
+                      "quadrature failure: effective width estimate exceeds 2R at R = 1e+100"),
+    "missing-config": ("moments --d 3 --R 1 --config /nonexistent/x.cfg".split(), None, 74,
+                       "i/o error: [Errno 2] No such file or directory: '/nonexistent/x.cfg'"),
+    "unwritable-out": ("moments --d 3 --R 1 --out /nonexistent/dir/out.json".split(), None, 74,
+                       "i/o error: [Errno 2] No such file or directory: '/nonexistent/dir/out.json'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILURES))
+def test_failure_paths_are_pinned(case, tmp_path):
+    argv, config, code, line = _FAILURES[case]
+    cfg = str(tmp_path / "run.cfg")
+    if config is not None:
+        Path(cfg).write_text(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = _captured([arg.replace("{cfg}", cfg) for arg in argv])
+    assert result == (code, "", f"horospheres: {line.replace('{cfg}', cfg)}\n")
+
+
+_DIGITS_400 = "1" + "0" * 399
+_DIGITS_5000 = "1" * 5000
+
+
+# (command, JSON config, message); each ended in an OverflowError traceback, or in a message naming
+# no parameter, before the config numbers were checked
+_CONFIG_NUMBERS = {
+    "d-inf": ("moments", '{"d": Infinity, "R": 2}', "d must be an integer, got inf"),
+    "d-minus-inf": ("moments", '{"d": -Infinity, "R": 2}', "d must be an integer, got -inf"),
+    "d-nan": ("moments", '{"d": NaN, "R": 2}', "d must be an integer, got nan"),
+    "d-grid-inf": ("bounds", '{"d_grid": [3, Infinity], "R_rule": "fixed:1"}', "d-grid must be an integer, got inf"),
+    "n-inf": ("simulate", '{"d": 2, "R": 2, "n": Infinity, "seed": 1}', "n must be an integer, got inf"),
+    "render-d-inf": ("render", '{"R": 2, "seed": 1, "d": Infinity}', "d must be an integer, got inf"),
+    # an integer past double range reads as inf, as its decimal string "1e400" does
+    "R-400-digits": ("moments", '{"d": 3, "R": %s}' % _DIGITS_400, "R must be finite and positive, got inf"),
+    "R-rule-400-digits": ("bounds", '{"d_grid": [3], "R_rule": %s}' % _DIGITS_400,
+                          "R must be finite and positive, got inf"),
+    "R-list-400-digits": ("verify-clt", '{"d": 2, "R_list": [2, %s], "n": 10, "seed": 1}' % _DIGITS_400,
+                          "R must be finite and positive, got inf"),
+    "render-R-400-digits": ("render", '{"R": %s, "seed": 1}' % _DIGITS_400, "R must be finite and positive, got inf"),
+    "n-400-digits": ("verify-clt", '{"d": 2, "R_list": [2], "n": %s, "seed": 1}' % _DIGITS_400,
+                     "replications must be at most 2^64"),
+    "d-400-digits": ("moments", '{"d": %s, "R": 2}' % _DIGITS_400,
+                     "dimension must be at most 1.79769e+308, got an integer of 1326 bits"),
+    # past the int-digit limit of the JSON reader
+    "R-5000-digits": ("moments", '{"d": 3, "R": %s}' % _DIGITS_5000, "R must be finite and positive, got inf"),
+    "d-5000-digits": ("moments", '{"d": %s, "R": 2}' % _DIGITS_5000, "d must be an integer, got inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONFIG_NUMBERS))
+def test_non_finite_or_oversized_config_number_is_usage_error(tmp_path, case):
+    command, config, line = _CONFIG_NUMBERS[case]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _captured([command, "--config", str(cfg)]) == (64, "", f"horospheres: error: {line}\n")
+
+
+def test_deeply_nested_config_is_usage_error(tmp_path):
+    # the JSON reader's RecursionError ended in a traceback
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"d": %s%s, "R": 2}' % ("[" * 100_000, "]" * 100_000))
+    assert _captured(["moments", "--config", str(cfg)]) == (
+        64, "", f"horospheres: error: config file {cfg}: invalid JSON (maximum recursion depth exceeded while "
+                "decoding a JSON array from a unicode string)\n")
+
+
+@pytest.mark.parametrize("model", ["hyperbolic", "euclidean"])
+def test_config_echo_round_trips_verify_clt(model):
+    argv = ["verify-clt", "--model", model, "--d", "2", "--R-list", "0.7,2", "--n", "40", "--seed", "3"]
+    _assert_echo_round_trips("verify-clt", _captured(argv))
+
+
+_INF, _NAN = math.inf, math.nan
+
+# per key: valid values, then out-of-range, non-finite and malformed ones; n stays small and R at
+# most 2, so a run that passes every check samples at most a few thousand hits per replication
+_PARAM_VALUES = {
+    "model": (["hyperbolic", "euclidean"], ["flat", ""]),
+    "format": (["json", "csv"], ["xml"]),
+    "regime": (["a", "b1", "b2"], ["z"]),
+    "d": ([2, 3, 5], [1, 0, -4, 10**400, 2.5, _INF, -_INF, _NAN, "x", True, None]),
+    "n": ([4, 10], [3, 0, -1, 10**400, 2.5, _INF, _NAN, "x"]),
+    "seed": ([0, 7, 2**64 - 1], [2**64, -1, 10**400, _INF, _NAN, "x"]),
+    "R": ([0.5, 2.0], [0.0, -1.0, 1e-320, 1e100, 1e308, 10**400, _INF, -_INF, _NAN, "x", ""]),
+    "R_list": (["1,2", [0.5, 2.0]], ["", "30", "1,x", [_INF], "nan", 10**400, [10**400]]),
+    "d_grid": (["3,5", [2, 3]], ["", "3,x", [3, _INF], "3,0", [_NAN], 10**400]),
+    "R_rule": (["fixed:2", "list:1,2", [1.0, 2.0], 2.0, "alpha-log-d:1", "log-d-offset:0.5"],
+               ["fixed:1e100", "fixed:inf", "list:nan,2", "surprise:1", "5", 10**400, _INF]),
+}
+_COMMAND_KEYS = {
+    "simulate": ["model", "d", "R", "n", "seed"],
+    "moments": ["model", "d", "R"],
+    "bounds": ["model", "format", "d_grid", "R_rule"],
+    "verify-clt": ["model", "d", "R_list", "n", "seed"],
+    "render": ["d", "R", "seed"],
+    "width-table": ["regime", "d_grid", "R_rule"],
+}
+
+
+def _flag_text(value) -> str:
+    if isinstance(value, list):
+        return ",".join(map(_flag_text, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@st.composite
+def _cli_runs(draw):
+    """A command with each parameter absent, a flag or a config entry; the config file is JSON, key = value
+    lines, or missing."""
+    command = draw(st.sampled_from(sorted(_COMMAND_KEYS)))
+    flags, config = [], {}
+    for key in _COMMAND_KEYS[command]:
+        # most values valid and present, so that a run often gets past every check
+        where = draw(st.sampled_from(["absent", "flag", "flag", "flag", "config", "config", "config"]))
+        valid, invalid = _PARAM_VALUES[key]
+        value = draw(st.sampled_from(invalid if draw(st.integers(0, 3)) == 0 else valid))
+        if where == "flag":
+            flags += [f"--{key.replace('_', '-')}", _flag_text(value)]
+        elif where == "config":
+            config[key] = value
+    # an unknown key, and a key of the echo that a config file may carry
+    config.update(draw(st.sampled_from([{}, {}, {}, {"bogus": 1}, {"command": command}])))
+    form = draw(st.sampled_from(["json"] * 4 + ["lines"] * 4 + ["missing"]))
+    return command, flags, config, form
+
+
+@settings(max_examples=60, deadline=None)
+@example(("moments", [], {"d": _INF, "R": 2}, "json"))
+@example(("bounds", ["--d-grid", "3"], {"R_rule": 10**400}, "json"))
+@given(_cli_runs())
+def test_every_run_ends_in_a_documented_exit_code(run):
+    command, flags, config, form = run
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, *flags]
+        cfg = Path(tmp) / "run.cfg"
+        if form == "missing":
+            argv += ["--config", str(cfg)]
+        elif config:
+            if form == "json":
+                cfg.write_text(json.dumps(config))
+            else:
+                cfg.write_text("".join(f"{key} = {_flag_text(value)}\n" for key, value in config.items()))
+            argv += ["--config", str(cfg)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _captured(argv)
+    assert code in (0, 2, 3, 64, 74)
+    if code == 0:
+        assert out != "" and err == ""
+    else:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("horospheres: ")
+
+
+
+# a value each parser refuses; None leaves the required key out, since R_rule is read only
+# against the d grid after every parameter is parsed
+_REFUSED = {"model": "flat", "format": "xml", "regime": "z", "d": "x", "R": "x", "n": "x", "seed": "x",
+            "d_grid": "x", "R_list": "x", "R_rule": None}
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c, keys in sorted(_COMMAND_KEYS.items()) for k in keys])
+def test_parameters_are_checked_in_a_fixed_order(tmp_path, command, key):
+    # with this key and every later one refused, the first error is this key's own
+    keys = _COMMAND_KEYS[command]
+
+    def run(refused):
+        config = {k: _REFUSED[k] if k in refused else _PARAM_VALUES[k][0][0] for k in keys}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({k: v for k, v in config.items() if v is not None}))
+        return _captured([command, "--config", str(cfg)])
+
+    first = run(keys[keys.index(key):])
+    assert first[0] == 64 and first == run([key])

@@ -34,6 +34,16 @@ def test_check_dimension_rejects_bad_values():
             check_dimension(bad)
 
 
+def test_check_dimension_rejects_dimensions_past_double_range():
+    # every model turns d into a float; past double range that raised OverflowError
+    largest = int(sys.float_info.max)
+    assert check_dimension(largest) == largest
+    with pytest.raises(ValueError, match=r"^dimension must be at most 1\.79769e\+308, got an integer of 1025 bits$"):
+        check_dimension(largest + 2**971)
+    with pytest.raises(ValueError, match="got an integer of 1329 bits"):
+        check_dimension(10**400)
+
+
 def test_check_radius_accepts_finite_positive_values():
     assert check_radius(2) == 2.0 and isinstance(check_radius(2), float)
     assert check_radius(np.float64(1e-300)) == 1e-300
