@@ -1,13 +1,13 @@
 """Exact moments and normal-approximation bounds for the total cap area.
 
 All moment integrals are evaluated in the log domain by the shared adaptive
-engine; the effective width of the intersection window drives the distance
-bounds and the growth-regime diagnostics.  A grid of (R, d) points is
-integrated in one batched engine call: every tree of every point (the three
-moment integrals, the width and, for the moments, the ball volume that is
-the mean) is refined in lockstep, and each point reports its first failure in
-the order a point-by-point loop would meet it.  The trees run over (0, R),
-except i1 and i4, which stop at the edge of their 1/(d-1) boundary layer.
+engine; the effective width w of the intersection window drives the distance
+bounds and the growth-regime diagnostics, and the variance integral is
+i2 = (cosh R - 1)^(d-1) w.  A grid of (R, d) points is integrated in one
+batched engine call: the i1, i4, width and (for the moments) ball-volume trees
+of every point are refined in lockstep, and each point reports its first
+failure in the order a point-by-point loop would meet it.  The trees run over
+(0, R), except i1 and i4, which stop at the edge of their 1/(d-1) boundary layer.
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ _DIM_CUTOFF = 50
 
 # trees of the grid core, per point, in the order their failures are reported
 _WIDTH = ("width",)
-_INTEGRALS = ("i1", "i2", "i4", "width")
+_INTEGRALS = ("i1", "i4", "width")
 _MOMENTS = _INTEGRALS + ("mean",)
-_CLT = ("i2", "width", "mean")
+_CLT = ("width", "mean")
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,6 @@ def _log_gap(s, R):
 # times the integral of sinh^{d-1}.
 _LOG_INTEGRANDS = {
     "i1": lambda s, d, R: 0.5 * (d - 1) * (_log_gap(s, R) - s),
-    "i2": lambda s, d, R: 2.0 * (0.5 * (d - 1)) * _log_gap(s, R),
     "i4": lambda s, d, R: 2.0 * (0.5 * (d - 1)) * (2.0 * _log_gap(s, R) - s),
     "width": lambda s, d, R: (d - 1.0) * (log_sinh(0.5 * (R + s)) + log_sinh(0.5 * (R - s))
                                           - 2.0 * log_sinh(0.5 * R)),
@@ -212,13 +211,18 @@ def _grid_logs(points, kinds):
         yield [logs[index][p] for index in range(len(kinds))]
 
 
+def _log_variance_integral(R, d, log_w):
+    """log i2 from the log width: i2 = (cosh R - 1)^(d-1) w, with cosh R - 1 = 2 sinh^2(R/2)."""
+    return log_w + (d - 1) * (_LN2 + 2.0 * log_sinh(0.5 * R))
+
+
 def _integral_set(R, d, logs) -> IntegralSet:
-    log_i1, log_i2, log_i4, log_w = logs[:4]
+    log_i1, log_i4, log_w = logs
     return IntegralSet(
         R=R,
         d=d,
         log_mean_integral=log_i1,
-        log_variance_integral=log_i2,
+        log_variance_integral=_log_variance_integral(R, d, log_w),
         log_cum4_integral=log_i4,
         width=math.exp(log_w),
         log_coefficient=log_area_coefficient(d),
@@ -259,25 +263,26 @@ def moments_grid(radii, d_grid) -> list[MomentSummary]:
     the one-point result, from one batched engine call."""
     points = _checked_points(radii, d_grid)
     summaries = []
-    for (R, d), (log_i1, log_i2, log_i4, log_w, log_v) in zip(points, _grid_logs(points, _MOMENTS)):
+    for (R, d), (log_i1, log_i4, log_w, log_v) in zip(points, _grid_logs(points, _MOMENTS)):
         c = log_area_coefficient(d)
-        log_mean, log_variance = _log_mean_variance(d, log_i2, log_v)
+        log_mean, log_variance = _log_mean_variance(R, d, log_w, log_v)
         summaries.append(MomentSummary(R, d, log_mean, c + log_i1, log_variance, 4.0 * c + log_i4, math.exp(log_w)))
     return summaries
 
 
-def _log_mean_variance(d, log_i2, log_v):
-    """log mean and log variance of the total cap area from log i2 and the log of
-    the ball-volume integral."""
-    return math.log(d) + log_unit_ball_volume(d) + log_v, _LN2 + 2.0 * log_area_coefficient(d) + log_i2
+def _log_mean_variance(R, d, log_w, log_v):
+    """log mean and log variance of the total cap area from the log width and the log
+    of the ball-volume integral."""
+    return (math.log(d) + log_unit_ball_volume(d) + log_v,
+            _LN2 + 2.0 * log_area_coefficient(d) + _log_variance_integral(R, d, log_w))
 
 
 def _clt_grid(radii, d_grid) -> list[tuple[float, float, float]]:
     """(log mean, log variance, width) at every point, bit for bit those of
-    :func:`moments_grid`, from the i2, width and mean trees alone."""
+    :func:`moments_grid`, from the width and mean trees alone."""
     points = _checked_points(radii, d_grid)
-    return [(*_log_mean_variance(d, log_i2, log_v), math.exp(log_w))
-            for (R, d), (log_i2, log_w, log_v) in zip(points, _grid_logs(points, _CLT))]
+    return [(*_log_mean_variance(R, d, log_w, log_v), math.exp(log_w))
+            for (R, d), (log_w, log_v) in zip(points, _grid_logs(points, _CLT))]
 
 
 def variance_direct(R, d) -> float:

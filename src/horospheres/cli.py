@@ -150,14 +150,16 @@ def _radius_rule(value, d_grid: list[int], name: str = "R-rule") -> list[float]:
         if not sep:
             raise UsageError(f"{name} must look like kind:value, got {text!r}")
         kind = kind.strip()
+        # a dimension below 1 has no log; the model checks each dimension before its nan radius
+        log_d = [math.log(d) if d >= 1 else math.nan for d in d_grid]
         if kind == "fixed":
             return [_as_float(rest, name)] * len(d_grid)
         if kind == "alpha-log-d":
             alpha = _as_float(rest, name)
-            return [alpha * math.log(d) for d in d_grid]
+            return [alpha * x for x in log_d]
         if kind == "log-d-offset":
             offset = _as_float(rest, name)
-            return [math.log(d) + offset for d in d_grid]
+            return [x + offset for x in log_d]
         if kind != "list":
             raise UsageError(f"unknown {name} kind {kind!r}; use fixed, list, alpha-log-d, or log-d-offset")
         values = _list_of(_as_float)(rest, name)

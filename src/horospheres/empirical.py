@@ -50,25 +50,14 @@ def gaussian_pdf(x, variance: float = 1.0):
     return np.exp(-arr * arr / (2.0 * variance)) / math.sqrt(2.0 * math.pi * variance)
 
 
-def standardize(samples, center=None, scale=None) -> np.ndarray:
-    """Shift and scale a sample.
-
-    With explicit ``center`` and ``scale`` this is the analytic normalization
-    used by the limit statements; with neither, the sample mean and unbiased
-    standard deviation (divisor n-1) are used.
-    """
+def standardize(samples, center, scale) -> np.ndarray:
+    """Shift and scale a sample by the analytic ``center`` and ``scale`` of the
+    limit statements."""
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("cannot standardize an empty sample")
-    if (center is None) != (scale is None):
-        raise ValueError("provide both center and scale, or neither")
-    if center is None:
-        if x.size < 2:
-            raise ValueError("empirical standardization needs at least 2 observations")
-        center = float(np.mean(x))
-        scale = float(np.std(x, ddof=1))
     if not scale > 0:
-        raise ValueError("degenerate sample: scale is not positive")
+        raise ValueError(f"scale must be positive, got {scale!r}")
     return (x - float(center)) / float(scale)
 
 
@@ -169,7 +158,7 @@ class EmpiricalSummary:
     target_variance: float
 
 
-def summarize(samples, target_variance: float, center=None, scale=None) -> EmpiricalSummary:
+def summarize(samples, target_variance: float, center, scale) -> EmpiricalSummary:
     """Standardize and sort a sample, then take both distances and the k-statistics.
 
     The reported moment fields describe the standardized sample.

@@ -1,0 +1,48 @@
+"""Exact finite sums for the variance integral i2 and the effective width.
+
+With C = cosh R and an integer power n = d - 1,
+
+    i2 = integral over (0, R) of (C - cosh s)^n ds
+       = sum over k of binom(n, k) C^(n-k) (-1)^k J_k,
+
+where J_k is the integral of cosh^k over (0, R): J_0 = R, J_1 = sinh R and
+J_k = cosh^(k-1) R sinh R / k + (k-1)/k J_(k-2).  The width is
+i2 / (C - 1)^n.  The terms reach about (2C)^n while the sum is
+(C - 1)^n times the width, so the sum cancels about
+n log10(2C/(C - 1)) digits; the working precision adds ``extra`` digits on
+top, and a caller checks that two values of ``extra`` agree.
+
+Nothing here imports the package under test, so these values are an
+independent oracle.  The leading underscore keeps pytest from collecting
+this file.
+"""
+
+import mpmath as mp
+
+
+def _digits(R, n: int, extra: int) -> int:
+    with mp.workdps(30):
+        c = mp.cosh(mp.mpf(R))
+        return int(n * mp.log10(2 * c / (c - 1))) + extra
+
+
+def log_i2_and_width(R, d: int, extra: int = 40):
+    """(log i2, width) at the double R and integer d >= 2, as mpf values at
+    about ``extra`` correct digits."""
+    n = d - 1
+    with mp.workdps(_digits(R, n, extra)):
+        R = mp.mpf(R)
+        c, s = mp.cosh(R), mp.sinh(R)
+        # J_k for k = 0..n by the two-step recurrence
+        J = [R, s]
+        c_pow = mp.mpf(1)  # cosh^(k-1) R
+        for k in range(2, n + 1):
+            c_pow *= c
+            J.append(c_pow * s / k + mp.mpf(k - 1) / k * J[k - 2])
+        total, binom, c_rest = mp.mpf(0), 1, c**n  # binom(n, k), C^(n-k)
+        for k in range(n + 1):
+            term = binom * c_rest * J[k]
+            total += -term if k % 2 else term
+            binom = binom * (n - k) // (k + 1)
+            c_rest /= c
+        return +mp.log(total), +(total / (c - 1) ** n)

@@ -31,6 +31,8 @@ from horospheres.analysis import (
 from horospheres.geometry import log_sinh, log_unit_ball_volume
 from horospheres.quadrature import QuadratureError, quad_log_integral
 
+from _finite_sums import log_i2_and_width
+
 # Reference values computed two independent ways (30-digit adaptive
 # integration and a fixed million-point extended-precision Simpson rule),
 # agreeing to ~1e-15 relative.
@@ -278,23 +280,22 @@ _LN2 = math.log(2.0)
 
 def _one_tree_logs(R, d):
     """log i1, i2, i4, width and mean at (R, d), one one-tree quadrature
-    each, in the order a point-by-point loop runs them; i1 stops at
-    min(R, 80/(d-1)) and i4 at min(R, 40/(d-1)), the others at R."""
+    each but i2, in the order a point-by-point loop runs them; i1 stops at
+    min(R, 80/(d-1)) and i4 at min(R, 40/(d-1)), the others at R.  log i2 is
+    log w + (d-1) log(cosh R - 1), with cosh R - 1 = 2 sinh^2(R/2)."""
     p = 0.5 * (d - 1)
 
     def gap(s):
         return _LN2 + log_sinh(0.5 * (R + s)) + log_sinh(0.5 * (R - s))
 
     half = float(log_sinh(0.5 * R))
-    return (
-        quad_log_integral(lambda s: p * (gap(s) - s), 0.0, min(R, 80.0 / (d - 1.0))),
-        quad_log_integral(lambda s: 2.0 * p * gap(s), 0.0, R),
-        quad_log_integral(lambda s: 2.0 * p * (2.0 * gap(s) - s), 0.0, min(R, 40.0 / (d - 1.0))),
-        quad_log_integral(
-            lambda s: (d - 1.0) * (log_sinh(0.5 * (R + s)) + log_sinh(0.5 * (R - s)) - 2.0 * half), 0.0, R
-        ),
-        math.log(d) + log_unit_ball_volume(d) + quad_log_integral(lambda s: (d - 1) * log_sinh(s), 0.0, R),
+    log_i1 = quad_log_integral(lambda s: p * (gap(s) - s), 0.0, min(R, 80.0 / (d - 1.0)))
+    log_i4 = quad_log_integral(lambda s: 2.0 * p * (2.0 * gap(s) - s), 0.0, min(R, 40.0 / (d - 1.0)))
+    log_w = quad_log_integral(
+        lambda s: (d - 1.0) * (log_sinh(0.5 * (R + s)) + log_sinh(0.5 * (R - s)) - 2.0 * half), 0.0, R
     )
+    log_mean = math.log(d) + log_unit_ball_volume(d) + quad_log_integral(lambda s: (d - 1) * log_sinh(s), 0.0, R)
+    return log_i1, log_w + (d - 1) * (_LN2 + 2.0 * half), log_i4, log_w, log_mean
 
 
 _POINTS = st.lists(st.tuples(st.floats(0.05, 40.0), st.integers(2, 5000)), min_size=1, max_size=4)
@@ -330,7 +331,7 @@ def _hex_fields(records):
 
 
 def test_grid_results_do_not_depend_on_the_panel_block(monkeypatch):
-    # moments_grid runs all five kinds of tree, rate_envelopes the four one-sided
+    # moments_grid runs all four kinds of tree, rate_envelopes the three one-sided
     # ones; a block of 1 gives every panel its own log_f call
     dims = [2, 3, 5, 11, 40, 120, 500, 1500, 4000, 10000]
     radii = [0.3, 8.0, 2.5, 4.0, 1.0, math.log(120) + 1.0, 12.0, 0.05, math.log(4000), 20.0]
@@ -370,6 +371,61 @@ def test_integrals_agree_with_mpmath(R, d):
     assert ints.log_variance_integral == pytest.approx(log_i2, abs=1e-11)
     assert ints.log_cum4_integral == pytest.approx(log_i4, abs=1e-11)
     assert ints.width == pytest.approx(width, rel=1e-10)
+
+
+def test_finite_sum_oracle_matches_closed_forms():
+    # d = 2: R cosh R - sinh R; d = 3: C^2 R - 2 C sinh R + (sinh R cosh R + R)/2
+    for R in (0.01, 0.5, 2.0, 8.0, 40.0):
+        with mp.workdps(60):
+            x = mp.mpf(R)
+            c, s = mp.cosh(x), mp.sinh(x)
+            for d, exact in ((2, x * c - s), (3, c * c * x - 2 * c * s + (s * c + x) / 2)):
+                log_i2, width = log_i2_and_width(R, d)
+                assert abs(log_i2 - mp.log(exact)) <= mp.mpf(10) ** -35 * abs(mp.log(exact))
+                assert abs(width - exact / (c - 1) ** (d - 1)) <= mp.mpf(10) ** -35 * width
+
+
+# past d = 30, where test_integrals_agree_with_mpmath stops; small R only at small d, as the
+# oracle's digit count grows as (d-1) log10(4/R^2) there
+_FINITE_SUM_POINTS = (
+    [(math.log(d) + 1.0, d) for d in (100, 200, 300, 500, 700, 1000)]
+    + [(2.0, 1000), (30.0, 1000), (0.3, 100), (1.0, 50), (12.0, 30), (200.0, 20), (3.0, 11), (0.05, 10)]
+    + [(5.0, 7), (50.0, 5), (0.1, 3), (8.0, 3), (20.0, 3), (0.01, 2), (2.0, 2), (4.0, 2), (8.0, 2)]
+)
+
+
+def test_variance_integral_and_width_agree_with_finite_sums():
+    # log i2 is derived from the width tree.  Its error is per unit of |log|: the measured worst
+    # is 1.4e-16 on these points, 1.8e-16 on the 100-point bounds grid (d to 10^4, R = log d + 1)
+    # and 2.3e-16 on a wider set to d = 10^4.  The width's relative error reaches 2.7e-12 at (30, 1000)
+    for R, d in _FINITE_SUM_POINTS:
+        log_i2, width = log_i2_and_width(R, d)
+        check_log_i2, check_width = log_i2_and_width(R, d, extra=80)
+        # the sums cancel about (d-1) log10(2 cosh R/(cosh R - 1)) digits; two precisions agree
+        assert abs(log_i2 - check_log_i2) <= mp.mpf(10) ** -35 * abs(log_i2)
+        assert abs(width - check_width) <= mp.mpf(10) ** -35 * width
+        ints = integrals(R, d)
+        assert abs(ints.log_variance_integral - float(log_i2)) <= 4.4e-16 * abs(float(log_i2))
+        assert abs(ints.width - float(width)) <= 1e-11 * float(width)
+
+
+def test_each_point_runs_one_tree_per_kind(monkeypatch):
+    # the variance integral has no tree: a bounds point runs i1, i4 and the width, a
+    # moments point adds the mean, and a verify-clt radius runs the width and the mean
+    sizes = []
+    real = analysis._lockstep
+
+    def engine(log_f, a, b, rel_tol):
+        sizes.append(len(a))
+        return real(log_f, a, b, rel_tol)
+
+    monkeypatch.setattr(analysis, "_lockstep", engine)
+    radii, dims = [2.0, 3.0, 8.0], [3, 5, 2]
+    rate_envelopes(radii, dims)
+    moments_grid(radii, dims)
+    analysis._clt_grid(radii, dims)
+    assert sizes == [3 * 3, 4 * 3, 2 * 3]
+    assert "i2" not in analysis._LOG_INTEGRANDS
 
 
 def _layer_oracle(R, d, kind):
@@ -458,13 +514,13 @@ def test_mean_is_the_ball_volume_anywhere(R, d):
 
 def _failing_engine(monkeypatch, point, kind):
     """Make the engine report a failure of one tree, on top of its results.
-    The grid core numbers its trees kind by kind: i1 of every point, then i2,
-    i4 and the width."""
+    The grid core numbers its trees kind by kind: i1 of every point, then i4
+    and the width."""
     real = analysis._lockstep
 
     def engine(log_f, a, b, rel_tol):
         values, _ = real(log_f, a, b, rel_tol)
-        tree = kind * (len(a) // 4) + point
+        tree = kind * (len(a) // len(analysis._INTEGRALS)) + point
         return values, {tree: QuadratureError(f"tree {point}/{kind}", last=0.0, previous=0.0)}
 
     monkeypatch.setattr(analysis, "_lockstep", engine)
@@ -473,14 +529,14 @@ def _failing_engine(monkeypatch, point, kind):
 @pytest.mark.parametrize(
     "point, kind, message",
     [
-        (0, 3, "tree 0/3"),  # point 0's width tree
+        (0, 2, "tree 0/2"),  # point 0's width tree
         (1, 0, "tree 1/0"),  # point 1's i1 tree, before point 1's width check
-        (1, 3, "tree 1/3"),  # point 1's width tree, before its own check
+        (1, 2, "tree 1/2"),  # point 1's width tree, before its own check
         (2, 0, "exceeds 2R"),  # point 2's i1 tree, after point 1's width check
     ],
 )
 def test_grid_failures_come_in_point_by_point_order(monkeypatch, point, kind, message):
-    # point 1's width estimate passes 2R; each point runs i1, i2, i4, width
+    # point 1's width estimate passes 2R; each point runs i1, i4, width
     _failing_engine(monkeypatch, point, kind)
     with pytest.raises(QuadratureError, match=message):
         rate_envelopes([2.0, 1e100, 3.0], [3, 3, 5])

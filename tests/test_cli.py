@@ -314,12 +314,15 @@ _REFERENCE_GRID = ["--d-grid", ",".join(str(100 * k) for k in range(1, 101)), "-
 # 100-point grid of the bounds benchmark, width-table on one grid per regime.  The two
 # hyperbolic bounds hashes were re-recorded when the i1 and i4 trees were cut to their
 # boundary layer, which moved 85 wasserstein_bound_integrals cells by up to 2.8e-11
-# relative, each changed log integral within 3.5e-16 per unit of a 40-digit mpmath value
+# relative, each changed log integral within 3.5e-16 per unit of a 40-digit mpmath value.
+# They and the verify-clt hash were re-recorded again when log i2 came to be derived from
+# the width, which moved 44 of those cells by up to 1.44e-11 relative and two verify-clt
+# scales by up to 4.5e-16, each changed log i2 within 1.8e-16 per unit of an exact finite sum
 _COMMAND_SHA256 = {
     "bounds": (["bounds", *_REFERENCE_GRID],
-               "bc9f239b2c0daebb21b96feb169a0e17278f36f49b3beb7308e005c4c3765ac1"),
+               "42162241831452d5b3c004240c3c7d41b40bf63814580ca84f012bd5d000b364"),
     "bounds-csv": (["bounds", *_REFERENCE_GRID, "--format", "csv"],
-                   "dd3115294115ec1378ea9f2586163f75151e2fb74aea3da26b0a74e9fa94c95d"),
+                   "e5fbd3ebd713a33e5521668707263782bb62392f845b7c56613055ec72bac6a1"),
     "bounds-euclidean": (["bounds", "--model", "euclidean", *_REFERENCE_GRID],
                          "879973d9bd3e65e93694cad61d1e32a553c7f1e7d30deee73e4a56a6936e3dc9"),
     "width-table-a": ("width-table --regime a --d-grid 3,5,10 --R-rule fixed:10".split(),
@@ -333,7 +336,7 @@ _COMMAND_SHA256 = {
     "moments-euclidean": ("moments --model euclidean --d 3 --R 3".split(),
                           "368bbba8e30311e4751f9b588768f0dad19612d9da9cf7f290b333c4c33b3aa8"),
     "verify-clt": ("verify-clt --d 2 --R-list 2,4,8 --n 2000 --seed 20260821".split(),
-                   "92484be9c661efdccc76fe4cc06a981658ab83bad0e6e27e96e71c5c8769d0f0"),
+                   "6a9cd9ebdda6a643f0447b4dc483a1545c0671b1c76a43a0b77c918792082407"),
 }
 
 
@@ -743,6 +746,14 @@ _FAILURES = {
                           "error: R-rule must look like kind:value, got '5'"),
     "nan-grid": ("bounds --d-grid 3,1 --R-rule list:nan,2".split(), None, 64,
                  "error: R must be finite and positive, got nan"),
+    "log-rule-d0": ("bounds --d-grid 0 --R-rule alpha-log-d:1".split(), None, 64,
+                    "error: dimension must be at least 2, got 0"),
+    "log-rule-negative-d": ("bounds --d-grid -3 --R-rule log-d-offset:1".split(), None, 64,
+                            "error: dimension must be at least 2, got -3"),
+    "log-rule-d0-euclidean": ("bounds --model euclidean --d-grid 0 --R-rule alpha-log-d:1".split(), None, 64,
+                              "error: dimension must be at least 1, got 0"),
+    "log-rule-d0-width-table": ("width-table --regime a --d-grid 0 --R-rule alpha-log-d:1".split(), None, 64,
+                                "error: dimension must be at least 2, got 0"),
     "b2-precondition": ("width-table --regime b2 --d-grid 100 --R-rule log-d-offset:0".split(), None, 64,
                         "error: growing-gap regime requires R > log d, got R = 4.605170185988092 at d = 100"),
     "render-d3-json": (["render", "--config", "{cfg}"], '{"R": 2.0, "seed": 1, "d": 3}', 64,
