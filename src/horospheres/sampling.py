@@ -9,6 +9,13 @@ replication in it (:data:`HYPERBOLIC` here, ``FLAT`` in
 :mod:`horospheres.euclidean`).  Each replication draws its count and uniforms
 from its own counter-based stream keyed by (index, seed); many replications
 share a hit block reduced at once, so replication k is the same in every batch.
+
+Below a mean count of 10, where numpy draws a Poisson count by multiplying
+uniforms, the sampler computes the Philox-4x64 blocks of many replications at
+once in numpy arrays and repeats numpy's count draw on them, so a sparse
+replication costs no generator call of its own; its counts and uniforms are bit
+for bit those of its own stream.  From a mean of 10 up each replication draws
+from its re-keyed generator.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .geometry import (
-    LOG_ZERO, HorosphereParam, _LOG_MAX, _exp_or_inf, check_dimension, check_radius, log_sinh, log_unit_ball_volume,
+    LOG_ZERO, HorosphereParam, _LOG_MAX, check_dimension, check_radius, log_sinh, log_unit_ball_volume,
 )
 
 __all__ = [
@@ -48,6 +55,17 @@ _BLOCK = 1 << 15
 # rng.random can return exactly 0.0, whose far-edge distance and log area are
 # not finite; clamping to half the smallest regular draw keeps u in (0, 1)
 _MIN_U = 2.0**-54
+# numpy's Poisson draw (random_poisson) multiplies uniforms below this mean and
+# switches to PTRS rejection from it up
+_PTRS_MIN_MEAN = 10.0
+# Philox-4x64-10 (Salmon et al., SC 2011) as numpy runs it: the round multipliers,
+# as one column for the (c0, c2) pair of counter words, their 32-bit halves, and
+# the key increments
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W0, _PHILOX_W1 = np.array([0x9E3779B97F4A7C15], np.uint64), 0xBB67AE8584CAA73B
+# one-element arrays, which a ufunc takes faster than a Python int or a numpy scalar
+_LOW_32, _2_TO_32, _11, _32 = (np.array([c], np.uint64) for c in (0xFFFFFFFF, 1 << 32, 11, 32))
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW_32, _PHILOX_M >> _32
 
 
 class FeasibilityError(RuntimeError):
@@ -246,44 +264,172 @@ def _replication_streams(seed: int):
     return stream
 
 
+def _philox_doubles(counters: np.ndarray, keys: np.ndarray, seed: int) -> np.ndarray:
+    """numpy's ``random`` doubles from whole Philox-4x64-10 blocks, one block per row: row i holds
+    positions 4 (counters[i] - 1) to 4 counters[i] - 1 of ``replication_stream(seed, keys[i])``,
+    the block at counter (counters[i], 0, 0, 0) under the key (keys[i], seed).  ``keys`` (uint64)
+    is overwritten.
+
+    The counter words are kept as two (2, n) arrays, a = (c0, c2), which a round multiplies, and
+    b = (c1, c3), so one ufunc call serves both multiplications of a round.  Each 64-bit
+    multiply-high is built from 32-bit halves; uint64 array arithmetic wraps, as Philox's does."""
+    n = counters.size
+    a, b = np.zeros((2, 2, n), np.uint64)
+    a[0], k0, k1 = counters, keys, int(seed)
+    lo, hi = scratch = np.empty((2, 2, n), np.uint64)  # the returned doubles at the end
+    mid, wrapped = np.empty((2, n), np.uint64), np.empty((2, n), bool)
+    for r in range(10):
+        if r:
+            k0 += _PHILOX_W0
+            k1 = (k1 + _PHILOX_W1) % _SEED_LIMIT
+        # with a = ah 2^32 + al and M = Mh 2^32 + Ml, the high word of a M is
+        # ah Mh + floor((ah Ml + al Mh + (al Ml >> 32)) / 2^32), whose sum may wrap once
+        np.bitwise_and(a, _LOW_32, out=lo)
+        np.right_shift(a, _32, out=hi)
+        a *= _PHILOX_M  # the low words
+        np.right_shift(np.multiply(lo, _PHILOX_M_LO, out=mid), _32, out=mid)
+        mid += np.multiply(lo, _PHILOX_M_HI, out=lo)
+        mid += np.multiply(hi, _PHILOX_M_LO, out=lo)
+        np.less(mid, lo, out=wrapped)
+        hi *= _PHILOX_M_HI
+        hi += np.right_shift(mid, _32, out=mid)
+        np.add(hi, _2_TO_32, out=hi, where=wrapped)
+        # (c0, c1, c2, c3) <- (hi(c2) ^ c1 ^ k0, lo(c2), hi(c0) ^ c3 ^ k1, lo(c0))
+        b ^= hi[::-1]
+        b[0] ^= k0
+        b[1] ^= np.array([k1], np.uint64)
+        np.copyto(mid, a[::-1])
+        a, b, mid = b, mid, a
+    out = scratch.view(np.float64).reshape(n, 4)
+    for word, bits in enumerate((a[0], b[0], a[1], b[1])):
+        out[:, word] = np.right_shift(bits, _11, out=bits)
+    out *= 2.0**-53
+    return out
+
+
+def _sparse_draws(mean: float, keys: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The counts of the replications keyed ``keys`` and their uniforms, concatenated in order:
+    bit for bit ``poisson(mean)`` and then ``random(count)`` from ``replication_stream(seed, key)``,
+    for a mean below ``_PTRS_MIN_MEAN``.
+
+    There numpy's count N is the number of leading running products U_0, U_0 U_1, ... of the
+    stream that stay above e^-mean, so the count reads positions 0 to N and the hits N + 1 to 2N,
+    which lie in blocks 1 to N // 2 + 1.  Each round computes only blocks a replication surely
+    needs: one still open after blocks 1 to c has N >= 4c and gets blocks c + 1 to 2c + 1, and
+    one whose count is known gets the rest of its blocks.  Only blocks holding hits are kept."""
+    limit = math.exp(-mean)
+    counts = np.zeros(keys.size, np.int64)
+    open_, prod, done = np.arange(keys.size), np.ones(keys.size), 0
+    closed, need = open_[:0], open_[:0]  # count known, blocks still to draw
+    kept = []
+    while open_.size or closed.size:
+        span = done + 1
+        lens = np.concatenate((np.full(open_.size, span), need))
+        rep = np.repeat(np.concatenate((open_, closed)), lens)
+        block = np.arange(done + 1, done + 1 + rep.size) - np.repeat(np.cumsum(lens) - lens, lens)
+        u = _philox_doubles(block, keys[rep], seed)
+        done += span
+        # numpy multiplies U_0, U_1, ... into its running product one by one, as accumulate does
+        run = np.empty((open_.size, 4 * span + 1))
+        run[:, 0], run[:, 1:] = prod, u[:open_.size * span].reshape(open_.size, 4 * span)
+        np.multiply.accumulate(run, axis=1, out=run)
+        counts[open_] += np.count_nonzero(run[:, 1:] > limit, axis=1)
+        still = run[:, -1] > limit
+        closed, open_, prod = open_[~still], open_[still], run[still, -1]
+        need = counts[closed] // 2 + 1 - done
+        closed, need = closed[need > 0], need[need > 0]
+        # a block holds hits once 4 block > N + 1; an open replication's count exceeds them all
+        hits = 4 * block > counts[rep] + 1
+        kept.append((rep[hits], block[hits], u[hits]))
+    # each replication's blocks from (N + 1) // 4 + 1 in counter order, its hits from N + 1 to 2N
+    start = (counts + 1) // 4 + 1
+    spans = counts // 2 + 2 - start
+    first = np.cumsum(spans) - spans
+    stream = np.empty((spans.sum(), 4))
+    while kept:
+        rep, block, u = kept.pop()
+        stream[first[rep] + block - start[rep]] = u
+    index = np.repeat(4 * first + (counts + 1) % 4 - (np.cumsum(counts) - counts), counts)
+    index += np.arange(index.size)
+    return counts, stream.ravel()[index]
+
+
 def _simulate(cfg: SimConfig, model: Model, indices: range) -> Batch:
     """The shared sampler: replications ``indices`` of ``model``, in order.
 
     Uniforms fill a hit block, which the model's kernel reduces to one log
     total per replication when full.  A replication never straddles two blocks,
     and one larger than a block is reduced alone in ``_CHUNK``-sized pieces:
-    memory stays bounded and each result depends on its own stream only."""
+    memory stays bounded and each result depends on its own stream only.
+
+    Below a mean count of ``_PTRS_MIN_MEAN`` the replications are drawn in
+    chunks of at most ``_BLOCK // 16`` by :func:`_sparse_draws`, with no numpy
+    call per replication; from it up each replication draws from its own
+    re-keyed generator."""
     if indices and not 0 <= indices[0] <= indices[-1] < _SEED_LIMIT:
         raise ValueError("replication index must be a 64-bit unsigned integer")
     mean = math.exp(check_feasible(cfg, model))
     hits = model.hits(cfg.R, cfg.d)
-    stream = _replication_streams(cfg.seed)
-    counts, log_totals = [], np.full(len(indices), LOG_ZERO)
-    block, v, x = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK)
-    rows, starts, lens, pos = [], [], [], 0
-    for row, index in enumerate(indices):
-        gen = stream(index)
-        n = sample_poisson_count(mean, gen)
-        counts.append(n)
-        if n > _BLOCK:
-            for done in range(0, n, _CHUNK):
-                u = gen.random(min(_CHUNK, n - done))
-                chunk = hits(u, np.empty_like(u), np.empty_like(u), [0], [u.size])
-                log_totals[row] = np.logaddexp(log_totals[row], chunk[0])
-        elif n > 0:
-            if pos + n > _BLOCK:
-                log_totals[rows] = hits(block[:pos], v[:pos], x[:pos], starts, lens)
-                rows, starts, lens, pos = [], [], [], 0
-            gen.random(out=block[pos:pos + n])  # the slice fixes the size
-            rows.append(row)
-            starts.append(pos)
-            lens.append(n)
-            pos += n
-    if rows:
-        log_totals[rows] = hits(block[:pos], v[:pos], x[:pos], starts, lens)
-    # math.exp, not np.exp: the two can differ in the last bit
-    totals = list(map(_exp_or_inf, log_totals.tolist()))
-    return Batch(np.array(counts, dtype=np.int64), np.array(totals, dtype=float), log_totals)
+    log_totals = np.full(len(indices), LOG_ZERO)
+
+    def alone(row, pieces):
+        for u in pieces:
+            chunk = hits(u, np.empty_like(u), np.empty_like(u), [0], [u.size])
+            log_totals[row] = np.logaddexp(log_totals[row], chunk[0])
+
+    def reduce(lo, n, u):
+        """The log totals of rows lo, lo + 1, ... from their counts n and their hits, one row
+        after another in u: consecutive rows share a kernel call while their hits fit in a block."""
+        ends = np.cumsum(n)
+        starts, rows, k = ends - n, np.flatnonzero(n), 0
+        while k < rows.size:
+            first = rows[k]
+            if n[first] > _BLOCK:
+                row = u[starts[first]:ends[first]]
+                alone(lo + first, (row[done:done + _CHUNK] for done in range(0, row.size, _CHUNK)))
+                k += 1
+                continue
+            group = rows[k:k + np.searchsorted(ends[rows[k:]], starts[first] + _BLOCK, "right")]
+            a, b = starts[first], ends[group[-1]]
+            log_totals[lo + group] = hits(u[a:b], np.empty(b - a), np.empty(b - a), starts[group] - a, n[group])
+            k += group.size
+        return n
+
+    if mean < _PTRS_MIN_MEAN:
+        counts = np.empty(len(indices), np.int64)
+        # equal chunks of at most _BLOCK // 16 replications, under 10/16 of a block of hits on average
+        chunks = -(-len(indices) // max(1, _BLOCK // 16))
+        bounds = [len(indices) * k // chunks for k in range(chunks + 1)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            keys = np.arange(indices[lo], indices[hi - 1] + 1, dtype=np.uint64)
+            counts[lo:hi] = reduce(lo, *_sparse_draws(mean, keys, cfg.seed))
+    else:
+        stream = _replication_streams(cfg.seed)
+        block, v, x = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK)
+        counts = []
+        rows, starts, lens, pos = [], [], [], 0
+        for row, index in enumerate(indices):
+            gen = stream(index)
+            n = sample_poisson_count(mean, gen)
+            counts.append(n)
+            if n > _BLOCK:
+                alone(row, (gen.random(min(_CHUNK, n - done)) for done in range(0, n, _CHUNK)))
+            elif n > 0:
+                if pos + n > _BLOCK:
+                    log_totals[rows] = hits(block[:pos], v[:pos], x[:pos], starts, lens)
+                    rows, starts, lens, pos = [], [], [], 0
+                gen.random(out=block[pos:pos + n])  # the slice fixes the size
+                rows.append(row)
+                starts.append(pos)
+                lens.append(n)
+                pos += n
+        if rows:
+            log_totals[rows] = hits(block[:pos], v[:pos], x[:pos], starts, lens)
+    # math.exp, not np.exp: the two can differ in the last bit; inf past double range, as geometry._exp_or_inf
+    huge = ~(log_totals < _LOG_MAX)
+    totals = np.array(list(map(math.exp, np.where(huge, 0.0, log_totals).tolist())), dtype=float)
+    totals[huge] = math.inf
+    return Batch(np.array(counts, dtype=np.int64), totals, log_totals)
 
 
 def simulate_batch(cfg: SimConfig, model: Model = HYPERBOLIC) -> Batch:

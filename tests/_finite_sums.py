@@ -1,4 +1,5 @@
-"""Exact finite sums for the variance integral i2 and the effective width.
+"""Exact finite sums for the variance integral i2, the effective width and the
+mean integral.
 
 With C = cosh R and an integer power n = d - 1,
 
@@ -11,6 +12,11 @@ i2 / (C - 1)^n.  The terms reach about (2C)^n while the sum is
 (C - 1)^n times the width, so the sum cancels about
 n log10(2C/(C - 1)) digits; the working precision adds ``extra`` digits on
 top, and a caller checks that two values of ``extra`` agree.
+
+The mean integral S_n, the integral of sinh^n over (0, R), follows
+S_0 = R, S_1 = cosh R - 1 and S_j = sinh^(j-1) R cosh R / j - (j-1)/j S_(j-2).
+Each step subtracts about a factor coth^2 R, so it cancels about
+n log10(coth R) digits in all.
 
 Nothing here imports the package under test, so these values are an
 independent oracle.  The leading underscore keeps pytest from collecting
@@ -46,3 +52,20 @@ def log_i2_and_width(R, d: int, extra: int = 40):
             binom = binom * (n - k) // (k + 1)
             c_rest /= c
         return +mp.log(total), +(total / (c - 1) ** n)
+
+
+def log_mean_integral(R, d: int, extra: int = 40):
+    """log of the integral of sinh^(d-1) over (0, R) at the double R and integer d >= 2, as an
+    mpf value at about ``extra`` correct digits."""
+    n = d - 1
+    with mp.workdps(30):
+        digits = int(n * mp.log10(1 / mp.tanh(mp.mpf(R)))) + extra
+    with mp.workdps(digits):
+        R = mp.mpf(R)
+        s, c = mp.sinh(R), mp.cosh(R)
+        before, last = R, 2 * mp.sinh(R / 2) ** 2  # S_0, and S_1 = cosh R - 1 without cancelling
+        s_pow = mp.mpf(1)  # sinh^(j-1) R
+        for j in range(2, n + 1):
+            s_pow *= s
+            before, last = last, s_pow * c / j - mp.mpf(j - 1) / j * before
+        return +mp.log(last if n else before)

@@ -31,7 +31,7 @@ from horospheres.analysis import (
 from horospheres.geometry import log_sinh, log_unit_ball_volume
 from horospheres.quadrature import QuadratureError, quad_log_integral
 
-from _finite_sums import log_i2_and_width
+from _finite_sums import log_i2_and_width, log_mean_integral
 
 # Reference values computed two independent ways (30-digit adaptive
 # integration and a fixed million-point extended-precision Simpson rule),
@@ -407,6 +407,19 @@ def test_variance_integral_and_width_agree_with_finite_sums():
         ints = integrals(R, d)
         assert abs(ints.log_variance_integral - float(log_i2)) <= 4.4e-16 * abs(float(log_i2))
         assert abs(ints.width - float(width)) <= 1e-11 * float(width)
+
+
+def test_mean_integral_agrees_with_finite_sums():
+    # the mean tree, log of the integral of sinh^(d-1) over (0, R), through the grid core in one
+    # engine call.  Its error is per unit of |log| (measured worst 2.05e-16 on these points), plus
+    # the relative error of the integral itself where the log is small: 2.7e-15 at (1, 50), whose
+    # log is 3.7 while its log-integrand reaches 49 log sinh 1 = 7.7
+    points = analysis._checked_points(*zip(*_FINITE_SUM_POINTS))
+    for (R, d), (log_v,) in zip(points, analysis._grid_logs(points, ("mean",))):
+        want, check = log_mean_integral(R, d), log_mean_integral(R, d, extra=80)
+        # the recurrence cancels about (d-1) log10(coth R) digits; two precisions agree
+        assert abs(want - check) <= mp.mpf(10) ** -35 * abs(want)
+        assert abs(log_v - float(want)) <= 4.4e-16 * abs(float(want)) + 4.4e-15
 
 
 def test_each_point_runs_one_tree_per_kind(monkeypatch):

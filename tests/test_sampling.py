@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from horospheres import euclidean, sampling
 from horospheres.geometry import log_chord_area
@@ -302,11 +304,15 @@ def test_rekeyed_stream_matches_fresh_stream(seed):
         assert np.array_equal(reused.random(37), fresh.random(37))
 
 
-# (d, R, replications) per model: zero-hit replications (R = 0.01), several
-# replications per hit block, and replications larger than one block
+# (d, R) per model with a mean count near 9.9, just below numpy's switch to PTRS at 10:
+# the sparse draw's counts reach 12 and more and so need several Philox rounds
+_NEAR_PTRS = {"hyperbolic": (2, 2.3), "euclidean": (3, 4.95)}
+# (d, R, replications) per model: zero-hit replications (R = 0.01), sparse
+# replications near numpy's PTRS switch, several replications per hit block,
+# and replications larger than one block
 _BLOCK_CASES = {
-    "hyperbolic": [(2, 0.01, 200), (2, 8.0, 12), (2, 9.2, 3)],
-    "euclidean": [(2, 0.01, 200), (3, 1500.0, 12), (3, 4500.0, 3)],
+    "hyperbolic": [(2, 0.01, 200), (*_NEAR_PTRS["hyperbolic"], 40), (2, 8.0, 12), (2, 9.2, 3)],
+    "euclidean": [(2, 0.01, 200), (*_NEAR_PTRS["euclidean"], 40), (3, 1500.0, 12), (3, 4500.0, 3)],
 }
 
 
@@ -333,23 +339,35 @@ def test_batch_singles_and_prefix_bit_identical_across_blocks(model):
     assert max(counts) > sampling._BLOCK
 
 
+def _small_blocks(model, cfg, monkeypatch):
+    """The counts of ``cfg``, checked under a block of 8 hits and a chunk of 4 against the
+    default sizes and for determinism."""
+    want = simulate_batch(cfg, model)
+    with monkeypatch.context() as patch:
+        patch.setattr(sampling, "_BLOCK", 8)
+        patch.setattr(sampling, "_CHUNK", 4)
+        got = simulate_batch(cfg, model)
+        assert np.array_equal(got.counts, want.counts)
+        # chunked reduction only reorders the sum of a large replication
+        assert np.allclose(got.log_totals, want.log_totals, rtol=0.0, atol=1e-13)
+        assert _same(got, _larger_batch_prefix(model, cfg))
+        assert _same(got, _split_batch(model, cfg))
+        assert _same(got, _singles(cfg, model))
+    return got.counts
+
+
 @pytest.mark.parametrize("model", sorted(_BLOCK_CASES))
 def test_small_blocks_and_chunks_keep_counts_and_determinism(model, monkeypatch):
     # a tiny block and chunk put zero-hit replications, replications filling
     # a block to its boundary and multi-chunk replications into one batch
+    d, R = _NEAR_PTRS[model]
     model = _MODELS[model]
-    cfg = SimConfig(d=2, R=1.5, replications=300, seed=11)
-    want = simulate_batch(cfg, model)
-    monkeypatch.setattr(sampling, "_BLOCK", 8)
-    monkeypatch.setattr(sampling, "_CHUNK", 4)
-    got = simulate_batch(cfg, model)
-    assert np.array_equal(got.counts, want.counts)
-    assert 0 in got.counts and max(got.counts) > 8
-    # chunked reduction only reorders the sum of a large replication
-    assert np.allclose(got.log_totals, want.log_totals, rtol=0.0, atol=1e-13)
-    assert _same(got, _larger_batch_prefix(model, cfg))
-    assert _same(got, _split_batch(model, cfg))
-    assert _same(got, _singles(cfg, model))
+    counts = _small_blocks(model, SimConfig(d=2, R=1.5, replications=300, seed=11), monkeypatch)
+    assert 0 in counts and max(counts) > 8
+    # near numpy's PTRS switch a count of 12 or more is still open after the first three
+    # Philox blocks, and a block of 8 hits makes every replication a sparse chunk of its own
+    counts = _small_blocks(model, SimConfig(d=d, R=R, replications=60, seed=12), monkeypatch)
+    assert max(counts) >= 12
 
 
 @pytest.mark.parametrize("model", sorted(_BLOCK_CASES))
@@ -374,3 +392,75 @@ def test_batch_matches_per_replication_reference(model):
             assert count == n
             want = float(np.logaddexp.reduce(logs)) if n else -math.inf
             assert log_total == pytest.approx(want, rel=0.0, abs=1e-13)
+
+
+_U64 = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=60)
+@given(seed=_U64, index=_U64, blocks=st.lists(st.integers(1, 40), min_size=1, max_size=6))
+@example(seed=0, index=0, blocks=[1])
+@example(seed=2**63, index=2**64 - 1, blocks=[1, 2, 37])
+@example(seed=2**64 - 1, index=2**63, blocks=[3, 1])
+def test_vectorized_philox_matches_the_replication_stream(seed, index, blocks):
+    # block b of a replication is a pure function of the counter b and the key (index, seed);
+    # the next index wraps past 2^64 - 1 to 0
+    keys = [index] * len(blocks) + [(index + 1) % 2**64] * len(blocks)
+    got = sampling._philox_doubles(np.array(blocks * 2), np.array(keys, dtype=np.uint64), seed)
+    for row, (b, key) in enumerate(zip(blocks * 2, keys)):
+        assert np.array_equal(got[row], replication_stream(seed, key).random(4 * b)[4 * b - 4:])
+
+
+@settings(max_examples=60)
+@given(mean=st.floats(0.0, 10.0, exclude_min=True, exclude_max=True), seed=_U64, first=st.integers(0, 2**64 - 40))
+@example(mean=math.nextafter(10.0, 0.0), seed=2**64 - 1, first=2**64 - 40)
+@example(mean=9.9, seed=2**63, first=0)
+@example(mean=5e-324, seed=0, first=2**63)  # subnormal: every count is 0
+@example(mean=2e-300, seed=7, first=0)
+def test_sparse_draws_match_numpy_poisson_and_uniforms(mean, seed, first):
+    # counts by numpy's multiplication method, then each replication's uniforms, bit for bit
+    keys = np.arange(first, first + 40, dtype=np.uint64)
+    counts, u = sampling._sparse_draws(mean, keys, seed)
+    assert np.array_equal(keys, np.arange(first, first + 40, dtype=np.uint64))  # left as it was
+    for key, n, draws in zip(keys.tolist(), counts.tolist(), np.split(u, np.cumsum(counts)[:-1])):
+        gen = replication_stream(seed, key)
+        assert n == gen.poisson(mean)
+        assert np.array_equal(draws, gen.random(n))
+
+
+def test_means_from_numpy_ptrs_switch_take_the_generator_loop(monkeypatch):
+    # FLAT's mass is 2R = 10 at R = 5; math.exp is pinned there to give the mean exactly
+    cfg = SimConfig(d=3, R=5.0, replications=30, seed=3)
+    log_mean, real_exp, real_draws = euclidean.FLAT.log_mass(cfg.R, cfg.d), math.exp, sampling._sparse_draws
+    counts = {}
+    for mean, sparse in ((10.0, False), (math.nextafter(10.0, 0.0), True)):
+        calls = []
+        monkeypatch.setattr(math, "exp", lambda x, mean=mean: mean if x == log_mean else real_exp(x))
+        monkeypatch.setattr(sampling, "_sparse_draws", lambda *args: calls.append(args) or real_draws(*args))
+        counts[mean] = simulate_batch(cfg, euclidean.FLAT).counts
+        assert bool(calls) == sparse
+        assert counts[mean].tolist() == [replication_stream(cfg.seed, k).poisson(mean) for k in range(30)]
+    # at 10 numpy draws by PTRS, which the multiplication method does not reproduce
+    keys = np.arange(30, dtype=np.uint64)
+    assert not np.array_equal(real_draws(10.0, keys, cfg.seed)[0], counts[10.0])
+
+
+def test_sparse_counts_where_a_running_product_is_the_limit():
+    # means whose e^-mean is exactly one of a stream's running products, at position 4 or
+    # later, so past the first Philox round: numpy's count stops there (it counts products
+    # strictly above e^-mean), which the sparse draw matches only by multiplying in numpy's order
+    seed, hits = 9, 0
+    for key in range(40):
+        product = 1.0
+        for position, u in enumerate(replication_stream(seed, key).random(16)):
+            product *= u
+            mean = -math.log(product)
+            for _ in range(8):  # step mean by ulps until exp(-mean) is the product, if it can be
+                if math.exp(-mean) == product:
+                    break
+                mean = math.nextafter(mean, math.inf if math.exp(-mean) > product else 0.0)
+            if position >= 4 and math.exp(-mean) == product and mean < 10.0:
+                counts, _ = sampling._sparse_draws(mean, np.array([key], dtype=np.uint64), seed)
+                assert counts[0] == position == replication_stream(seed, key).poisson(mean)
+                hits += 1
+    assert hits >= 20
