@@ -8,6 +8,8 @@ batched engine call: the i1, i4, width and (for the moments) ball-volume trees
 of every point are refined in lockstep, and each point reports its first
 failure in the order a point-by-point loop would meet it.  The trees run over
 (0, R), except i1 and i4, which stop at the edge of their 1/(d-1) boundary layer.
+The large-dimension width limit, a scaled Bessel K0 integral, is one more
+quadrature of the same engine.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import numpy as np
 from .geometry import (
     _LOG_MAX, _exp_or_inf, check_dimension, check_radius, log_chord_area, log_sinh, log_unit_ball_volume,
 )
-from .quadrature import QuadratureError, _lockstep, quad_log_integral
-from .special import log_bessel_k0
+from .quadrature import QuadratureError, quad_log_integral, quad_log_integrals
 
 __all__ = [
     "IntegralSet",
@@ -197,7 +198,7 @@ def _grid_logs(points, kinds):
 
     ends = np.concatenate([np.minimum(radii, _CUTS[name] / (dims - 1.0)) if name in _CUTS else radii
                            for name in kinds])
-    logs, failures = _lockstep(log_f, np.zeros(len(kinds) * n), ends, _DEFAULT_TOL)
+    logs, failures = quad_log_integrals(log_f, np.zeros(len(kinds) * n), ends, _DEFAULT_TOL)
     logs = logs.reshape(len(kinds), n).tolist()
     for p, (R, _) in enumerate(points):
         for index, name in enumerate(kinds):
@@ -338,15 +339,23 @@ def width_limit_integral(L) -> float:
     """Large-dimension limit of width/(2 scale) at scale L, which equals the
     integral over (0, inf) of e^{-x^2}/sqrt(1 + L^2 x^2).
 
-    Evaluated through the modified-Bessel closed form
-    (1/(2L)) e^{1/(2L^2)} K0(1/(2L^2)), combined in log space so the
-    exponential factor cannot overflow.
+    That is the modified-Bessel closed form (1/(2L)) e^z K0(z), z = 1/(2L^2).
+    Since e^z K0(z) is the integral over t > 0 of e^{-2z sinh^2(t/2)} =
+    e^{-(sinh(t/2)/L)^2}, cut at c = 2 asinh(sqrt(60) L), where the exponent is
+    -60, the value is (c/(2L)) times the integral over (0, 1) of
+    e^{-(sinh(c v/2)/L)^2}.  That forms neither z nor e^z, and its log is
+    O(1), so it neither cancels nor overflows.  An L whose z is 0 or not
+    finite is rejected.
     """
     if not L > 0:
         raise ValueError(f"L must be positive, got {L!r}")
     L = float(L)
-    z = 1.0 / (2.0 * L * L)
-    return math.exp(-math.log(2.0 * L) + z + log_bessel_k0(z))
+    square = 2.0 * L * L
+    if not 0.0 < square < math.inf or not math.isfinite(1.0 / square):
+        raise ValueError(f"L must leave 1/(2 L^2) a finite positive double, got L = {L!r}")
+    c = 2.0 * math.asinh(math.sqrt(60.0) * L)
+    log_integral = quad_log_integral(lambda v: -np.square(np.sinh(0.5 * c * v) / L), 0.0, 1.0, rel_tol=1e-11)
+    return 0.5 * c / L * math.exp(log_integral)
 
 
 def wasserstein_bound_width(R, d, width=None) -> float:

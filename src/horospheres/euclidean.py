@@ -16,7 +16,6 @@ import numpy as np
 from .geometry import LOG_ZERO, check_dimension, check_radius, log_unit_ball_volume
 from .quadrature import quad_log_integral
 from .sampling import _MIN_U, Model, _segment_log_sums
-from .special import log_gamma
 
 __all__ = [
     "EuclidBound",
@@ -62,10 +61,10 @@ def variance_closed(R, d) -> float:
     R = check_radius(R)
     return (
         (d - 0.5) * _LOG_PI
-        + log_gamma(float(d))
+        + math.lgamma(d)
         + (2 * d - 1) * math.log(R)
-        - 2.0 * log_gamma(0.5 * (d + 1))
-        - log_gamma(d + 0.5)
+        - 2.0 * math.lgamma(0.5 * (d + 1))
+        - math.lgamma(d + 0.5)
     )
 
 
@@ -76,10 +75,10 @@ def fourth_cumulant_closed(R, d) -> float:
     R = check_radius(R)
     return (
         (2 * d - 1.5) * _LOG_PI
-        + log_gamma(2.0 * d - 1.0)
+        + math.lgamma(2.0 * d - 1.0)
         + (4 * d - 3) * math.log(R)
-        - 4.0 * log_gamma(0.5 * (d + 1))
-        - log_gamma(2.0 * d - 0.5)
+        - 4.0 * math.lgamma(0.5 * (d + 1))
+        - math.lgamma(2.0 * d - 0.5)
     )
 
 
@@ -108,22 +107,28 @@ def log_mean(R, d) -> float:
     return log_unit_ball_volume(d) + d * math.log(check_radius(R))
 
 
+def _log_gamma_ratio_excess(y: float) -> float:
+    """log(Gamma(y + 1/2)/Gamma(y)) - 1/2 log y for y >= 1.  From y = 16 up it is summed from the
+    asymptotic series, as the two lgamma values, of size y log y, would cancel."""
+    if y < 16.0:
+        return math.lgamma(y + 0.5) - math.lgamma(y) - 0.5 * math.log(y)
+    r = 1.0 / (y * y)
+    return (-1 / 8 + r * (1 / 192 + r * (-1 / 640 + r * (17 / 14336 + r * (-31 / 18432 + r * 691 / 180224))))) / y
+
+
 def wasserstein_bound(R, d) -> EuclidBound:
     """Exact gamma-ratio Wasserstein bound,
     (2/pi^{1/4}) (Gamma(d+1/2)/Gamma(d)) sqrt(Gamma(2d-1)/Gamma(2d-1/2)) R^{-1/2},
-    together with the normalization value*sqrt(R)/d^{1/4}."""
+    together with the normalization value*sqrt(R)/d^{1/4}.
+
+    Each ratio Gamma(y + 1/2)/Gamma(y) is sqrt(y) times a factor near 1, so the
+    normalization is (2/pi^{1/4}) (2 - 1/d)^{-1/4} times those factors: no log of
+    size log d is formed and exponentiated."""
     d = check_dimension(d, minimum=1)
     R = check_radius(R)
-    log_bound = (
-        _LN2
-        - 0.25 * _LOG_PI
-        + log_gamma(d + 0.5)
-        - log_gamma(float(d))
-        + 0.5 * (log_gamma(2.0 * d - 1.0) - log_gamma(2.0 * d - 0.5))
-        - 0.5 * math.log(R)
-    )
-    value = math.exp(log_bound)
-    return EuclidBound(value=value, normalized=value * math.sqrt(R) / d**0.25)
+    excess = _log_gamma_ratio_excess(float(d)) - 0.5 * _log_gamma_ratio_excess(2.0 * d - 1.0)
+    normalized = 2.0 / math.pi**0.25 * math.exp(excess) / (2.0 - 1.0 / d) ** 0.25
+    return EuclidBound(value=normalized * d**0.25 / math.sqrt(R), normalized=normalized)
 
 
 def normalized_rate_constant(d) -> float:

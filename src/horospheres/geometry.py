@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import LOG_ZERO
-from .special import log_gamma
 
 __all__ = [
     "LOG_ZERO",
@@ -111,7 +110,7 @@ class EuclideanCircle:
 def log_unit_ball_volume(ell) -> float:
     """log volume of the Euclidean unit ball in the given dimension (0 allowed)."""
     ell = check_dimension(ell, minimum=0)
-    return 0.5 * ell * math.log(math.pi) - log_gamma(0.5 * ell + 1.0)
+    return 0.5 * ell * math.log(math.pi) - math.lgamma(0.5 * ell + 1.0)
 
 
 def log_chord_area(s, R, d):

@@ -13,8 +13,10 @@ evaluates the pending panels of all trees in one ``log_f(x, tree)`` call on a
 (k, 15) node array, in blocks of _PANEL_BLOCK panels only past that cap, and
 reduces the panels row by row in numpy.  Each tree keeps its own panel set,
 acceptance tests, depth cap and panel budget, so its result is the same, bit
-for bit, whichever trees share its batch.  :func:`quad_log_integral` is the
-engine run on one tree.
+for bit, whichever trees share its batch.  It returns ``(logs, failures)``: a
+failed tree reads NaN and its error is kept apart, so the caller decides which
+failure to raise.  :func:`quad_log_integral` is the engine run on one tree,
+raising that tree's failure.
 """
 
 from __future__ import annotations
@@ -120,11 +122,21 @@ def _panel_block(log_f, lo, hi, tree):
     return out, bad
 
 
-def _lockstep(log_f, a, b, rel_tol):
-    """Run one adaptive tree on each interval [a[j], b[j]], all in lockstep.
+def quad_log_integrals(log_f, a, b, rel_tol: float = 1e-10) -> tuple[np.ndarray, dict]:
+    """Run one adaptive tree on each interval [a[j], b[j]], all in lockstep, and
+    return ``(logs, failures)``: the log of the integral of exp(log_f) over each
+    interval, NaN where a tree failed, and the failures as ``{tree: exception}``.
 
-    Returns the log integrals, NaN where a tree failed, and the failures as
-    ``{tree: exception}``; a tree fails with the first error it meets.
+    ``log_f(x, tree)`` gets a (k, 15) array of interior nodes and the (k,)
+    index of the interval each row belongs to, rows grouped by interval in
+    ascending order, and returns the log-integrand at every node, with
+    ``-inf`` marking zeros.  Endpoints are never evaluated, so integrands
+    vanishing at the interval ends need no special casing.  A tree fails with
+    the first error it meets: :class:`QuadratureError` when the panel depth
+    cap or the panel budget is exhausted before the tolerance is met,
+    :class:`ValueError` for a reversed interval, an interval whose b - a or
+    a + b is not a finite double (an infinite end among them), or a NaN or
+    +inf log-integrand.  The other trees run on unchanged.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -234,31 +246,14 @@ def _lockstep(log_f, a, b, rel_tol):
         tree = np.repeat(tree[split], 2)
 
 
-def quad_log_integrals(log_f, a, b, rel_tol: float = 1e-10) -> np.ndarray:
-    """Return the log of the integral of exp(log_f) over each [a[j], b[j]].
-
-    ``log_f(x, tree)`` gets a (k, 15) array of interior nodes and the (k,)
-    index of the interval each row belongs to, rows grouped by interval in
-    ascending order, and returns the log-integrand at every node, with
-    ``-inf`` marking zeros.  Endpoints are
-    never evaluated, so integrands vanishing at the interval ends need no
-    special casing.  If a tree fails, the error of the first failed tree is
-    raised: :class:`QuadratureError` when the panel depth cap or the panel
-    budget is exhausted before the tolerance is met, :class:`ValueError` for a
-    reversed interval, an interval whose b - a or a + b is not a finite double
-    (an infinite end among them), or a NaN or +inf log-integrand.
-    """
-    values, failures = _lockstep(log_f, a, b, rel_tol)
-    if failures:
-        raise failures[min(failures)]
-    return values
-
-
 def quad_log_integral(log_f, a: float, b: float, rel_tol: float = 1e-10) -> float:
     """Return log of the integral of exp(log_f) over [a, b].
 
     ``log_f`` must accept a numpy array of interior nodes and return the
     log-integrand elementwise, with ``-inf`` marking zeros.  This is
-    :func:`quad_log_integrals` on one interval, with the same errors.
+    :func:`quad_log_integrals` on one interval; its tree's failure is raised.
     """
-    return float(quad_log_integrals(lambda x, tree: log_f(x), [a], [b], rel_tol)[0])
+    [value], failures = quad_log_integrals(lambda x, tree: log_f(x), [a], [b], rel_tol)
+    if failures:
+        raise failures[0]
+    return float(value)

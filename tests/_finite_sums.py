@@ -1,5 +1,5 @@
-"""Exact finite sums for the variance integral i2, the effective width and the
-mean integral.
+"""Exact finite sums for the variance integral i2, the effective width, the
+mean integral and the cut-layer integrals i1 and i4.
 
 With C = cosh R and an integer power n = d - 1,
 
@@ -17,6 +17,16 @@ The mean integral S_n, the integral of sinh^n over (0, R), follows
 S_0 = R, S_1 = cosh R - 1 and S_j = sinh^(j-1) R cosh R / j - (j-1)/j S_(j-2).
 Each step subtracts about a factor coth^2 R, so it cancels about
 n log10(coth R) digits in all.
+
+The cut-layer integrals i1 (the integral of ((C - cosh s) e^-s)^((d-1)/2))
+and i4 (of (C - cosh s)^(2(d-1)) e^(-(d-1)s)) are Laurent polynomials in
+x = e^-s.  With a = e^-R, C - cosh s = (x - a)(1/a - x)/(2x), so a power n and
+a weight e^(-ms) give
+
+    2^(-n) times the integral over (a, 1) of x^(m-n-1) (x - a)^n (1/a - x)^n dx,
+
+whose x^-1 term integrates to R.  n is an integer for i4 at every d and for
+i1 at odd d.  The digit count is set as for i2, from the power n.
 
 Nothing here imports the package under test, so these values are an
 independent oracle.  The leading underscore keeps pytest from collecting
@@ -69,3 +79,23 @@ def log_mean_integral(R, d: int, extra: int = 40):
             s_pow *= s
             before, last = last, s_pow * c / j - mp.mpf(j - 1) / j * before
         return +mp.log(last if n else before)
+
+
+def log_layer_integral(R, d: int, kind: str, extra: int = 40):
+    """log i1 (odd d >= 3) or log i4 (d >= 2) over all of (0, R) at the double R, as an mpf
+    value at about ``extra`` correct digits."""
+    n, m = ((d - 1) // 2, (d - 1) // 2) if kind == "i1" else (2 * (d - 1), d - 1)
+    if kind == "i1" and d % 2 == 0:
+        raise ValueError("i1 is a Laurent polynomial at odd d only")
+    with mp.workdps(_digits(R, n, extra)):
+        R = mp.mpf(R)
+        a, b = mp.exp(-R), mp.exp(R)
+        # (x - a)^n and (b - x)^n, coefficients by ascending power of x
+        left = [mp.binomial(n, i) * (-a) ** (n - i) for i in range(n + 1)]
+        right = [mp.binomial(n, j) * b ** (n - j) * (-1) ** j for j in range(n + 1)]
+        total = mp.mpf(0)
+        for k in range(2 * n + 1):
+            coefficient = mp.fsum(left[i] * right[k - i] for i in range(max(0, k - n), min(k, n) + 1))
+            power = k + m - n  # the term is coefficient x^(power - 1)
+            total += coefficient * (R if power == 0 else (1 - a**power) / power)
+        return +mp.log(total / mp.mpf(2) ** n)

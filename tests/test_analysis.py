@@ -31,7 +31,7 @@ from horospheres.analysis import (
 from horospheres.geometry import log_sinh, log_unit_ball_volume
 from horospheres.quadrature import QuadratureError, quad_log_integral
 
-from _finite_sums import log_i2_and_width, log_mean_integral
+from _finite_sums import log_i2_and_width, log_layer_integral, log_mean_integral
 
 # Reference values computed two independent ways (30-digit adaptive
 # integration and a fixed million-point extended-precision Simpson rule),
@@ -133,6 +133,33 @@ def test_width_limit_integral_reference_table():
 def test_width_limit_integral_small_scale_limit():
     # L -> 0 leaves the plain Gaussian integral sqrt(pi)/2
     assert width_limit_integral(1e-4) == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-6)
+
+
+def _bessel_limit(L):
+    """(1/(2L)) e^z K0(z), z = 1/(2L^2), from mpmath's besselk at enough digits to hold z."""
+    with mp.workdps(40 + max(0, int(-2.0 * math.log10(L)))):
+        L = mp.mpf(L)
+        z = 1 / (2 * L * L)
+        return mp.exp(z + mp.log(mp.besselk(0, z))) / (2 * L)
+
+
+@pytest.mark.parametrize("L", [10.0**k for k in range(-150, 151, 10)]
+                         + [1e-3, 1e-5, 1e-8, 1.0 / math.sqrt(2.0), math.sqrt(5.0), 0.1, 9e153])
+def test_width_limit_integral_agrees_with_bessel_k0(L):
+    # z = 1, 0.1 and 50 at L = 1/sqrt(2), sqrt(5) and 0.1.  The scaled integral has no
+    # cancellation between z and log K0(z).  Over these points and every decade of L from
+    # 1e-150 to 1e150 the measured worst relative error is 5.7e-16, at L = 1e20
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = width_limit_integral(L)
+    assert abs(got - _bessel_limit(L)) <= 2e-15 * _bessel_limit(L)
+
+
+@pytest.mark.parametrize("L", [1e-155, 1e-160, 1e-200, 5e-324, 1e154, 1e200, math.inf])
+def test_width_limit_integral_rejects_L_past_the_closed_form(L):
+    # 1/(2 L^2) is past double range or 0, so the closed form has no double z
+    with pytest.raises(ValueError, match="L = "):
+        width_limit_integral(L)
 
 
 def test_width_approaches_limit_integral_in_high_dimension():
@@ -422,17 +449,39 @@ def test_mean_integral_agrees_with_finite_sums():
         assert abs(log_v - float(want)) <= 4.4e-16 * abs(float(want)) + 4.4e-15
 
 
+# i4 is a Laurent polynomial at every d and i1 at odd d; the oracle's cost grows as d^2, so d
+# stops at 61.  At R above their cuts, 80/(d-1) and 40/(d-1), the trees stop short of R
+_LAYER_SUM_POINTS = [(0.1, 3), (8.0, 3), (20.0, 3), (2.0, 2), (4.0, 2), (5.0, 7), (0.05, 9), (3.0, 11), (1.0, 21),
+                     (200.0, 20), (12.0, 30), (0.5, 31), (1.0, 50), (30.0, 60), (math.log(61) + 1.0, 61)]
+
+
+def test_cut_layer_integrals_agree_with_finite_sums():
+    # the i1 and i4 trees over their cut intervals, through the grid core in one engine call,
+    # against the integrals over all of (0, R).  The error is per unit of |log|: measured worst
+    # 2.8e-16, at (2, 2), whose log i4 is 1.6.  Cuts of 30/15 in place of 80/40 err by up to
+    # 1.5e-8 per unit at these points (5.1e-11 at (8, 3), the first it fails)
+    points = analysis._checked_points(*zip(*_LAYER_SUM_POINTS))
+    for (R, d), logs in zip(points, analysis._grid_logs(points, ("i1", "i4"))):
+        for kind, got in zip(("i1", "i4"), logs):
+            if kind == "i1" and d % 2 == 0:
+                continue
+            want, check = log_layer_integral(R, d, kind), log_layer_integral(R, d, kind, extra=80)
+            # the sums cancel about n log10(2 cosh R/(cosh R - 1)) digits at power n; two precisions agree
+            assert abs(want - check) <= mp.mpf(10) ** -35 * abs(want)
+            assert abs(got - float(want)) <= 4.4e-16 * abs(float(want)), (R, d, kind)
+
+
 def test_each_point_runs_one_tree_per_kind(monkeypatch):
     # the variance integral has no tree: a bounds point runs i1, i4 and the width, a
     # moments point adds the mean, and a verify-clt radius runs the width and the mean
     sizes = []
-    real = analysis._lockstep
+    real = analysis.quad_log_integrals
 
     def engine(log_f, a, b, rel_tol):
         sizes.append(len(a))
         return real(log_f, a, b, rel_tol)
 
-    monkeypatch.setattr(analysis, "_lockstep", engine)
+    monkeypatch.setattr(analysis, "quad_log_integrals", engine)
     radii, dims = [2.0, 3.0, 8.0], [3, 5, 2]
     rate_envelopes(radii, dims)
     moments_grid(radii, dims)
@@ -529,14 +578,14 @@ def _failing_engine(monkeypatch, point, kind):
     """Make the engine report a failure of one tree, on top of its results.
     The grid core numbers its trees kind by kind: i1 of every point, then i4
     and the width."""
-    real = analysis._lockstep
+    real = analysis.quad_log_integrals
 
     def engine(log_f, a, b, rel_tol):
         values, _ = real(log_f, a, b, rel_tol)
         tree = kind * (len(a) // len(analysis._INTEGRALS)) + point
         return values, {tree: QuadratureError(f"tree {point}/{kind}", last=0.0, previous=0.0)}
 
-    monkeypatch.setattr(analysis, "_lockstep", engine)
+    monkeypatch.setattr(analysis, "quad_log_integrals", engine)
 
 
 @pytest.mark.parametrize(

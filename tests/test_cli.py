@@ -317,14 +317,20 @@ _REFERENCE_GRID = ["--d-grid", ",".join(str(100 * k) for k in range(1, 101)), "-
 # relative, each changed log integral within 3.5e-16 per unit of a 40-digit mpmath value.
 # They and the verify-clt hash were re-recorded again when log i2 came to be derived from
 # the width, which moved 44 of those cells by up to 1.44e-11 relative and two verify-clt
-# scales by up to 4.5e-16, each changed log i2 within 1.8e-16 per unit of an exact finite sum
+# scales by up to 4.5e-16, each changed log i2 within 1.8e-16 per unit of an exact finite sum.
+# The euclidean bounds hash was re-recorded when the gamma ratios came from their asymptotic
+# series past 16, which moved all 200 cells by up to 4.2e-11 relative, each closer to a 60-digit
+# mpmath value and now within 3.2 ulps of it; the large-d grid was recorded then, within 2.6 ulps
 _COMMAND_SHA256 = {
     "bounds": (["bounds", *_REFERENCE_GRID],
                "42162241831452d5b3c004240c3c7d41b40bf63814580ca84f012bd5d000b364"),
     "bounds-csv": (["bounds", *_REFERENCE_GRID, "--format", "csv"],
                    "e5fbd3ebd713a33e5521668707263782bb62392f845b7c56613055ec72bac6a1"),
     "bounds-euclidean": (["bounds", "--model", "euclidean", *_REFERENCE_GRID],
-                         "879973d9bd3e65e93694cad61d1e32a553c7f1e7d30deee73e4a56a6936e3dc9"),
+                         "cbb42f487032429f0e131b62c1a6d87f54147d78d94d1866f55c75fbbc74db01"),
+    "bounds-euclidean-large-d": ("bounds --model euclidean --d-grid 1000,1000000,1000000000000000 "
+                                 "--R-rule fixed:1".split(),
+                                 "caa46651361e4924a929c08b420395d2353d17e7122029c246fdbe61e1851df2"),
     "width-table-a": ("width-table --regime a --d-grid 3,5,10 --R-rule fixed:10".split(),
                       "420c99144ec926bc0bc25079ce5c7e9acbb7d502561bb049466d1e298965bb54"),
     "width-table-b1": ("width-table --regime b1 --d-grid 100,1000 --R-rule log-d-offset:-1".split(),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from horospheres import sampling
+from horospheres.geometry import log_unit_ball_volume
 from horospheres.quadrature import quad_log_integral
 from horospheres.euclidean import (
     FLAT,
@@ -114,6 +115,55 @@ def test_normalized_rate_constant_converges():
     a = normalized_rate_constant(10**3)
     b = normalized_rate_constant(10**4)
     assert abs(b - a) / a < 0.01
+
+
+# d from 1 to 10^300, through the switch to the gamma-ratio series at 16 and 2d - 1 = 16
+_BOUND_DIMS = sorted({*range(1, 21), 30, 100, 1000, 10**4, *(10**k for k in range(5, 301, 5)), 2**53 + 1})
+
+
+def test_wasserstein_bound_agrees_with_mpmath_at_every_dimension():
+    # the gamma ratios at 60 digits plus those the lgamma values of size d log d need; both
+    # fields within 2e-14 relative (measured worst 5.5e-15, at d = 15)
+    mp = pytest.importorskip("mpmath")
+    half = mp.mpf(1) / 2
+    for d in _BOUND_DIMS:
+        with mp.workdps(60 + 2 * len(str(d))):
+            ratio = mp.exp(mp.loggamma(d + half) - mp.loggamma(d)
+                           + (mp.loggamma(2 * d - 1) - mp.loggamma(2 * d - half)) / 2)
+            normalized = 2 / mp.pi ** (half / 2) * ratio / mp.root(d, 4)
+            for R in (0.5, 2.0, 100.0):
+                got = wasserstein_bound(R, d)
+                value = 2 / mp.pi ** (half / 2) * ratio / mp.sqrt(R)
+                assert abs(got.value - value) <= 2e-14 * value, (d, R)
+                assert abs(got.normalized - normalized) <= 2e-14 * normalized, (d, R)
+
+
+_EPS = math.ulp(1.0)
+
+
+def test_gamma_closed_forms_agree_with_mpmath():
+    # log_unit_ball_volume, variance_closed and fourth_cumulant_closed sum five math.lgamma and log
+    # terms with arguments up to 2 10^15, each rounded to its own ulp, so the error bound is in eps
+    # per unit of the summed sizes S = sum |term|, about 3 d log d: 3 eps max(1, S), measured worst
+    # 1.14 eps S (at d = 2).  A bound per unit of the result alone cannot hold, since the sums cross
+    # 0: variance_closed(3, d) is 0.56 at d = 147 and is off by 1.8e-13 of that.  At d = 10^15 the
+    # allowance is 67 to 140 in logs of size 3e16 to 7e16 (2e-15 of them); the measured errors there
+    # are 1.2 to 5.4, the ulp of such terms being 4 to 8.
+    mp = pytest.importorskip("mpmath")
+    half = mp.mpf(1) / 2
+    with mp.workdps(60):
+        for d in [*range(0, 200), 1000, 10**4, 10**6, 10**9, 10**12, 10**15]:
+            checks = [(log_unit_ball_volume(d), [d * half * mp.log(mp.pi), -mp.loggamma(half * d + 1)])]
+            for R in (0.5, 1.0, 3.0) if d else ():
+                log_r = mp.log(R)
+                checks.append((variance_closed(R, d), [
+                    (d - half) * mp.log(mp.pi), mp.loggamma(d), (2 * d - 1) * log_r,
+                    -2 * mp.loggamma(half * (d + 1)), -mp.loggamma(d + half)]))
+                checks.append((fourth_cumulant_closed(R, d), [
+                    (2 * d - 3 * half) * mp.log(mp.pi), mp.loggamma(2 * d - 1), (4 * d - 3) * log_r,
+                    -4 * mp.loggamma(half * (d + 1)), -mp.loggamma(2 * d - half)]))
+            for got, terms in checks:
+                assert abs(got - mp.fsum(terms)) <= 3 * _EPS * max(1, sum(map(abs, terms))), d
 
 
 def test_simulate_deterministic_and_batch_invariant():

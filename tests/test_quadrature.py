@@ -78,8 +78,10 @@ def test_interval_past_double_range_rejected(a, b):
     # with its own message instead of reaching the nodes
     with pytest.raises(ValueError, match="past double range"):
         quad_log_integral(lambda x: np.zeros_like(np.asarray(x, dtype=float)), a, b)
-    with pytest.raises(ValueError, match="past double range"):
-        quad_log_integrals(lambda x, tree: np.zeros_like(x), [0.0, a, 0.0], [1.0, b, 1.0])
+    logs, failures = quad_log_integrals(lambda x, tree: np.zeros_like(x), [0.0, a, 0.0], [1.0, b, 1.0])
+    assert list(failures) == [1] and isinstance(failures[1], ValueError)
+    assert "past double range" in str(failures[1])
+    assert math.isnan(logs[1]) and logs[0] == logs[2] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nonintegrable_singularity_raises():
@@ -160,7 +162,11 @@ def _outcome(call):
     try:
         return call()
     except (QuadratureError, ValueError) as exc:
-        return (type(exc), str(exc), getattr(exc, "last", None), getattr(exc, "previous", None))
+        return _error(exc)
+
+
+def _error(exc):
+    return (type(exc), str(exc), getattr(exc, "last", None), getattr(exc, "previous", None))
 
 
 def _hex(values):
@@ -168,15 +174,17 @@ def _hex(values):
 
 
 def _check_batch(fs, a, b, rel_tol=1e-10):
+    """One batch call against one call per tree: a tree that fails alone fails in the batch with
+    the same error and reads NaN, and every other tree has its one-tree log, bit for bit."""
     singles = [
         _outcome(lambda f=f, lo=lo, hi=hi: quad_log_integral(f, lo, hi, rel_tol)) for f, lo, hi in zip(fs, a, b)
     ]
-    batch = _outcome(lambda: quad_log_integrals(_batched(fs), a, b, rel_tol))
-    failed = [single for single in singles if isinstance(single, tuple)]
-    if failed:
-        assert batch == failed[0]
-    else:
-        assert _hex(batch) == _hex(singles)
+    logs, failures = quad_log_integrals(_batched(fs), a, b, rel_tol)
+    assert logs.shape == (len(fs),)
+    assert {t: _error(exc) for t, exc in failures.items()} == {
+        t: single for t, single in enumerate(singles) if isinstance(single, tuple)
+    }
+    assert _hex(logs) == _hex(math.nan if isinstance(single, tuple) else single for single in singles)
     return singles
 
 
@@ -195,6 +203,7 @@ def test_empty_and_zero_trees_in_a_batch():
 
 @pytest.mark.parametrize("position", [0, 2, 3])
 def test_batch_raises_the_failing_trees_error(position):
+    # the failing tree reports the error quad_log_integral raises on it alone; the others converge
     fs = [_family("bump", 0.0, 0.5, 3.0), _family("growth", 0.0, 0.0, 1.0), _family("bump", 0.0, 1.5, 1.0)]
     fs.insert(position, lambda x: -0.999 * np.log(x))
     singles = _check_batch(fs, [0.0] * 4, [2.0] * 4)
@@ -203,19 +212,17 @@ def test_batch_raises_the_failing_trees_error(position):
 
 
 def test_batch_raises_the_first_of_several_errors():
+    # every failed tree keeps its own first error, whatever its place in the batch
     fs = [_family("bump", 0.0, 0.5, 3.0), _family("nan", 0.0, 0.3, 0.0), lambda x: -0.999 * np.log(x)]
     singles = _check_batch(fs, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
-    with pytest.raises(ValueError, match="non-finite"):
-        quad_log_integrals(_batched(fs), [0.0] * 3, [1.0] * 3)
-    assert singles[2][0] is QuadratureError
+    assert singles[1][0] is ValueError and "non-finite" in singles[1][1]
+    assert singles[2][0] is QuadratureError and "depth cap" in singles[2][1]
     fs.reverse()
-    with pytest.raises(QuadratureError, match="depth cap"):
-        quad_log_integrals(_batched(fs), [0.0] * 3, [1.0] * 3)
-    # a reversed interval fails its own tree, in its place in the order
-    with pytest.raises(QuadratureError, match="depth cap"):
-        quad_log_integrals(_batched(fs), [0.0, 1.0, 0.0], [1.0, 0.5, 1.0])
-    with pytest.raises(ValueError, match="reversed"):
-        quad_log_integrals(_batched(fs), [1.0, 0.0, 0.0], [0.5, 1.0, 1.0])
+    _check_batch(fs, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    # a reversed interval fails its own tree, and no other
+    logs, failures = quad_log_integrals(_batched(fs), [0.0, 1.0, 0.0], [1.0, 0.5, 1.0])
+    assert sorted(failures) == [0, 1] and "depth cap" in str(failures[0]) and "reversed" in str(failures[1])
+    assert math.isnan(logs[0]) and math.isnan(logs[1]) and logs[2] == quad_log_integral(fs[2], 0.0, 1.0)
 
 
 def test_a_tree_fails_with_its_first_error(monkeypatch):
@@ -226,8 +233,8 @@ def test_a_tree_fails_with_its_first_error(monkeypatch):
     log_f = _family("power", 0.0, 0.0, 0.0)
     with pytest.raises(QuadratureError, match="panel budget"):
         quad_log_integral(log_f, 0.0, 1.0)
-    with pytest.raises(QuadratureError, match="panel budget"):
-        quad_log_integrals(_batched([_family("bump", 0.0, 0.5, 0.0), log_f]), [0.0, 0.0], [1.0, 1.0])
+    _, failures = quad_log_integrals(_batched([_family("bump", 0.0, 0.5, 0.0), log_f]), [0.0, 0.0], [1.0, 1.0])
+    assert list(failures) == [1] and "panel budget" in str(failures[1])
 
 
 def test_level_larger_than_a_block_matches_one_tree_calls():
@@ -243,8 +250,8 @@ def test_level_larger_than_a_block_matches_one_tree_calls():
         calls.append(len(tree))
         return _batched(fs)(x, tree)
 
-    batch = quad_log_integrals(log_f, [0.0] * count, [1.0] * count)
-    assert _hex(batch) == _hex(quad_log_integral(f, 0.0, 1.0) for f in fs)
+    batch, failures = quad_log_integrals(log_f, [0.0] * count, [1.0] * count)
+    assert not failures and _hex(batch) == _hex(quad_log_integral(f, 0.0, 1.0) for f in fs)
     assert max(calls) <= quadrature._PANEL_BLOCK
 
 
@@ -272,6 +279,14 @@ def test_one_tree_log_f_takes_one_argument():
 
     assert quad_log_integral(log_f, 0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
     assert shapes[0] == (1, 15)
+
+
+def test_rel_tol_must_be_positive():
+    logs, failures = quad_log_integrals(lambda x, tree: np.zeros_like(x), [0.0, 1.0, 2.0], [1.0, 1.0, 3.0], 0.0)
+    assert sorted(failures) == [0, 2] and all("rel_tol must be positive" in str(e) for e in failures.values())
+    assert math.isnan(logs[0]) and logs[1] == LOG_ZERO and math.isnan(logs[2])
+    with pytest.raises(ValueError, match="rel_tol must be positive"):
+        quad_log_integral(lambda x: np.zeros_like(x), 0.0, 1.0, rel_tol=-1.0)
 
 
 def test_mismatched_interval_ends_rejected():
