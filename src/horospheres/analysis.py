@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    _LOG_MAX, _exp_or_inf, check_dimension, check_radius, log_chord_area, log_sinh, log_unit_ball_volume,
+    _LOG_MAX, _exp_or_inf, _log_cosh_gap, check_dimension, check_radius, log_chord_area, log_sinh,
+    log_unit_ball_volume,
 )
 from .quadrature import QuadratureError, quad_log_integral, quad_log_integrals
 
@@ -67,7 +68,7 @@ _CLT = ("width", "mean")
 @dataclass(frozen=True)
 class IntegralSet:
     """One-sided moment integrals at (R, d), all in log form, plus the
-    effective width of the intersection window and the area coefficient."""
+    effective width of the intersection window."""
 
     R: float
     d: int
@@ -75,7 +76,6 @@ class IntegralSet:
     log_variance_integral: float
     log_cum4_integral: float
     width: float
-    log_coefficient: float
 
 
 @dataclass(frozen=True)
@@ -135,18 +135,12 @@ def log_area_coefficient(d) -> float:
     return 0.5 * (d - 1) * _LN2 + log_unit_ball_volume(d - 1)
 
 
-def _log_gap(s, R):
-    """log(cosh R - cosh s) as log 2 + log sinh((R + s)/2) + log sinh((R - s)/2),
-    by the sinh product identity, which stays accurate out to s = R."""
-    return _LN2 + log_sinh(0.5 * (R + s)) + log_sinh(0.5 * (R - s))
-
-
 # The log-integrands over (0, R), from the nodes s, the dimension d and R.  The
 # mean is vol(B_R) by Campbell's theorem, the area of the unit sphere S^{d-1}
 # times the integral of sinh^{d-1}.
 _LOG_INTEGRANDS = {
-    "i1": lambda s, d, R: 0.5 * (d - 1) * (_log_gap(s, R) - s),
-    "i4": lambda s, d, R: 2.0 * (0.5 * (d - 1)) * (2.0 * _log_gap(s, R) - s),
+    "i1": lambda s, d, R: 0.5 * (d - 1) * (_log_cosh_gap(s, R) - s),
+    "i4": lambda s, d, R: 2.0 * (0.5 * (d - 1)) * (2.0 * _log_cosh_gap(s, R) - s),
     "width": lambda s, d, R: (d - 1.0) * (log_sinh(0.5 * (R + s)) + log_sinh(0.5 * (R - s))
                                           - 2.0 * log_sinh(0.5 * R)),
     "mean": lambda s, d, R: (d - 1) * log_sinh(s),
@@ -226,7 +220,6 @@ def _integral_set(R, d, logs) -> IntegralSet:
         log_variance_integral=_log_variance_integral(R, d, log_w),
         log_cum4_integral=log_i4,
         width=math.exp(log_w),
-        log_coefficient=log_area_coefficient(d),
     )
 
 

@@ -3,7 +3,9 @@
 Every command echoes its resolved configuration into the output file, so any
 emitted artifact can be reproduced from itself.  Outputs are byte-stable for
 a fixed flag set; wall-clock timestamps appear only under ``--stamp``.
-``--model`` picks the ``sampling.Model`` that simulations run on.
+``--model`` picks the geometric model: the ``sampling.Model`` that simulations
+run on, and how ``moments``, ``bounds`` and ``verify-clt`` compute their values
+(quadrature for the hyperbolic model, closed forms for the flat one).
 
 Every failure is one stderr line, ``horospheres: <kind>: <message>``.  Exit
 codes: 0 success, 2 infeasible simulation, 3 quadrature failure, 64 usage

@@ -142,10 +142,10 @@ def _flat_hits(R: float, d: int):
     at both edges because 1 - u is."""
     k = log_unit_ball_volume(d - 1) + (d - 1.0) * math.log(2.0 * R)
 
-    def hits(u, v, x, starts, lens):
-        np.subtract(1.0, np.maximum(u, _MIN_U, out=u), out=v)
+    def hits(u, starts):
+        v = np.subtract(1.0, np.maximum(u, _MIN_U, out=u))
         np.log(np.multiply(u, v, out=u), out=u)
-        return _segment_log_sums(np.add(np.multiply(u, 0.5 * (d - 1), out=u), k, out=u), starts, lens)
+        return _segment_log_sums(np.add(np.multiply(u, 0.5 * (d - 1), out=u), k, out=u), starts)
 
     return hits
 

@@ -107,6 +107,12 @@ class EuclideanCircle:
             raise ValueError(f"circle is not internally tangent to the unit circle (gap {gap:.3e})")
 
 
+def _log_cosh_gap(s, R):
+    """log(cosh R - cosh s) for |s| < R, array-compatible, as log 2 + log sinh((R + s)/2) +
+    log sinh((R - s)/2), by the sinh product identity, which stays accurate out to |s| = R."""
+    return _LN2 + log_sinh(0.5 * (R + s)) + log_sinh(0.5 * (R - s))
+
+
 def log_unit_ball_volume(ell) -> float:
     """log volume of the Euclidean unit ball in the given dimension (0 allowed)."""
     ell = check_dimension(ell, minimum=0)
@@ -119,16 +125,17 @@ def log_chord_area(s, R, d):
 
     Array-compatible in ``s``; returns ``-inf`` outside the open interval
     (-R, R).  The cosh difference is evaluated as a product of sinh factors,
-    2 sinh((R+s)/2) sinh((R-s)/2), which stays accurate out to |s| = R.
+    2 sinh((R+s)/2) sinh((R-s)/2), which stays accurate out to |s| = R.  A point is
+    inside when both halves are positive, which R + s > 0 alone misjudges when the
+    sum is subnormal and its half rounds to 0.
     """
     d = check_dimension(d)
     R = check_radius(R, d)
     sv = np.asarray(s, dtype=float)
     half_plus, half_minus = 0.5 * (R + sv), 0.5 * (R - sv)
     inside = (half_plus > 0.0) & (half_minus > 0.0)
-    log_gap = _LN2 + log_sinh(half_plus[inside]) + log_sinh(half_minus[inside])
     out = np.full(sv.shape, LOG_ZERO)
-    out[inside] = log_unit_ball_volume(d - 1) + 0.5 * (d - 1) * (_LN2 + sv[inside] + log_gap)
+    out[inside] = log_unit_ball_volume(d - 1) + 0.5 * (d - 1) * (_LN2 + sv[inside] + _log_cosh_gap(sv[inside], R))
     return float(out) if out.ndim == 0 else out
 
 

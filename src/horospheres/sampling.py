@@ -4,18 +4,21 @@ One vectorized sampler, :func:`simulate_batch`, serves both geometric models
 and returns a :class:`Batch` of arrays; :func:`sample_points` replays one
 replication.  A :class:`Model` gives the log hitting mass, the map from a
 uniform to the distance t = R + s from the far edge of the ball, and a fused
-kernel that reduces a block of uniforms to the log total area of each
-replication in it (:data:`HYPERBOLIC` here, ``FLAT`` in
+kernel that reduces the uniforms of many replications, one after another, to
+the log total area of each (:data:`HYPERBOLIC` here, ``FLAT`` in
 :mod:`horospheres.euclidean`).  Each replication draws its count and uniforms
 from its own counter-based stream keyed by (index, seed); many replications
-share a hit block reduced at once, so replication k is the same in every batch.
+share one kernel call, and each total depends only on its own hits, so
+replication k is the same in every batch.
 
 Below a mean count of 10, where numpy draws a Poisson count by multiplying
 uniforms, the sampler computes the Philox-4x64 blocks of many replications at
 once in numpy arrays and repeats numpy's count draw on them, so a sparse
 replication costs no generator call of its own; its counts and uniforms are bit
-for bit those of its own stream.  From a mean of 10 up each replication draws
-from its re-keyed generator.
+for bit those of its own stream, and a chunk of them is reduced in one kernel
+call.  From a mean of 10 up each replication draws from its re-keyed generator
+into a block of ``_BLOCK`` hits, and one larger than a block is drawn and reduced
+in ``_CHUNK`` pieces.
 """
 
 from __future__ import annotations
@@ -48,9 +51,9 @@ _LN2 = math.log(2.0)
 _SEED_LIMIT = 1 << 64
 # bound on the expected hit count per replication
 _COUNT_CAP = 10**8
+# hits per piece of a replication larger than a block, in the loop from a mean of 10 up
 _CHUNK = 1 << 20
-# hits per vectorized block; the kernels work in place on it and two scratch
-# blocks of the same length
+# hits per block of that loop, which packs replications until the next would not fit
 _BLOCK = 1 << 15
 # rng.random can return exactly 0.0, whose far-edge distance and log area are
 # not finite; clamping to half the smallest regular draw keeps u in (0, 1)
@@ -116,9 +119,9 @@ def log_hitting_mass(R, d) -> float:
     return float(log_sinh(a)) + _LN2 - math.log(d - 1.0)
 
 
-def _far_edge(u: np.ndarray, v: np.ndarray, x: np.ndarray, R: float, d: int) -> np.ndarray:
+def _far_edge(u: np.ndarray, v: np.ndarray, R: float, d: int) -> np.ndarray:
     """The inverse CDF in the distance t = R + s from the far edge, in place on uniforms u
-    (clamped to [2^-54, 1)) and held below 2R; v receives 1 - u and x is scratch.
+    (clamped to [2^-54, 1)) and held below 2R; v receives 1 - u.
 
     t = -log(1 - u w)/(d-1) with w = 1 - e^{-2(d-1)R}.  Once e^{-2(d-1)R} <= 1/2, log(1 - u w)
     is log1p(-u) + log1p(u e^{-2(d-1)R}/(1 - u)), free of the rounding of u w, so t stays
@@ -129,7 +132,8 @@ def _far_edge(u: np.ndarray, v: np.ndarray, x: np.ndarray, R: float, d: int) -> 
     if A < _LN2:
         np.log1p(np.multiply(u, math.expm1(-A), out=u), out=u)
     else:
-        np.log1p(np.negative(u, out=x), out=x)
+        x = np.negative(u)
+        np.log1p(x, out=x)
         np.log1p(np.divide(np.multiply(u, math.exp(-A), out=u), v, out=u), out=u)
         u += x
     u /= -a
@@ -137,8 +141,8 @@ def _far_edge(u: np.ndarray, v: np.ndarray, x: np.ndarray, R: float, d: int) -> 
 
 
 def _hyperbolic_hits(R: float, d: int):
-    """The fused hit kernel at a valid (R, d): ``hits(u, v, x, starts, lens)`` turns a block of
-    uniforms u into the log total area of each segment (v and x are scratch; u is overwritten).
+    """The fused hit kernel at a valid (R, d): ``hits(u, starts)`` turns uniforms u into the log
+    total area of each segment, from ``starts[k]`` to the next start or the end (u is overwritten).
 
     With t = R + s and r = R - s, the log area is c + (d-1)/2 (log(e^t - 1) + log(1 - e^{-r})).
     t comes from u by :func:`_far_edge` and r from 1 - u, each on its own side, so both stay
@@ -152,10 +156,10 @@ def _hyperbolic_hits(R: float, d: int):
         K = c + math.log(w)
 
         # 1 - u w = (1 - u) w + E >= max(E, 2^-53 w) and u >= 2^-54, so every scaled area lies
-        # in about [2^-27, 2^28] at any admissible R: no hit underflows, and a _CHUNK of them
-        # cannot overflow, so the sum needs no per-segment max
-        def plane(u, v, x, starts, lens):
-            np.subtract(1.0, np.maximum(u, _MIN_U, out=u), out=v)
+        # in about [2^-27, 2^28] at any admissible R: no hit underflows, and a row of n hits sums
+        # to at most n 2^28, far inside double range for any count, so the sum needs no per-row max
+        def plane(u, starts):
+            v = np.subtract(1.0, np.maximum(u, _MIN_U, out=u))
             u *= v
             np.sqrt(u, out=u)
             u /= np.add(np.multiply(v, w, out=v), E, out=v)
@@ -165,15 +169,16 @@ def _hyperbolic_hits(R: float, d: int):
 
     M = math.expm1(A) if A < _LOG_MAX else math.inf
 
-    def hits(u, v, x, starts, lens):
-        t = _far_edge(u, v, x, R, d)
+    def hits(u, starts):
+        v = np.empty_like(u)
+        t = _far_edge(u, v, R, d)
         if M < math.inf:  # r = log1p((1 - u)(e^{2(d-1)R} - 1))/(d-1)
             np.divide(np.log1p(np.multiply(v, M, out=v), out=v), -a, out=v)
         else:
             np.subtract(t, 2.0 * R, out=v)  # -r
         np.log(np.expm1(t, out=t), out=t)
         t += np.log(np.negative(np.expm1(v, out=v), out=v), out=v)
-        return _segment_log_sums(np.add(np.multiply(t, 0.5 * a, out=t), c, out=t), starts, lens)
+        return _segment_log_sums(np.add(np.multiply(t, 0.5 * a, out=t), c, out=t), starts)
 
     return hits
 
@@ -207,9 +212,9 @@ def replication_stream(seed: int, index: int):
 class Model(NamedTuple):
     """A geometric model as the sampler sees it, each callable taking (R, d) last: the log expected
     hit count; uniforms in [0, 1) to distances t = R + s from the far edge, in (0, 2R) (may overwrite
-    them); and ``hits(R, d)``, the fused kernel for a valid (R, d), whose ``hits(u, v, x, starts, lens)``
-    returns the log total area of the hits at uniforms u in each segment, ``lens[k]`` of them from
-    ``starts[k]``, overwriting u and scratch v and x."""
+    them); and ``hits(R, d)``, the fused kernel for a valid (R, d), whose ``hits(u, starts)`` returns
+    the log total area of the hits at uniforms u in each segment, from ``starts[k]`` to the next start
+    or the end of u, overwriting u.  Segments must not be empty."""
 
     log_mass: Callable[[float, int], float]
     edge_distance: Callable[[np.ndarray, float, int], np.ndarray]
@@ -218,7 +223,7 @@ class Model(NamedTuple):
 
 HYPERBOLIC = Model(
     log_mass=log_hitting_mass,
-    edge_distance=lambda u, R, d: _far_edge(u, np.empty_like(u), np.empty_like(u), R, d),
+    edge_distance=lambda u, R, d: _far_edge(u, np.empty_like(u), R, d),
     hits=_hyperbolic_hits,
 )
 
@@ -233,11 +238,11 @@ def check_feasible(cfg: SimConfig, model: Model = HYPERBOLIC) -> float:
     return log_mass
 
 
-def _segment_log_sums(logs: np.ndarray, starts, lens) -> np.ndarray:
-    """log of the sum of exp(logs) over each segment, ``lens[k]`` values from ``starts[k]``.
-    The logs must be finite; they are overwritten."""
+def _segment_log_sums(logs: np.ndarray, starts) -> np.ndarray:
+    """log of the sum of exp(logs) over each segment, from ``starts[k]`` to the next start or
+    the end.  The logs must be finite; they are overwritten."""
     m = np.maximum.reduceat(logs, starts)
-    logs -= np.repeat(m, lens)
+    logs -= np.repeat(m, np.diff(starts, append=logs.size))
     return m + np.log(np.add.reduceat(np.exp(logs, out=logs), starts))
 
 
@@ -357,44 +362,19 @@ def _sparse_draws(mean: float, keys: np.ndarray, seed: int) -> tuple[np.ndarray,
 def _simulate(cfg: SimConfig, model: Model, indices: range) -> Batch:
     """The shared sampler: replications ``indices`` of ``model``, in order.
 
-    Uniforms fill a hit block, which the model's kernel reduces to one log
-    total per replication when full.  A replication never straddles two blocks,
-    and one larger than a block is reduced alone in ``_CHUNK``-sized pieces:
-    memory stays bounded and each result depends on its own stream only.
-
     Below a mean count of ``_PTRS_MIN_MEAN`` the replications are drawn in
     chunks of at most ``_BLOCK // 16`` by :func:`_sparse_draws`, with no numpy
-    call per replication; from it up each replication draws from its own
-    re-keyed generator."""
+    call per replication, and each chunk's hits are reduced in one kernel call.
+    From it up each replication draws from its own re-keyed generator into a
+    hit block, which the kernel reduces when the next replication would not
+    fit; a replication larger than a block is drawn and reduced alone in
+    ``_CHUNK``-sized pieces, which bounds memory.  Either way each log total
+    is a function of the replication's own hits alone."""
     if indices and not 0 <= indices[0] <= indices[-1] < _SEED_LIMIT:
         raise ValueError("replication index must be a 64-bit unsigned integer")
     mean = math.exp(check_feasible(cfg, model))
     hits = model.hits(cfg.R, cfg.d)
     log_totals = np.full(len(indices), LOG_ZERO)
-
-    def alone(row, pieces):
-        for u in pieces:
-            chunk = hits(u, np.empty_like(u), np.empty_like(u), [0], [u.size])
-            log_totals[row] = np.logaddexp(log_totals[row], chunk[0])
-
-    def reduce(lo, n, u):
-        """The log totals of rows lo, lo + 1, ... from their counts n and their hits, one row
-        after another in u: consecutive rows share a kernel call while their hits fit in a block."""
-        ends = np.cumsum(n)
-        starts, rows, k = ends - n, np.flatnonzero(n), 0
-        while k < rows.size:
-            first = rows[k]
-            if n[first] > _BLOCK:
-                row = u[starts[first]:ends[first]]
-                alone(lo + first, (row[done:done + _CHUNK] for done in range(0, row.size, _CHUNK)))
-                k += 1
-                continue
-            group = rows[k:k + np.searchsorted(ends[rows[k:]], starts[first] + _BLOCK, "right")]
-            a, b = starts[first], ends[group[-1]]
-            log_totals[lo + group] = hits(u[a:b], np.empty(b - a), np.empty(b - a), starts[group] - a, n[group])
-            k += group.size
-        return n
-
     if mean < _PTRS_MIN_MEAN:
         counts = np.empty(len(indices), np.int64)
         # equal chunks of at most _BLOCK // 16 replications, under 10/16 of a block of hits on average
@@ -402,29 +382,34 @@ def _simulate(cfg: SimConfig, model: Model, indices: range) -> Batch:
         bounds = [len(indices) * k // chunks for k in range(chunks + 1)]
         for lo, hi in zip(bounds, bounds[1:]):
             keys = np.arange(indices[lo], indices[hi - 1] + 1, dtype=np.uint64)
-            counts[lo:hi] = reduce(lo, *_sparse_draws(mean, keys, cfg.seed))
+            n, u = _sparse_draws(mean, keys, cfg.seed)
+            counts[lo:hi] = n
+            rows = np.flatnonzero(n)
+            if rows.size:
+                log_totals[lo + rows] = hits(u, (np.cumsum(n) - n)[rows])
     else:
         stream = _replication_streams(cfg.seed)
-        block, v, x = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK)
+        block = np.empty(_BLOCK)
         counts = []
-        rows, starts, lens, pos = [], [], [], 0
+        rows, starts, pos = [], [], 0
         for row, index in enumerate(indices):
             gen = stream(index)
             n = sample_poisson_count(mean, gen)
             counts.append(n)
             if n > _BLOCK:
-                alone(row, (gen.random(min(_CHUNK, n - done)) for done in range(0, n, _CHUNK)))
+                for done in range(0, n, _CHUNK):
+                    piece = hits(gen.random(min(_CHUNK, n - done)), [0])
+                    log_totals[row] = np.logaddexp(log_totals[row], piece[0])
             elif n > 0:
                 if pos + n > _BLOCK:
-                    log_totals[rows] = hits(block[:pos], v[:pos], x[:pos], starts, lens)
-                    rows, starts, lens, pos = [], [], [], 0
+                    log_totals[rows] = hits(block[:pos], starts)
+                    rows, starts, pos = [], [], 0
                 gen.random(out=block[pos:pos + n])  # the slice fixes the size
                 rows.append(row)
                 starts.append(pos)
-                lens.append(n)
                 pos += n
         if rows:
-            log_totals[rows] = hits(block[:pos], v[:pos], x[:pos], starts, lens)
+            log_totals[rows] = hits(block[:pos], starts)
     # math.exp, not np.exp: the two can differ in the last bit; inf past double range, as geometry._exp_or_inf
     huge = ~(log_totals < _LOG_MAX)
     totals = np.array(list(map(math.exp, np.where(huge, 0.0, log_totals).tolist())), dtype=float)

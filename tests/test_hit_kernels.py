@@ -21,7 +21,7 @@ _LAST_U = 1.0 - 2.0**-53
 def _kernel(model, u, R, d):
     """The per-hit log areas: the kernel with one segment per hit."""
     u = np.array(u, dtype=float)
-    return model.hits(R, d)(u, np.empty_like(u), np.empty_like(u), np.arange(u.size), np.ones(u.size, int))
+    return model.hits(R, d)(u, np.arange(u.size))
 
 
 def _exact_t(model, u, R, d):

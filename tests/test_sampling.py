@@ -307,6 +307,9 @@ def test_rekeyed_stream_matches_fresh_stream(seed):
 # (d, R) per model with a mean count near 9.9, just below numpy's switch to PTRS at 10:
 # the sparse draw's counts reach 12 and more and so need several Philox rounds
 _NEAR_PTRS = {"hyperbolic": (2, 2.3), "euclidean": (3, 4.95)}
+# (d, R) per model with a mean count of 10.5, just past the switch: the loop that packs
+# replications into hit blocks and streams a larger one in _CHUNK pieces
+_PAST_PTRS = {"hyperbolic": (2, math.asinh(5.25)), "euclidean": (3, 5.25)}
 # (d, R, replications) per model: zero-hit replications (R = 0.01), sparse
 # replications near numpy's PTRS switch, several replications per hit block,
 # and replications larger than one block
@@ -360,7 +363,7 @@ def _small_blocks(model, cfg, monkeypatch):
 def test_small_blocks_and_chunks_keep_counts_and_determinism(model, monkeypatch):
     # a tiny block and chunk put zero-hit replications, replications filling
     # a block to its boundary and multi-chunk replications into one batch
-    d, R = _NEAR_PTRS[model]
+    (d, R), dense = _NEAR_PTRS[model], _PAST_PTRS[model]
     model = _MODELS[model]
     counts = _small_blocks(model, SimConfig(d=2, R=1.5, replications=300, seed=11), monkeypatch)
     assert 0 in counts and max(counts) > 8
@@ -368,6 +371,12 @@ def test_small_blocks_and_chunks_keep_counts_and_determinism(model, monkeypatch)
     # Philox blocks, and a block of 8 hits makes every replication a sparse chunk of its own
     counts = _small_blocks(model, SimConfig(d=d, R=R, replications=60, seed=12), monkeypatch)
     assert max(counts) >= 12
+    # past it, replications of 1 to 8 hits share blocks of 8 and larger ones stream in
+    # pieces of 4, the last of them shorter unless the count is a multiple of 4
+    counts = _small_blocks(model, SimConfig(*dense, replications=60, seed=13), monkeypatch)
+    packed, streamed = counts[(counts > 0) & (counts <= 8)], counts[counts > 8]
+    assert packed.size >= 10 and streamed.size >= 10
+    assert np.any(streamed % 4)
 
 
 @pytest.mark.parametrize("model", sorted(_BLOCK_CASES))
