@@ -15,10 +15,10 @@ Below a mean count of 10, where numpy draws a Poisson count by multiplying
 uniforms, the sampler computes the Philox-4x64 blocks of many replications at
 once in numpy arrays and repeats numpy's count draw on them, so a sparse
 replication costs no generator call of its own; its counts and uniforms are bit
-for bit those of its own stream, and a chunk of them is reduced in one kernel
-call.  From a mean of 10 up each replication draws from its re-keyed generator
-into a block of ``_BLOCK`` hits, and one larger than a block is drawn and reduced
-in ``_CHUNK`` pieces.
+for bit those of its own stream, and a chunk of up to ``_BLOCK // 4`` of them is
+reduced in one kernel call.  From a mean of 10 up each replication draws from
+its re-keyed generator into a block of ``_BLOCK`` hits, and one larger than a
+block is drawn and reduced in ``_CHUNK`` pieces.
 """
 
 from __future__ import annotations
@@ -62,12 +62,13 @@ _MIN_U = 2.0**-54
 # switches to PTRS rejection from it up
 _PTRS_MIN_MEAN = 10.0
 # Philox-4x64-10 (Salmon et al., SC 2011) as numpy runs it: the round multipliers,
-# as one column for the (c0, c2) pair of counter words, their 32-bit halves, and
-# the key increments
+# as one column for the (c0, c2) pair of counter words, their 32-bit halves, the
+# increment of key word 0, and the ten round values of key word 1 less the seed
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_W0, _PHILOX_W1 = np.array([0x9E3779B97F4A7C15], np.uint64), 0xBB67AE8584CAA73B
+_PHILOX_W0 = np.array([0x9E3779B97F4A7C15], np.uint64)
+_PHILOX_K1 = np.arange(10, dtype=np.uint64)[:, None] * np.uint64(0xBB67AE8584CAA73B)
 # one-element arrays, which a ufunc takes faster than a Python int or a numpy scalar
-_LOW_32, _2_TO_32, _11, _32 = (np.array([c], np.uint64) for c in (0xFFFFFFFF, 1 << 32, 11, 32))
+_LOW_32, _11, _32 = (np.array([c], np.uint64) for c in (0xFFFFFFFF, 11, 32))
 _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW_32, _PHILOX_M >> _32
 
 
@@ -276,35 +277,35 @@ def _philox_doubles(counters: np.ndarray, keys: np.ndarray, seed: int) -> np.nda
     is overwritten.
 
     The counter words are kept as two (2, n) arrays, a = (c0, c2), which a round multiplies, and
-    b = (c1, c3), so one ufunc call serves both multiplications of a round.  Each 64-bit
-    multiply-high is built from 32-bit halves; uint64 array arithmetic wraps, as Philox's does."""
+    b = (c1, c3), so one ufunc call serves both multiplications of a round; the round's new b is
+    the old a's low words reversed, a view, so no word is copied.  Each 64-bit multiply-high is
+    built from 32-bit halves with no carry to fix; uint64 array arithmetic wraps, as Philox's does."""
     n = counters.size
     a, b = np.zeros((2, 2, n), np.uint64)
-    a[0], k0, k1 = counters, keys, int(seed)
+    a[0], k0 = counters, keys
     lo, hi = scratch = np.empty((2, 2, n), np.uint64)  # the returned doubles at the end
-    mid, wrapped = np.empty((2, n), np.uint64), np.empty((2, n), bool)
-    for r in range(10):
+    mid, tmp = np.empty((2, 2, n), np.uint64)
+    for r, k1 in enumerate(_PHILOX_K1 + np.uint64(seed)):
         if r:
             k0 += _PHILOX_W0
-            k1 = (k1 + _PHILOX_W1) % _SEED_LIMIT
         # with a = ah 2^32 + al and M = Mh 2^32 + Ml, the high word of a M is
-        # ah Mh + floor((ah Ml + al Mh + (al Ml >> 32)) / 2^32), whose sum may wrap once
+        # ah Mh + (u1 >> 32) + (u2 >> 32) for u1 = ah Ml + (al Ml >> 32) and
+        # u2 = al Mh + (u1 mod 2^32); neither passes 2^64 - 2^32, so no sum wraps
         np.bitwise_and(a, _LOW_32, out=lo)
         np.right_shift(a, _32, out=hi)
         a *= _PHILOX_M  # the low words
         np.right_shift(np.multiply(lo, _PHILOX_M_LO, out=mid), _32, out=mid)
-        mid += np.multiply(lo, _PHILOX_M_HI, out=lo)
-        mid += np.multiply(hi, _PHILOX_M_LO, out=lo)
-        np.less(mid, lo, out=wrapped)
+        mid += np.multiply(hi, _PHILOX_M_LO, out=tmp)  # u1
+        lo *= _PHILOX_M_HI
+        lo += np.bitwise_and(mid, _LOW_32, out=tmp)  # u2
         hi *= _PHILOX_M_HI
         hi += np.right_shift(mid, _32, out=mid)
-        np.add(hi, _2_TO_32, out=hi, where=wrapped)
+        hi += np.right_shift(lo, _32, out=lo)
         # (c0, c1, c2, c3) <- (hi(c2) ^ c1 ^ k0, lo(c2), hi(c0) ^ c3 ^ k1, lo(c0))
         b ^= hi[::-1]
         b[0] ^= k0
-        b[1] ^= np.array([k1], np.uint64)
-        np.copyto(mid, a[::-1])
-        a, b, mid = b, mid, a
+        b[1] ^= k1
+        a, b = b, a[::-1]
     out = scratch.view(np.float64).reshape(n, 4)
     for word, bits in enumerate((a[0], b[0], a[1], b[1])):
         out[:, word] = np.right_shift(bits, _11, out=bits)
@@ -363,7 +364,7 @@ def _simulate(cfg: SimConfig, model: Model, indices: range) -> Batch:
     """The shared sampler: replications ``indices`` of ``model``, in order.
 
     Below a mean count of ``_PTRS_MIN_MEAN`` the replications are drawn in
-    chunks of at most ``_BLOCK // 16`` by :func:`_sparse_draws`, with no numpy
+    chunks of at most ``_BLOCK // 4`` by :func:`_sparse_draws`, with no numpy
     call per replication, and each chunk's hits are reduced in one kernel call.
     From it up each replication draws from its own re-keyed generator into a
     hit block, which the kernel reduces when the next replication would not
@@ -377,8 +378,10 @@ def _simulate(cfg: SimConfig, model: Model, indices: range) -> Batch:
     log_totals = np.full(len(indices), LOG_ZERO)
     if mean < _PTRS_MIN_MEAN:
         counts = np.empty(len(indices), np.int64)
-        # equal chunks of at most _BLOCK // 16 replications, under 10/16 of a block of hits on average
-        chunks = -(-len(indices) // max(1, _BLOCK // 16))
+        # equal chunks of at most _BLOCK // 4 replications, under 2.5 blocks of hits on average, so
+        # memory stops growing with the batch past one chunk: tracemalloc's peak is 1.6 MB for 5,000
+        # replications at a mean of 4, and 4.3-4.4 MB for 8,192 or 20,000 at a mean of 9.9
+        chunks = -(-len(indices) // max(1, _BLOCK // 4))
         bounds = [len(indices) * k // chunks for k in range(chunks + 1)]
         for lo, hi in zip(bounds, bounds[1:]):
             keys = np.arange(indices[lo], indices[hi - 1] + 1, dtype=np.uint64)

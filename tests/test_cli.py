@@ -289,15 +289,18 @@ def test_out_writes_file(tmp_path, capsys):
 
 # sha256 of the stdout of `simulate ... --seed 20260821`, recorded at a54a275 (rows written
 # through per-row dicts, streams re-keyed from numpy arrays); the cases take several plane hit
-# blocks, the general kernel, and the flat model at about 4 hits per replication.  The last two,
+# blocks, the general kernel, and the flat model at about 4 hits per replication.  The next two,
 # recorded at 37f653b, are rows larger than a block: about 60k hits each, and about 1.98M hits
-# each, drawn and summed in two _CHUNK pieces
+# each, drawn and summed in two _CHUNK pieces.  The last two, recorded at e22c30a, are sparse
+# batches (mean counts 4 and 7.25) of 20,000 replications, which span several sparse chunks
 _SIMULATE_SHA256 = {
     "--d 2 --R 8 --n 64": "a3e9e916d144f7c47c70bc61ff7be7d4c17b90883a014e1195d6e1e64e57428b",
     "--d 3 --R 3 --n 64": "ee587d6ddae13d99d360982b457cce618f9ae6a675a8083a16ac31e4ee317a48",
     "--model euclidean --d 3 --R 2 --n 500": "05fb231e1627165cb84e983f549783879596b94e7d7e29d896084193d295d8a8",
     "--d 2 --R 11 --n 4": "5ef251553c4b5a2d7e6832c14f8e1f27d5dc2e54766c67f140fcfb95a52e3fbd",
     "--d 2 --R 14.5 --n 2": "9bbf5b2ec4dfa38dc98a99365b0c33dbe7d82646dfe3724c13e52207ed59abae",
+    "--model euclidean --d 3 --R 2 --n 20000": "a99c0bdf74a2f2d5853874b43229121c8fc5ed06e9f7df276be84b9b51f37eb0",
+    "--d 2 --R 2 --n 20000": "74575ef5860c115b7232bc2800ae794d1929788decfff185c012b13bcd7b5aeb",
 }
 
 

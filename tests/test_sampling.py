@@ -368,7 +368,7 @@ def test_small_blocks_and_chunks_keep_counts_and_determinism(model, monkeypatch)
     counts = _small_blocks(model, SimConfig(d=2, R=1.5, replications=300, seed=11), monkeypatch)
     assert 0 in counts and max(counts) > 8
     # near numpy's PTRS switch a count of 12 or more is still open after the first three
-    # Philox blocks, and a block of 8 hits makes every replication a sparse chunk of its own
+    # Philox blocks, and a block of 8 hits makes sparse chunks of 2 replications, 30 of them
     counts = _small_blocks(model, SimConfig(d=d, R=R, replications=60, seed=12), monkeypatch)
     assert max(counts) >= 12
     # past it, replications of 1 to 8 hits share blocks of 8 and larger ones stream in
@@ -418,6 +418,22 @@ def test_vectorized_philox_matches_the_replication_stream(seed, index, blocks):
     got = sampling._philox_doubles(np.array(blocks * 2), np.array(keys, dtype=np.uint64), seed)
     for row, (b, key) in enumerate(zip(blocks * 2, keys)):
         assert np.array_equal(got[row], replication_stream(seed, key).random(4 * b)[4 * b - 4:])
+
+
+_EXTREME_WORDS = [0, 2**32 - 1, 0xFFFFFFFF00000000, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", _EXTREME_WORDS)
+def test_vectorized_philox_at_extreme_counter_and_key_words(seed):
+    # words whose 32-bit halves are all ones make the multiply-high's partial sums largest,
+    # where a carry dropped or wrapped would show; each block is numpy's own at counter c - 1
+    counters = [1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    rows = [(c, key) for c in counters for key in _EXTREME_WORDS]
+    got = sampling._philox_doubles(np.array([c for c, _ in rows], dtype=np.uint64),
+                                   np.array([key for _, key in rows], dtype=np.uint64), seed)
+    for row, (c, key) in zip(got, rows):
+        want = np.random.Generator(np.random.Philox(counter=c - 1, key=key + (seed << 64))).random(4)
+        assert np.array_equal(row, want), (c, key)
 
 
 @settings(max_examples=60)
