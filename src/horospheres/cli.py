@@ -15,8 +15,10 @@ error, 74 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import shutil
 import sys
 from datetime import datetime, timezone
 
@@ -231,7 +233,8 @@ def _cmd_simulate(echo, model, d, R, n, seed) -> str:
     e = math.frexp(top)[1] if top > 2.0**200 else 0
     x = np.ldexp(batch.totals, -e)
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = {"mean": (np.mean(x), 1), "variance": (np.var(x, ddof=1) if n >= 2 else None, 2),
+        # from n = 4 up the variance is the k-statistic k2, set below
+        scaled = {"mean": (np.mean(x), 1), "variance": (np.var(x, ddof=1) if 2 <= n < 4 else None, 2),
                   "k4": (None, 4), "mean_stderr": (None, 1), "variance_stderr": (None, 2)}
         if n >= 4:
             _, k2, _, k4 = empirical.k_statistics(x)
@@ -428,14 +431,18 @@ def _params(args, command: str) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse asks for the terminal size in every formatter it makes, once per add_argument
+    # among them; the width is read once here, as HelpFormatter reads it, so --help is unchanged
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = _Parser(
         prog="horospheres",
         description="Simulation and exact analysis of Poisson horosphere processes.",
+        formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", metavar="command")
     for command, params in _PARAMS.items():
-        sub = commands.add_parser(command, help=_COMMANDS[command].__doc__)
+        sub = commands.add_parser(command, help=_COMMANDS[command].__doc__, formatter_class=formatter)
         for key, (parse, _, help) in params.items():
             if help is not None:
                 sub.add_argument(f"--{key.replace('_', '-')}", choices=getattr(parse, "choices", None), help=help)

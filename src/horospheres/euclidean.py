@@ -9,6 +9,7 @@ Wasserstein bound from gamma ratios.  Simulation is
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +33,8 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _LOG_PI = math.log(math.pi)
+_LOG_2PI = math.log(2.0 * math.pi)
+_TWO_PI_E = 2.0 * math.pi * math.e
 
 
 class EuclidBound(NamedTuple):
@@ -56,29 +59,60 @@ def log_section_area(s, R, d):
 
 def variance_closed(R, d) -> float:
     """log of the closed-form variance,
-    pi^(d-1/2) Gamma(d) R^(2d-1) / (Gamma((d+1)/2)^2 Gamma(d+1/2))."""
+    pi^(d-1/2) Gamma(d) R^(2d-1) / (Gamma((d+1)/2)^2 Gamma(d+1/2)).
+
+    Below d = 16 it is the plain sum of the five lgamma and log terms, the more
+    accurate form there.  From d = 16 up, the duplication formula and Stirling's
+    series for lgamma(d + 1/2) leave d log(2 pi e R^2/d) - 3/2 log 2 pi - log R
+    - 1/2 log(d/2) less three small gamma corrections: the terms of size d log d
+    are combined in one log, whose rounding costs about d eps, not eps d log d."""
     d = check_dimension(d, minimum=1)
     R = check_radius(R)
+    if d < 16:
+        return (
+            (d - 0.5) * _LOG_PI
+            + math.lgamma(d)
+            + (2 * d - 1) * math.log(R)
+            - 2.0 * math.lgamma(0.5 * (d + 1))
+            - math.lgamma(d + 0.5)
+        )
     return (
-        (d - 0.5) * _LOG_PI
-        + math.lgamma(d)
-        + (2 * d - 1) * math.log(R)
-        - 2.0 * math.lgamma(0.5 * (d + 1))
-        - math.lgamma(d + 0.5)
+        d * _log_scaled_square(R, d)
+        - 1.5 * _LOG_2PI
+        - math.log(R)
+        - 0.5 * math.log(0.5 * d)
+        - _log_gamma_ratio_excess(float(d))
+        - _log_gamma_ratio_excess(0.5 * d)
+        - _log_gamma_stirling_excess(float(d))
     )
 
 
 def fourth_cumulant_closed(R, d) -> float:
     """log of the closed-form fourth cumulant,
-    pi^(2d-3/2) Gamma(2d-1) R^(4d-3) / (Gamma((d+1)/2)^4 Gamma(2d-1/2))."""
+    pi^(2d-3/2) Gamma(2d-1) R^(4d-3) / (Gamma((d+1)/2)^4 Gamma(2d-1/2)).
+
+    As in :func:`variance_closed`, a plain sum below d = 16; from there the
+    terms of size d log d are the one log 2d log(2 pi e R^2/d), and the rest is
+    O(log d + |log R|)."""
     d = check_dimension(d, minimum=1)
     R = check_radius(R)
+    if d < 16:
+        return (
+            (2 * d - 1.5) * _LOG_PI
+            + math.lgamma(2.0 * d - 1.0)
+            + (4 * d - 3) * math.log(R)
+            - 4.0 * math.lgamma(0.5 * (d + 1))
+            - math.lgamma(2.0 * d - 0.5)
+        )
     return (
-        (2 * d - 1.5) * _LOG_PI
-        + math.lgamma(2.0 * d - 1.0)
-        + (4 * d - 3) * math.log(R)
-        - 4.0 * math.lgamma(0.5 * (d + 1))
-        - math.lgamma(2.0 * d - 0.5)
+        2.0 * d * _log_scaled_square(R, d)
+        - 3.5 * _LOG_PI
+        - 2.0 * _LN2
+        - 3.0 * math.log(R)
+        - 0.5 * math.log(2.0 * d - 1.0)
+        - _log_gamma_ratio_excess(2.0 * d - 1.0)
+        - 2.0 * _log_gamma_ratio_excess(0.5 * d)
+        - 2.0 * _log_gamma_stirling_excess(float(d))
     )
 
 
@@ -114,6 +148,21 @@ def _log_gamma_ratio_excess(y: float) -> float:
         return math.lgamma(y + 0.5) - math.lgamma(y) - 0.5 * math.log(y)
     r = 1.0 / (y * y)
     return (-1 / 8 + r * (1 / 192 + r * (-1 / 640 + r * (17 / 14336 + r * (-31 / 18432 + r * 691 / 180224))))) / y
+
+
+def _log_gamma_stirling_excess(y: float) -> float:
+    """lgamma(y) - ((y - 1/2) log y - y + 1/2 log 2 pi) for y >= 16, from Stirling's series."""
+    r = 1.0 / (y * y)
+    return (1 / 12 + r * (-1 / 360 + r * (1 / 1260 + r * (-1 / 1680 + r * (1 / 1188 + r * -691 / 360360))))) / y
+
+
+def _log_scaled_square(R: float, d: int) -> float:
+    """log(2 pi e R^2/d), one log of a product while R^2 and the product are normal doubles."""
+    r2 = R * R
+    q = r2 * (_TWO_PI_E / d)
+    if sys.float_info.min <= r2 and sys.float_info.min <= q < math.inf:
+        return math.log(q)
+    return 2.0 * math.log(R) + math.log(_TWO_PI_E / d)
 
 
 def wasserstein_bound(R, d) -> EuclidBound:

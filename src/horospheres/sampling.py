@@ -335,13 +335,14 @@ def _sparse_draws(mean: float, keys: np.ndarray, seed: int) -> tuple[np.ndarray,
         block = np.arange(done + 1, done + 1 + rep.size) - np.repeat(np.cumsum(lens) - lens, lens)
         u = _philox_doubles(block, keys[rep], seed)
         done += span
-        # numpy multiplies U_0, U_1, ... into its running product one by one, as accumulate does
-        run = np.empty((open_.size, 4 * span + 1))
-        run[:, 0], run[:, 1:] = prod, u[:open_.size * span].reshape(open_.size, 4 * span)
-        np.multiply.accumulate(run, axis=1, out=run)
-        counts[open_] += np.count_nonzero(run[:, 1:] > limit, axis=1)
-        still = run[:, -1] > limit
-        closed, open_, prod = open_[~still], open_[still], run[still, -1]
+        # numpy multiplies U_0, U_1, ... into its running product one by one, as accumulate does;
+        # one column per replication, so the accumulate and the count run along the long axis
+        run = np.empty((4 * span + 1, open_.size))
+        run[0], run[1:] = prod, u[:open_.size * span].reshape(open_.size, 4 * span).T
+        np.multiply.accumulate(run, axis=0, out=run)
+        counts[open_] += np.count_nonzero(run[1:] > limit, axis=0)
+        still = run[-1] > limit
+        closed, open_, prod = open_[~still], open_[still], run[-1, still]
         need = counts[closed] // 2 + 1 - done
         closed, need = closed[need > 0], need[need > 0]
         # a block holds hits once 4 block > N + 1; an open replication's count exceeds them all

@@ -1,8 +1,11 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import math
+import os
+import shutil
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from horospheres import analysis, euclidean, sampling
-from horospheres.cli import main
+from horospheres.cli import build_parser, main
 from horospheres.quadrature import QuadratureError
 
 _SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "horospheres" / "schemas"
@@ -292,9 +295,11 @@ def test_out_writes_file(tmp_path, capsys):
 # blocks, the general kernel, and the flat model at about 4 hits per replication.  The next two,
 # recorded at 37f653b, are rows larger than a block: about 60k hits each, and about 1.98M hits
 # each, drawn and summed in two _CHUNK pieces.  The last two, recorded at e22c30a, are sparse
-# batches (mean counts 4 and 7.25) of 20,000 replications, which span several sparse chunks
+# batches (mean counts 4 and 7.25) of 20,000 replications, which span several sparse chunks.
+# The first was re-recorded when the k-statistics took z^3 and z^4 as products, not by pow: its
+# summary's k4 moved by 4.9e-16 and variance_stderr by 1.5e-16 relative, every row unchanged
 _SIMULATE_SHA256 = {
-    "--d 2 --R 8 --n 64": "a3e9e916d144f7c47c70bc61ff7be7d4c17b90883a014e1195d6e1e64e57428b",
+    "--d 2 --R 8 --n 64": "ff626838b6b4b78794e4aa8209c5e909cf6183fe806b95e467edc66c9a0dd476",
     "--d 3 --R 3 --n 64": "ee587d6ddae13d99d360982b457cce618f9ae6a675a8083a16ac31e4ee317a48",
     "--model euclidean --d 3 --R 2 --n 500": "05fb231e1627165cb84e983f549783879596b94e7d7e29d896084193d295d8a8",
     "--d 2 --R 11 --n 4": "5ef251553c4b5a2d7e6832c14f8e1f27d5dc2e54766c67f140fcfb95a52e3fbd",
@@ -327,7 +332,9 @@ _REFERENCE_GRID = ["--d-grid", ",".join(str(100 * k) for k in range(1, 101)), "-
 # scales by up to 4.5e-16, each changed log i2 within 1.8e-16 per unit of an exact finite sum.
 # The euclidean bounds hash was re-recorded when the gamma ratios came from their asymptotic
 # series past 16, which moved all 200 cells by up to 4.2e-11 relative, each closer to a 60-digit
-# mpmath value and now within 3.2 ulps of it; the large-d grid was recorded then, within 2.6 ulps
+# mpmath value and now within 3.2 ulps of it; the large-d grid was recorded then, within 2.6 ulps.
+# The verify-clt hash was re-recorded when the k-statistics took z^3 and z^4 as products, which
+# moved two excess_kurtosis values by up to 3.9e-15 relative
 _COMMAND_SHA256 = {
     "bounds": (["bounds", *_REFERENCE_GRID],
                "42162241831452d5b3c004240c3c7d41b40bf63814580ca84f012bd5d000b364"),
@@ -349,7 +356,7 @@ _COMMAND_SHA256 = {
     "moments-euclidean": ("moments --model euclidean --d 3 --R 3".split(),
                           "368bbba8e30311e4751f9b588768f0dad19612d9da9cf7f290b333c4c33b3aa8"),
     "verify-clt": ("verify-clt --d 2 --R-list 2,4,8 --n 2000 --seed 20260821".split(),
-                   "6a9cd9ebdda6a643f0447b4dc483a1545c0671b1c76a43a0b77c918792082407"),
+                   "9daa4bea513937076589c7382319ca1d1fcb212b929b51fc424fac32db05e706"),
 }
 
 
@@ -359,6 +366,46 @@ def test_command_bytes_are_pinned(name):
     code, out, err = _captured(argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_build_parser_reads_the_terminal_size_once(monkeypatch):
+    # argparse would ask in every formatter it makes, 49 times for this parser
+    calls = []
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or os.terminal_size((80, 24)))
+    parser = build_parser()
+    assert len(calls) == 1
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == ["simulate", "moments", "bounds", "verify-clt", "render", "width-table"]
+
+
+# sha256 of the --help text of the top level and of each command at two widths, recorded at
+# 1ddad00, when argparse still read the terminal width once per formatter
+_HELP_SHA256 = {
+    ("", "80"): "8fdd6228cb0eb4f0077b46b5d964cfc7f9c83e2cd94dc170240915b294fedec9",
+    ("simulate", "80"): "dafc4276b32cca1b205ae69d6b96d944fd075442d727a280dbf1f8aadc6f0398",
+    ("moments", "80"): "87b2b0ec8ab1c04defa9c2cacb358293840b6bbbd145491d9a84b02bf1b92149",
+    ("bounds", "80"): "73e3807c5fb82772a10b5e42e5166a75d4b20280ffac49518447301f83b18dd7",
+    ("verify-clt", "80"): "17400ff604718f2af99ef3f55318160e8b56413de36d6f92761eaf256fa90791",
+    ("render", "80"): "2fba668981a1fa9f85f95b704e3e68957d59360ad00114405ac7ea4a1b08f01b",
+    ("width-table", "80"): "6382505f075bc3a892cf8ef87999558c6fb194e6fd57e9a62503a208feb6f6d9",
+    ("", "200"): "8fdd6228cb0eb4f0077b46b5d964cfc7f9c83e2cd94dc170240915b294fedec9",
+    ("simulate", "200"): "e483ee5a03c5898a63f741745b6a3bbc1cfbf4bc404b64df7eef950744fcf1bd",
+    ("moments", "200"): "0b2bd6759cbfbcc62589b83be4a8176fd6b81dc70fc83cd4e7bf028131c46bed",
+    ("bounds", "200"): "2494d75f678ee620e01570751542737b8ae6c41a6379520c1a76625ecdbfb2ab",
+    ("verify-clt", "200"): "c9b82ea0bbcc710fb3a099b90c1f1cf2622db93f1ad9de1d403e027059a1e419",
+    ("render", "200"): "9f2bc2b325023ed39cca2c8857aa40cb30986467d16740d5a6f39c270759de53",
+    ("width-table", "200"): "bde53c694e2a08ce00c36d5f88d321fb8236caa569b149c13d82187760bf6a20",
+}
+
+
+@pytest.mark.parametrize("command, columns", sorted(_HELP_SHA256))
+def test_help_bytes_are_pinned(command, columns, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", columns)
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"] if command else ["--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _HELP_SHA256[command, columns]
 
 
 def test_quadrature_failure_exits_3(capsys, monkeypatch):

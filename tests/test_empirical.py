@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -159,6 +160,75 @@ def test_k_statistics_match_scipy():
     assert k2 == pytest.approx(scipy.stats.kstat(x, 2), rel=1e-10)
     assert k3 == pytest.approx(scipy.stats.kstat(x, 3), rel=1e-8)
     assert k4 == pytest.approx(scipy.stats.kstat(x, 4), rel=1e-7, abs=1e-8)
+
+
+# rounding allowance per unit of a power sum's size: numpy's pairwise sum bounds its own rounding
+# by about (16 + log2(n / 128)) u, and the products and the k-statistic formulas add a few u more
+_K_ROUNDING = 32 * 2.0**-53
+
+
+def _k_statistic_errors(x: np.ndarray) -> tuple[float, float]:
+    """The errors of k_statistics' k2 and k4 on the float sample x, each as a fraction of its margin.
+
+    The exact values come from integer power sums: every x_i is X_i / D for one power of two D, so
+    x_i - m = W_i / (n D) with W_i = n X_i - sum X.  The computed sums are taken about the float
+    mean k1, a distance delta from m, and rounded, so the power sum of order p is off by at most
+    sum (|w_i| + delta)^p - sum |w_i|^p, from the shift, plus _K_ROUNDING sum (|w_i| + delta)^p."""
+    n = x.size
+    k1, k2, _, k4 = k_statistics(x)
+    ratios = [Fraction(float(v)).as_integer_ratio() for v in x]
+    D = max(den for _, den in ratios)
+    X = [num * (D // den) for num, den in ratios]
+    total, scale = sum(X), n * D
+    W = [n * v - total for v in X]
+    shift = math.ceil(abs(Fraction(k1) * scale - total))  # n D delta, rounded up
+    assert abs(Fraction(k1) - Fraction(total, scale)) <= _K_ROUNDING * Fraction(sum(map(abs, X)), scale)
+
+    def power_sum(p):  # exact sum w^p and the bound on the computed one's error
+        exact = Fraction(sum(w**p for w in W), scale**p)
+        size = Fraction(sum((abs(w) + shift) ** p for w in W), scale**p)
+        return exact, size - Fraction(sum(abs(w) ** p for w in W), scale**p) + Fraction(_K_ROUNDING) * size, size
+
+    s2, e2, b2 = power_sum(2)
+    s4, e4, _ = power_sum(4)
+    want2 = s2 / (n - 1)
+    den = Fraction((n - 1) * (n - 2) * (n - 3))
+    want4 = (n * (n + 1) * s4 - 3 * (n - 1) * s2 * s2) / den
+    margin2 = e2 / (n - 1)
+    margin4 = (n * (n + 1) * e4 + 3 * (n - 1) * e2 * (2 * b2 + e2)) / den
+    return (float(abs(Fraction(k2) - want2) / margin2) if margin2 else 0.0,
+            float(abs(Fraction(k4) - want4) / margin4) if margin4 else 0.0)
+
+
+_FINITE = st.floats(-1e50, 1e50, allow_nan=False, allow_infinity=False)
+
+
+@given(x=st.lists(_FINITE, min_size=4, max_size=200))
+def test_k_statistics_against_exact_power_sums(x):
+    # any finite sample, values spread over 100 decades and repeated ones included
+    assert max(_k_statistic_errors(np.array(x))) <= 1.0
+
+
+@given(n=st.integers(4, 2000), location=st.floats(-1e9, 1e9), spread=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32))
+def test_k_statistics_exact_with_the_mean_far_above_the_spread(n, location, spread, seed):
+    x = location + spread * replication_stream(seed, 0).standard_normal(n)
+    assert max(_k_statistic_errors(x)) <= 1.0
+
+
+@given(n=st.integers(4, 2000), df=st.sampled_from([1.0, 2.0, 3.0]), seed=st.integers(0, 2**32))
+def test_k_statistics_exact_on_heavy_tails(n, df, seed):
+    # Student t samples: Cauchy at df = 1, and no finite fourth moment at any of these
+    x = replication_stream(seed, 1).standard_t(df, n)
+    assert max(_k_statistic_errors(x)) <= 1.0
+
+
+def test_k_statistics_exact_on_a_flat_sparse_sample():
+    # the 5,000 totals of the flat_sparse benchmark command, as `simulate` summarizes them
+    from horospheres.euclidean import FLAT
+    from horospheres.sampling import SimConfig, simulate_batch
+
+    totals = simulate_batch(SimConfig(d=3, R=2.0, replications=5000, seed=20260821), FLAT).totals
+    assert max(_k_statistic_errors(totals)) <= 1.0
 
 
 def test_k_statistics_needs_four_points():

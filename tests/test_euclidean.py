@@ -142,28 +142,33 @@ _EPS = math.ulp(1.0)
 
 
 def test_gamma_closed_forms_agree_with_mpmath():
-    # log_unit_ball_volume, variance_closed and fourth_cumulant_closed sum five math.lgamma and log
-    # terms with arguments up to 2 10^15, each rounded to its own ulp, so the error bound is in eps
-    # per unit of the summed sizes S = sum |term|, about 3 d log d: 3 eps max(1, S), measured worst
-    # 1.14 eps S (at d = 2).  A bound per unit of the result alone cannot hold, since the sums cross
-    # 0: variance_closed(3, d) is 0.56 at d = 147 and is off by 1.8e-13 of that.  At d = 10^15 the
-    # allowance is 67 to 140 in logs of size 3e16 to 7e16 (2e-15 of them); the measured errors there
-    # are 1.2 to 5.4, the ulp of such terms being 4 to 8.
+    # Each value is held to 3 eps max(1, S), S = sum |term| over the five lgamma and log terms of the
+    # plain sum (two for log_unit_ball_volume), about 3 d log d: each term is rounded to its own ulp.
+    # A bound per unit of the result alone cannot hold, since the sums cross 0.  From d = 16 up,
+    # variance_closed and fourth_cumulant_closed form their terms of size d log d as one log,
+    # d log(2 pi e R^2/d), whose argument carries a few roundings, so they are also held to
+    # 6 eps (d + |log V|), the second part being the ulp of the result; below d = 16 they are the
+    # plain sum and meet that bound too.  Measured worst: 0.69 of the first bound (d = 55,
+    # R = 1e-300) and 3.6 eps (d + |log V|) (d = 13, R = 1); from d = 16 up 2.5.  The plain sum
+    # reaches 45 eps (d + |log V|) at d = 10^15, where the fourth cumulant is O(1),
+    # R = sqrt(d/(2 pi e)).  Checked at R in (0.5, 1, 3), at that R, and at 1e-300 and 1e200,
+    # where R^2 is out of double range.
     mp = pytest.importorskip("mpmath")
     half = mp.mpf(1) / 2
     with mp.workdps(60):
         for d in [*range(0, 200), 1000, 10**4, 10**6, 10**9, 10**12, 10**15]:
-            checks = [(log_unit_ball_volume(d), [d * half * mp.log(mp.pi), -mp.loggamma(half * d + 1)])]
-            for R in (0.5, 1.0, 3.0) if d else ():
+            terms = [d * half * mp.log(mp.pi), -mp.loggamma(half * d + 1)]
+            assert abs(log_unit_ball_volume(d) - mp.fsum(terms)) <= 3 * _EPS * max(1, sum(map(abs, terms))), d
+            for R in (0.5, 1.0, 3.0, math.sqrt(d / (2 * math.pi * math.e)), 1e-300, 1e200) if d else ():
                 log_r = mp.log(R)
-                checks.append((variance_closed(R, d), [
-                    (d - half) * mp.log(mp.pi), mp.loggamma(d), (2 * d - 1) * log_r,
-                    -2 * mp.loggamma(half * (d + 1)), -mp.loggamma(d + half)]))
-                checks.append((fourth_cumulant_closed(R, d), [
-                    (2 * d - 3 * half) * mp.log(mp.pi), mp.loggamma(2 * d - 1), (4 * d - 3) * log_r,
-                    -4 * mp.loggamma(half * (d + 1)), -mp.loggamma(2 * d - half)]))
-            for got, terms in checks:
-                assert abs(got - mp.fsum(terms)) <= 3 * _EPS * max(1, sum(map(abs, terms))), d
+                variance = [(d - half) * mp.log(mp.pi), mp.loggamma(d), (2 * d - 1) * log_r,
+                            -2 * mp.loggamma(half * (d + 1)), -mp.loggamma(d + half)]
+                cumulant = [(2 * d - 3 * half) * mp.log(mp.pi), mp.loggamma(2 * d - 1), (4 * d - 3) * log_r,
+                            -4 * mp.loggamma(half * (d + 1)), -mp.loggamma(2 * d - half)]
+                for got, terms in ((variance_closed(R, d), variance), (fourth_cumulant_closed(R, d), cumulant)):
+                    want = mp.fsum(terms)
+                    assert abs(got - want) <= 3 * _EPS * max(1, sum(map(abs, terms))), (d, R)
+                    assert abs(got - want) <= 6 * _EPS * (d + abs(want)), (d, R)
 
 
 def test_simulate_deterministic_and_batch_invariant():

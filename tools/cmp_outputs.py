@@ -5,8 +5,10 @@
 Exports the parent revision with ``git archive`` into a temporary directory, as
 ``bench_pairs.py`` does, and runs a fixed list of commands on both sides under
 ``python -W error -m horospheres``: the perfbench reference commands, the
-acceptance ``verify-clt``, and the pinned outputs and failure paths of
-``tests/test_cli.py`` (read from the working tree).  Both sides run in the same
+acceptance ``verify-clt``, and the pinned outputs, ``--help`` texts and failure
+paths of ``tests/test_cli.py`` (read from the working tree).  Every command runs
+with ``COLUMNS`` set, 80 unless its table names a width, so ``--help`` does not
+depend on the terminal the script runs in.  Both sides run in the same
 temporary directory with the same config files, so the stderr lines that name a
 path match.  Prints one line per command and each difference in exit code,
 stdout sha256 or stderr, and exits 1 if there is any.  Standard library only.
@@ -27,7 +29,8 @@ from bench_pairs import ROOT, export
 
 # the seed every pinned simulate output is recorded under (tests/test_cli.py)
 _PINNED_SEED = "20260821"
-_TABLES = ("_REFERENCE_GRID", "_SIMULATE_SHA256", "_COMMAND_SHA256", "_FAILURES")
+_TABLES = ("_REFERENCE_GRID", "_SIMULATE_SHA256", "_COMMAND_SHA256", "_HELP_SHA256", "_FAILURES")
+_COLUMNS = "80"
 
 
 def _test_tables(path: Path) -> dict:
@@ -43,8 +46,9 @@ def _test_tables(path: Path) -> dict:
     return tables
 
 
-def commands() -> list[tuple[str, list[str], str | None]]:
-    """(name, argv, config file text or None) of every compared command; "{cfg}" in argv is the config path."""
+def commands() -> list[tuple[str, list[str], str | None, str]]:
+    """(name, argv, config file text or None, COLUMNS) of every compared command; "{cfg}" in argv is
+    the config path."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
@@ -55,13 +59,16 @@ def commands() -> list[tuple[str, list[str], str | None]]:
             for flags in tables["_SIMULATE_SHA256"]]
     out += [(f"pinned {name}", argv, None) for name, (argv, _) in tables["_COMMAND_SHA256"].items()]
     out += [(f"failure {name}", argv, config) for name, (argv, config, _, _) in tables["_FAILURES"].items()]
+    out = [(*entry, _COLUMNS) for entry in out]
+    out += [(f"help {command or 'top level'} at {columns} columns", [command, "--help"] if command else ["--help"],
+             None, columns) for command, columns in tables["_HELP_SHA256"]]
     return out
 
 
-def run(checkout: Path, argv: list[str], cwd: Path) -> tuple[int, str, str]:
+def run(checkout: Path, argv: list[str], cwd: Path, columns: str) -> tuple[int, str, str]:
     """Exit code, stdout sha256 and stderr of one command against ``checkout``'s source."""
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONHOME")}
-    env["PYTHONPATH"] = str(checkout / "src")
+    env.update(PYTHONPATH=str(checkout / "src"), COLUMNS=columns)
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "horospheres", *argv],
                           cwd=cwd, env=env, capture_output=True)
     return proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), proc.stderr.decode(errors="replace")
@@ -80,11 +87,11 @@ def main(argv=None) -> int:
         cfg = cwd / "run.cfg"
         todo = commands()
         print(f"parent {commit}, working tree {ROOT}: {len(todo)} commands")
-        for name, command, config in todo:
+        for name, command, config, columns in todo:
             if config is not None:
                 cfg.write_text(config, encoding="utf-8")
             command = [arg.replace("{cfg}", str(cfg)) for arg in command]
-            before, after = run(parent_dir, command, cwd), run(ROOT, command, cwd)
+            before, after = run(parent_dir, command, cwd, columns), run(ROOT, command, cwd, columns)
             problems = [f"  {what}: {b!r} -> {a!r}"
                         for what, b, a in zip(("exit code", "stdout sha256", "stderr"), before, after) if b != a]
             differ += bool(problems)
