@@ -206,18 +206,24 @@ def _grid_logs(points, kinds):
         yield [logs[index][p] for index in range(len(kinds))]
 
 
-def _log_variance_integral(R, d, log_w):
-    """log i2 from the log width: i2 = (cosh R - 1)^(d-1) w, with cosh R - 1 = 2 sinh^2(R/2)."""
-    return log_w + (d - 1) * (_LN2 + 2.0 * log_sinh(0.5 * R))
+def _log_sinh_halves(points) -> list[float]:
+    """log sinh(R/2) at every (R, d) point, from one array call."""
+    return log_sinh(0.5 * np.array([R for R, _ in points])).tolist()
 
 
-def _integral_set(R, d, logs) -> IntegralSet:
+def _log_variance_integral(d, log_w, log_sinh_half):
+    """log i2 from the log width and log sinh(R/2): i2 = (cosh R - 1)^(d-1) w, with
+    cosh R - 1 = 2 sinh^2(R/2)."""
+    return log_w + (d - 1) * (_LN2 + 2.0 * log_sinh_half)
+
+
+def _integral_set(R, d, logs, log_sinh_half) -> IntegralSet:
     log_i1, log_i4, log_w = logs
     return IntegralSet(
         R=R,
         d=d,
         log_mean_integral=log_i1,
-        log_variance_integral=_log_variance_integral(R, d, log_w),
+        log_variance_integral=_log_variance_integral(d, log_w, log_sinh_half),
         log_cum4_integral=log_i4,
         width=math.exp(log_w),
     )
@@ -239,7 +245,7 @@ def integrals(R, d) -> IntegralSet:
     """The three one-sided moment integrals and the effective width at (R, d)."""
     points = _checked_points([R], [d])
     [logs] = _grid_logs(points, _INTEGRALS)
-    return _integral_set(*points[0], logs)
+    return _integral_set(*points[0], logs, *_log_sinh_halves(points))
 
 
 def moments(R, d) -> MomentSummary:
@@ -257,26 +263,29 @@ def moments_grid(radii, d_grid) -> list[MomentSummary]:
     the one-point result, from one batched engine call."""
     points = _checked_points(radii, d_grid)
     summaries = []
-    for (R, d), (log_i1, log_i4, log_w, log_v) in zip(points, _grid_logs(points, _MOMENTS)):
+    for (R, d), (log_i1, log_i4, log_w, log_v), log_sinh_half in zip(
+        points, _grid_logs(points, _MOMENTS), _log_sinh_halves(points)
+    ):
         c = log_area_coefficient(d)
-        log_mean, log_variance = _log_mean_variance(R, d, log_w, log_v)
+        log_mean, log_variance = _log_mean_variance(d, log_w, log_v, log_sinh_half)
         summaries.append(MomentSummary(R, d, log_mean, c + log_i1, log_variance, 4.0 * c + log_i4, math.exp(log_w)))
     return summaries
 
 
-def _log_mean_variance(R, d, log_w, log_v):
-    """log mean and log variance of the total cap area from the log width and the log
-    of the ball-volume integral."""
+def _log_mean_variance(d, log_w, log_v, log_sinh_half):
+    """log mean and log variance of the total cap area from the log width, the log
+    of the ball-volume integral and log sinh(R/2)."""
     return (math.log(d) + log_unit_ball_volume(d) + log_v,
-            _LN2 + 2.0 * log_area_coefficient(d) + _log_variance_integral(R, d, log_w))
+            _LN2 + 2.0 * log_area_coefficient(d) + _log_variance_integral(d, log_w, log_sinh_half))
 
 
 def _clt_grid(radii, d_grid) -> list[tuple[float, float, float]]:
     """(log mean, log variance, width) at every point, bit for bit those of
     :func:`moments_grid`, from the width and mean trees alone."""
     points = _checked_points(radii, d_grid)
-    return [(*_log_mean_variance(R, d, log_w, log_v), math.exp(log_w))
-            for (R, d), (log_w, log_v) in zip(points, _grid_logs(points, _CLT))]
+    return [(*_log_mean_variance(d, log_w, log_v, log_sinh_half), math.exp(log_w))
+            for (_, d), (log_w, log_v), log_sinh_half
+            in zip(points, _grid_logs(points, _CLT), _log_sinh_halves(points))]
 
 
 def variance_direct(R, d) -> float:
@@ -449,7 +458,7 @@ def rate_envelopes(radii, d_grid) -> list[BoundReport]:
     points = _checked_points(radii, d_grid)
     grid = _grid_logs(points, _INTEGRALS)
     reports = []
-    for R, d in points:
+    for (R, d), log_sinh_half in zip(points, _log_sinh_halves(points)):
         gap = R - math.log(d)
         boundary = abs(gap - _GAP_THRESHOLD) <= 1e-9
         if gap <= _GAP_THRESHOLD:
@@ -461,7 +470,7 @@ def rate_envelopes(radii, d_grid) -> list[BoundReport]:
         else:
             regime = Regime.HIGH_DIM_UNBOUNDED
             envelope = 1.0 / (math.sqrt(d) * gap) + 1.0 / (d * math.sqrt(gap))
-        ints = _integral_set(R, d, next(grid))
+        ints = _integral_set(R, d, next(grid), log_sinh_half)
         wb_width = wasserstein_bound_width(R, d, width=ints.width)
         wb_ints = wasserstein_bound_integrals(R, d, integral_set=ints)
         reports.append(

@@ -1,22 +1,26 @@
-"""Adaptive Gauss-Legendre quadrature carried out entirely in the log domain.
+"""Adaptive Gauss-Legendre quadrature of exp(g) for a log-integrand g, returned as a log.
 
-The engine integrates exp(g) for a user-supplied log-integrand g without ever
-leaving log space, so integrands spanning thousands of orders of magnitude are
-handled in ordinary double precision.  Panels are refined breadth-first; a
-panel is accepted when bisecting it moves the log of its value by no more than
-the requested tolerance, or when its estimated absolute error is negligible
-against the running whole-interval estimate.
+Integrands spanning thousands of orders of magnitude are handled in ordinary
+double precision: each tree adds up exp(g - shift) in plain linear sums, its
+shift the largest value of g its nodes have met, and rescales its sums once
+whenever a later level meets a larger one.  A node more than about 745 below
+that maximum underflows to 0, less than e^-745 of the integral.  The result is
+shift + log(total), one scalar log per tree.  Panels are refined breadth-first;
+a panel is accepted when bisecting it moves its value by no more than the
+relative tolerance, taken no finer than |shift| eps, where the log result
+rounds, or when its estimated error is negligible against the running
+whole-interval estimate.
 
 There is one engine, :func:`quad_log_integrals`, and it runs many independent
 adaptive trees in lockstep, one tree per interval.  Each refinement level
 evaluates the pending panels of all trees in one ``log_f(x, tree)`` call on a
 (k, 15) node array, in blocks of _PANEL_BLOCK panels only past that cap, and
-reduces the panels row by row in numpy.  Each tree keeps its own panel set,
-acceptance tests, depth cap and panel budget, so its result is the same, bit
-for bit, whichever trees share its batch.  It returns ``(logs, failures)``: a
-failed tree reads NaN and its error is kept apart, so the caller decides which
-failure to raise.  :func:`quad_log_integral` is the engine run on one tree,
-raising that tree's failure.
+reduces the panels row by row in numpy.  Each tree keeps its own shift, panel
+set, acceptance tests, depth cap and panel budget, so its result is the same,
+bit for bit, whichever trees share its batch.  It returns ``(logs, failures)``:
+a failed tree reads NaN and its error is kept apart, so the caller decides
+which failure to raise.  :func:`quad_log_integral` is the engine run on one
+tree, raising that tree's failure.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ __all__ = ["LOG_ZERO", "QuadratureError", "quad_log_integral", "quad_log_integra
 LOG_ZERO = float("-inf")
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
-_LOG_WEIGHTS = np.log(_WEIGHTS)
 
 _DEPTH_CAP = 40
 _PANEL_BUDGET = 50_000
@@ -40,14 +43,9 @@ _PANEL_BUDGET = 50_000
 # number of shortcut panels.
 _BUDGET_SHARE = 256.0
 _PANEL_BLOCK = 2048
+_EPS = float(np.finfo(float).eps)
 
 _NON_FINITE = "log-integrand produced a non-finite value"
-
-# math.log applied elementwise.  numpy's vectorized log differs from the C
-# library's in the last bit for a few inputs in 10^5; taking every log of a
-# sum, width or difference from the C library keeps results equal to those of
-# a scalar evaluation with math.log.
-_C_LOG = np.frompyfunc(math.log, 1, 1)
 
 
 class QuadratureError(RuntimeError):
@@ -63,63 +61,58 @@ class QuadratureError(RuntimeError):
         self.previous = previous
 
 
-def _log(x) -> np.ndarray:
-    return _C_LOG(x).astype(float)
+def _log_sum(shift: float, total: float) -> float:
+    """log(e^shift total) for a tree's linear sum ``total`` taken relative to its shift."""
+    return float(shift) + math.log(total) if total > 0 else LOG_ZERO
 
 
-def _segment_logsumexp(values, starts) -> np.ndarray:
-    """log-sum-exp of each segment ``values[starts[i]:starts[i + 1]]``.
-
-    Each segment is summed as ``np.sum`` sums a 1-D array of its own, so its
-    result does not depend on its neighbours.  No value may be NaN or +inf.
-    """
-    peak = np.maximum.reduceat(values, starts)
-    empty = peak == LOG_ZERO
-    shift = np.repeat(np.where(empty, 0.0, peak), np.diff(starts, append=values.size))
-    terms = np.exp(values - shift)
+def _tree_sums(values, tree):
+    """The trees in ``tree``, grouped in ascending order, and the sum of each one's
+    ``values``, added as ``np.sum`` adds a 1-D array of them alone."""
+    starts = np.flatnonzero(np.diff(tree, prepend=-1))
     # np.sum adds the elements to a zero start, reduceat to the first element;
     # a leading zero in every segment makes both associate the same way
-    sums = np.add.reduceat(np.insert(terms, starts, 0.0), starts + np.arange(starts.size))
-    out = np.full(peak.shape, LOG_ZERO)
-    out[~empty] = peak[~empty] + _log(sums[~empty])
-    return out
+    return tree[starts], np.add.reduceat(np.insert(values, starts, 0.0), starts + np.arange(starts.size))
 
 
-def _panels(log_f, lo, hi, tree):
-    """Log of the 15-point Gauss-Legendre estimate on each panel [lo, hi],
-    and a flag for the panels whose log-integrand was NaN or +inf.
+def _panels(log_f, lo, hi, tree, shift):
+    """The 15-point Gauss-Legendre estimate of the integral of exp(log_f - shift[tree])
+    on each panel [lo, hi], and the trees whose log-integrand was NaN or +inf.
 
-    One ``log_f`` call takes a level of up to _PANEL_BLOCK panels; a larger
-    level is cut into blocks of that size, which bounds the memory of the
+    Each tree's shift is first raised, in place, to the largest log-integrand
+    value among its nodes; a shift still at -inf sums zeros.  One ``log_f``
+    call takes a level of up to _PANEL_BLOCK panels; a larger level is cut into
+    blocks of that size, which bounds the memory of the integrand's
     temporaries.  The cut changes no bit: a panel's values come from its row.
     """
-    out = np.empty(lo.size)
-    bad = np.empty(lo.size, dtype=bool)
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    values = np.empty((lo.size, _NODES.size))
     for start in range(0, lo.size, _PANEL_BLOCK):
         block = slice(start, start + _PANEL_BLOCK)
-        out[block], bad[block] = _panel_block(log_f, lo[block], hi[block], tree[block])
-    return out, bad
-
-
-def _panel_block(log_f, lo, hi, tree):
-    half = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
-    vals = np.asarray(log_f(x, tree), dtype=float)
-    if vals.shape != x.shape:
-        raise ValueError("log-integrand must map a node array to an equal-shaped array")
-    # the terms take over the spent node array, freed once the live rows are copied
-    terms = np.add(vals, _LOG_WEIGHTS, out=x)
-    del vals, x
-    peak = terms.max(axis=1)
+        x = mid[block, None] + half[block, None] * _NODES
+        out = np.asarray(log_f(x, tree[block]), dtype=float)
+        if out.shape != x.shape:
+            raise ValueError("log-integrand must map a node array to an equal-shaped array")
+        values[block] = out
+    # a tree's rows are contiguous, so its maximum is one reduction over them;
+    # NaN and +inf carry through it
+    starts = np.flatnonzero(np.diff(tree, prepend=-1))
+    present = tree[starts]
+    peak = np.maximum.reduceat(values.ravel(), starts * _NODES.size)
     bad = np.isnan(peak) | (peak == math.inf)
-    out = np.where(bad, math.nan, LOG_ZERO)
+    if bad.any():
+        # a failed tree is dropped; zeros keep its shift and sums finite meanwhile
+        values[np.repeat(bad, np.diff(starts, append=tree.size))] = LOG_ZERO
+        peak[bad] = LOG_ZERO
+    shift[present] = np.maximum(shift[present], peak)
+    base = shift[tree]
+    base[base == LOG_ZERO] = 0.0
     # a row sum along the last axis adds as np.sum of that row alone does
-    live = np.flatnonzero(peak > LOG_ZERO)
-    terms = terms[live]
-    terms -= peak[live, None]
-    sums = np.exp(terms, out=terms).sum(axis=1)
-    out[live] = peak[live] + _log(sums) + _log(half[live])
-    return out, bad
+    values -= base[:, None]
+    np.exp(values, out=values)
+    values *= _WEIGHTS
+    return half * values.sum(axis=1), present[bad]
 
 
 def quad_log_integrals(log_f, a, b, rel_tol: float = 1e-10) -> tuple[np.ndarray, dict]:
@@ -166,20 +159,23 @@ def quad_log_integrals(log_f, a, b, rel_tol: float = 1e-10) -> tuple[np.ndarray,
         fail(tree, lambda t: ValueError(f"rel_tol must be positive, got {rel_tol!r}"))
         return result, failures
     tol = max(float(rel_tol), 1e-14)
-    log_tol = math.log(tol)
 
-    # Pending panels, grouped by tree and in interval order within a tree,
-    # carry their own coarse estimate; refinement replaces a panel by its two
-    # halves, whose coarse estimates were just computed.
+    # Every sum of a tree is taken relative to e^shift[tree], its largest
+    # log-integrand value so far.  Pending panels, grouped by tree and in
+    # interval order within a tree, carry their own coarse estimate;
+    # refinement replaces a panel by its two halves, whose coarse estimates
+    # were just computed.
+    shift = np.full(n, LOG_ZERO)
     lo, hi = a[tree], b[tree]
-    whole, bad = _panels(log_f, lo, hi, tree)
-    fail(tree[bad], lambda t: ValueError(_NON_FINITE))
+    whole, bad = _panels(log_f, lo, hi, tree, shift)
+    fail(bad, lambda t: ValueError(_NON_FINITE))
     depth = np.zeros(tree.size, dtype=int)
     spent = np.ones(n, dtype=int)
-    total = np.full(n, LOG_ZERO)
-    prev_total = np.full(n, LOG_ZERO)
-    accepted_tree = np.empty(0, dtype=int)
-    accepted = np.empty(0)
+    # accepted panels, and the running estimate: those plus this level's
+    accepted, total, prev_total = np.zeros(n), np.zeros(n), np.zeros(n)
+
+    def estimates(t):
+        return {"last": _log_sum(shift[t], total[t]), "previous": _log_sum(shift[t], prev_total[t])}
 
     while True:
         keep = ~dead[tree]
@@ -187,48 +183,40 @@ def quad_log_integrals(log_f, a, b, rel_tol: float = 1e-10) -> tuple[np.ndarray,
         if not tree.size:
             return result, failures
         mid = 0.5 * (lo + hi)
+        old = shift.copy()
         halves, bad = _panels(
-            log_f, np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel(), np.repeat(tree, 2)
+            log_f, np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel(), np.repeat(tree, 2), shift
         )
-        left, right = halves[0::2], halves[1::2]
         spent += 2 * np.bincount(tree, minlength=n)
-        fail(tree[bad[0::2] | bad[1::2]], lambda t: ValueError(_NON_FINITE))
+        fail(bad, lambda t: ValueError(_NON_FINITE))
+        # a tree whose shift rose rescales the sums it took under the old one
+        raised = np.flatnonzero(shift > old)
+        factor = np.ones(n)
+        factor[raised] = np.exp(old[raised] - shift[raised])
+        accepted *= factor
+        total *= factor
         keep = ~dead[tree]
         lo, mid, hi, depth, whole, left, right, tree = (
-            v[keep] for v in (lo, mid, hi, depth, whole, left, right, tree)
+            v[keep] for v in (lo, mid, hi, depth, whole * factor[tree], halves[0::2], halves[1::2], tree)
         )
-        refined = np.logaddexp(left, right)
+        refined = left + right
 
-        # running estimate of each tree: its accepted panels, then this level's
-        held = ~dead[accepted_tree]
-        keys = np.concatenate((accepted_tree[held], tree))
-        values = np.concatenate((accepted[held], refined))
-        order = np.argsort(keys, kind="stable")
-        keys, values = keys[order], values[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        present = keys[starts]
+        present, sums = _tree_sums(refined, tree)
         prev_total[present] = total[present]
-        total[present] = _segment_logsumexp(values, starts)
+        total[present] = accepted[present] + sums
         fail(present[spent[present] > _PANEL_BUDGET], lambda t: QuadratureError(
-            f"panel budget ({_PANEL_BUDGET}) exhausted before convergence",
-            last=float(total[t]), previous=float(prev_total[t]),
+            f"panel budget ({_PANEL_BUDGET}) exhausted before convergence", **estimates(t)
         ))
 
-        # a panel is accepted when bisection leaves it unchanged, moves its log
-        # by at most tol, or its error is negligible against the estimate
-        accept = whole == refined
-        rest = np.flatnonzero(~accept)
-        diff = np.abs(whole[rest] - refined[rest])
-        accept[rest[diff <= tol]] = True
-        rest, diff = rest[diff > tol], diff[diff > tol]
-        w, r = whole[rest], refined[rest]
-        # log of each panel's estimated absolute error
-        error = np.where(np.isfinite(diff), np.maximum(w, r) + _log(diff), np.logaddexp(w, r))
-        accept[rest] = error <= total[tree[rest]] + log_tol - math.log(_BUDGET_SHARE)
+        # a panel is accepted when bisection moves it by at most the tree's
+        # tolerance, or its error is negligible against the estimate; a tree's
+        # log result rounds at |shift| eps, so its tolerance is no finer
+        tree_tol = np.maximum(tol, _EPS * np.abs(np.where(shift > LOG_ZERO, shift, 0.0)))[tree]
+        error = np.abs(whole - refined)
+        accept = (error <= tree_tol * refined) | (error <= total[tree] * (tree_tol / _BUDGET_SHARE))
         split = ~accept
         fail(tree[split & (depth >= _DEPTH_CAP)], lambda t: QuadratureError(
-            f"panel depth cap ({_DEPTH_CAP}) reached without convergence",
-            last=float(total[t]), previous=float(prev_total[t]),
+            f"panel depth cap ({_DEPTH_CAP}) reached without convergence", **estimates(t)
         ))
 
         # a tree with nothing left to split accepted its whole level, so its
@@ -236,9 +224,9 @@ def quad_log_integrals(log_f, a, b, rel_tol: float = 1e-10) -> tuple[np.ndarray,
         is_open = np.zeros(n, dtype=bool)
         is_open[tree[split]] = True
         done = present[~is_open[present] & ~dead[present]]
-        result[done] = total[done]
-        kept = np.concatenate((np.ones(np.count_nonzero(held), dtype=bool), accept))[order] & is_open[keys]
-        accepted_tree, accepted = keys[kept], values[kept]
+        result[done] = [_log_sum(s, t) for s, t in zip(shift[done].tolist(), total[done].tolist())]
+        taken, sums = _tree_sums(refined[accept], tree[accept])
+        accepted[taken] += sums
         lo = np.column_stack((lo[split], mid[split])).ravel()
         hi = np.column_stack((mid[split], hi[split])).ravel()
         whole = np.column_stack((left[split], right[split])).ravel()

@@ -334,29 +334,33 @@ _REFERENCE_GRID = ["--d-grid", ",".join(str(100 * k) for k in range(1, 101)), "-
 # series past 16, which moved all 200 cells by up to 4.2e-11 relative, each closer to a 60-digit
 # mpmath value and now within 3.2 ulps of it; the large-d grid was recorded then, within 2.6 ulps.
 # The verify-clt hash was re-recorded when the k-statistics took z^3 and z^4 as products, which
-# moved two excess_kurtosis values by up to 3.9e-15 relative
+# moved two excess_kurtosis values by up to 3.9e-15 relative.  Every hyperbolic hash here was
+# re-recorded when the quadrature engine came to add panels as linear sums relative to each
+# tree's largest log-integrand value: the bounds cells moved by up to 1.44e-11 relative (in
+# wasserstein_bound_integrals), moments by 1.76e-15, the width tables by 8.46e-16 and one
+# verify-clt wasserstein_bound by 3.5e-16
 _COMMAND_SHA256 = {
     "bounds": (["bounds", *_REFERENCE_GRID],
-               "42162241831452d5b3c004240c3c7d41b40bf63814580ca84f012bd5d000b364"),
+               "2a211c48d193cb168336baf023004d136b1969d048d4e2ccf42902d91d8b5fe1"),
     "bounds-csv": (["bounds", *_REFERENCE_GRID, "--format", "csv"],
-                   "e5fbd3ebd713a33e5521668707263782bb62392f845b7c56613055ec72bac6a1"),
+                   "30c134975f4a36d08589278a73dca674202e936f2ed3c34f97b0f4c4ff67b32e"),
     "bounds-euclidean": (["bounds", "--model", "euclidean", *_REFERENCE_GRID],
                          "cbb42f487032429f0e131b62c1a6d87f54147d78d94d1866f55c75fbbc74db01"),
     "bounds-euclidean-large-d": ("bounds --model euclidean --d-grid 1000,1000000,1000000000000000 "
                                  "--R-rule fixed:1".split(),
                                  "caa46651361e4924a929c08b420395d2353d17e7122029c246fdbe61e1851df2"),
     "width-table-a": ("width-table --regime a --d-grid 3,5,10 --R-rule fixed:10".split(),
-                      "420c99144ec926bc0bc25079ce5c7e9acbb7d502561bb049466d1e298965bb54"),
+                      "b6482dd118cff9897ad43720ce0602d1abb17e50fe84f1e15a1bbeb222a42c20"),
     "width-table-b1": ("width-table --regime b1 --d-grid 100,1000 --R-rule log-d-offset:-1".split(),
-                       "f572f170c21443ac0e4381de5179f7d6925c8aae257d3c05b5cc1d636678b35e"),
+                       "978830448cec34922738a9d572b60ded361529b3b83210e07de5fcc256d766f6"),
     "width-table-b2": ("width-table --regime b2 --d-grid 100,1000 --R-rule log-d-offset:2".split(),
-                       "3901f479857e9e63e116d5776bdab64cc5565d99efb1523edcf6e4ac089427e6"),
+                       "a39466f21dbc54db7399a078b486c48b8152c6156e071f469368e06e2d4898e8"),
     "moments": ("moments --d 3 --R 3".split(),
-                "48cd93a0e3ea69925a0a89d824dd22e067df8000d11ef16010438f75233e00fd"),
+                "711a0aeb06ff272a2dc9544d87a92ff7e847b0c89737882025b9c280dda3daca"),
     "moments-euclidean": ("moments --model euclidean --d 3 --R 3".split(),
                           "368bbba8e30311e4751f9b588768f0dad19612d9da9cf7f290b333c4c33b3aa8"),
     "verify-clt": ("verify-clt --d 2 --R-list 2,4,8 --n 2000 --seed 20260821".split(),
-                   "9daa4bea513937076589c7382319ca1d1fcb212b929b51fc424fac32db05e706"),
+                   "4450b4dc3567acf998c9383b9cbc782a4e0122302c9570da26c38aa999266b12"),
 }
 
 

@@ -11,14 +11,23 @@ with ``COLUMNS`` set, 80 unless its table names a width, so ``--help`` does not
 depend on the terminal the script runs in.  Both sides run in the same
 temporary directory with the same config files, so the stderr lines that name a
 path match.  Prints one line per command and each difference in exit code,
-stdout sha256 or stderr, and exits 1 if there is any.  Standard library only.
+stdout sha256 or stderr, and exits 1 if there is any.
+
+Where stdout differs, both sides are parsed, as the JSON document or as the CSV
+table with its ``# config`` and ``# summary`` lines, and compared value by
+value.  The largest relative move of any float is printed with its path; a
+change to an int, string, bool or null, or to the structure (a key, a list
+length or a type), is printed as CHANGED.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import csv
 import hashlib
+import json
+import math
 import os
 import subprocess
 import sys
@@ -65,13 +74,87 @@ def commands() -> list[tuple[str, list[str], str | None, str]]:
     return out
 
 
-def run(checkout: Path, argv: list[str], cwd: Path, columns: str) -> tuple[int, str, str]:
-    """Exit code, stdout sha256 and stderr of one command against ``checkout``'s source."""
+def run(checkout: Path, argv: list[str], cwd: Path, columns: str) -> tuple[int, bytes, str]:
+    """Exit code, stdout and stderr of one command against ``checkout``'s source."""
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONHOME")}
     env.update(PYTHONPATH=str(checkout / "src"), COLUMNS=columns)
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "horospheres", *argv],
                           cwd=cwd, env=env, capture_output=True)
-    return proc.returncode, hashlib.sha256(proc.stdout).hexdigest(), proc.stderr.decode(errors="replace")
+    return proc.returncode, proc.stdout, proc.stderr.decode(errors="replace")
+
+
+def _cell(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def parse(stdout: bytes):
+    """A command's output as data: its JSON document, or its CSV table as
+    ``{"config": ..., "header": [column], "rows": [{column: value}], "summary": ...}``."""
+    text = stdout.decode()
+    try:
+        return json.loads(text)
+    except ValueError:
+        pass
+    doc, table = {}, []
+    for line in text.splitlines():
+        if line.startswith("# "):
+            name, _, body = line[2:].partition(" ")
+            doc[name] = json.loads(body)
+        else:
+            table.append(line)
+    header, *rows = list(csv.reader(table)) or [[]]
+    doc["header"] = header
+    doc["rows"] = [dict(zip(header, map(_cell, row))) for row in rows]
+    return doc
+
+
+def _shown(before, after) -> str:
+    text = f"{before!r} -> {after!r}"
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+def moves(before, after, path: str = "$"):
+    """Yield (path, relative move) for every float that moved between two parsed
+    outputs, and (path, "before -> after") for every other change."""
+    if isinstance(before, dict) and isinstance(after, dict):
+        for key in sorted(before.keys() | after.keys()):
+            if key in before and key in after:
+                yield from moves(before[key], after[key], f"{path}.{key}")
+            else:
+                yield f"{path}.{key}", _shown(before.get(key, "(absent)"), after.get(key, "(absent)"))
+    elif isinstance(before, list) and isinstance(after, list):
+        if len(before) != len(after):
+            yield path, f"length {len(before)} -> {len(after)}"
+        for index, (b, a) in enumerate(zip(before, after)):
+            yield from moves(b, a, f"{path}[{index}]")
+    elif type(before) is float and type(after) is float:
+        if before == after or (math.isnan(before) and math.isnan(after)):
+            return
+        if math.isfinite(before) and math.isfinite(after):
+            yield path, abs(after - before) / max(abs(before), abs(after))
+        else:
+            yield path, _shown(before, after)
+    elif type(before) is not type(after) or before != after:
+        yield path, _shown(before, after)
+
+
+def describe(before: bytes, after: bytes) -> list[str]:
+    """Report lines on how far a differing stdout moved."""
+    try:
+        found = list(moves(parse(before), parse(after)))
+    except ValueError as exc:
+        return [f"  stdout not parsed: {exc}"]
+    floats = [(move, path) for path, move in found if isinstance(move, float)]
+    lines = [f"  CHANGED {path}: {move}" for path, move in found if isinstance(move, str)]
+    if floats:
+        move, path = max(floats)
+        lines.insert(0, f"  {len(floats)} floats moved, largest by {move:.3g} (relative) at {path}")
+    return lines or ["  CHANGED: every parsed value is equal, so the layout or the text moved"]
 
 
 def main(argv=None) -> int:
@@ -91,11 +174,16 @@ def main(argv=None) -> int:
             if config is not None:
                 cfg.write_text(config, encoding="utf-8")
             command = [arg.replace("{cfg}", str(cfg)) for arg in command]
-            before, after = run(parent_dir, command, cwd, columns), run(ROOT, command, cwd, columns)
-            problems = [f"  {what}: {b!r} -> {a!r}"
-                        for what, b, a in zip(("exit code", "stdout sha256", "stderr"), before, after) if b != a]
+            (code_b, out_b, err_b), (code_a, out_a, err_a) = (run(parent_dir, command, cwd, columns),
+                                                               run(ROOT, command, cwd, columns))
+            sha_b, sha_a = hashlib.sha256(out_b).hexdigest(), hashlib.sha256(out_a).hexdigest()
+            problems = [f"  {what}: {b!r} -> {a!r}" for what, b, a in
+                        (("exit code", code_b, code_a), ("stdout sha256", sha_b, sha_a), ("stderr", err_b, err_a))
+                        if b != a]
+            if out_b != out_a:
+                problems += describe(out_b, out_a)
             differ += bool(problems)
-            print(f"{'DIFF' if problems else 'same'}  {name}  (exit {after[0]}, stdout {after[1][:12]})")
+            print(f"{'DIFF' if problems else 'same'}  {name}  (exit {code_a}, stdout {sha_a[:12]})")
             for line in problems:
                 print(line)
     print(f"{differ} of {len(todo)} commands differ")
