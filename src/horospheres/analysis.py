@@ -6,10 +6,10 @@ bounds and the growth-regime diagnostics, and the variance integral is
 i2 = (cosh R - 1)^(d-1) w.  A grid of (R, d) points is integrated in one
 batched engine call: the i1, i4, width and (for the moments) ball-volume trees
 of every point are refined in lockstep, and each point reports its first
-failure in the order a point-by-point loop would meet it.  The trees run over
-(0, R), except i1 and i4, which stop at the edge of their 1/(d-1) boundary layer.
-The large-dimension width limit, a scaled Bessel K0 integral, is one more
-quadrature of the same engine.
+failure in the order a point-by-point loop would meet it.  Each tree integrates
+an O(1) log-integrand across its boundary layer, and a closed-form scale, a
+multiple of (d-1)(R - log 2), is added to its log afterwards.  The large-dimension
+width limit, a scaled Bessel K0 integral, is one more quadrature of the same engine.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    _LOG_MAX, _exp_or_inf, _log_cosh_gap, check_dimension, check_radius, log_chord_area, log_sinh,
+    _LOG_MAX, _exp_or_inf, _log1mexp, check_dimension, check_radius, log_chord_area, log_sinh,
     log_unit_ball_volume,
 )
 from .quadrature import QuadratureError, quad_log_integral, quad_log_integrals
@@ -135,24 +135,51 @@ def log_area_coefficient(d) -> float:
     return 0.5 * (d - 1) * _LN2 + log_unit_ball_volume(d - 1)
 
 
-# The log-integrands over (0, R), from the nodes s, the dimension d and R.  The
-# mean is vol(B_R) by Campbell's theorem, the area of the unit sphere S^{d-1}
-# times the integral of sinh^{d-1}.
+def _log_width_integrand(t, d, R):
+    """(d-1) log(1 - x) at t = R - s, x = sinh^2(s/2)/sinh^2(R/2) = e^{2(L(R-t) - L(R)) - t}:
+    log1p(-x) where x < 1/2, x clamped so that it does not warn, and nearer the edge, where it
+    would cancel, the sinh-product form L(t) + L(2R-t) - 2L(R), taken only at those nodes."""
+    log_edge = _log1mexp(R)
+    x = np.exp(2.0 * (_log1mexp(R - t) - log_edge) - t)
+    out = np.log1p(-np.minimum(x, 0.5))
+    near, column = np.nonzero(x >= 0.5)
+    t_near = t[near, column]
+    out[near, column] = _log1mexp(t_near) + _log1mexp(2.0 * R[near, 0] - t_near) - 2.0 * log_edge[near, 0]
+    return (d - 1.0) * out
+
+
+# The log-integrands, from the nodes, the dimension d and R, with L = _log1mexp: i1 and i4
+# in s, the width and the mean in t = R - s.  By log(cosh R - cosh s) = R - log 2 + L(R + s)
+# + L(R - s), log i1, log i4 and the mean's log are these integrals' logs plus k/2, 2k and k,
+# k = (d-1)(R - log 2).  The mean is vol(B_R) by Campbell's theorem, the area of the unit
+# sphere S^{d-1} times the integral of sinh^{d-1} s = e^{(d-1)(s - log 2 + L(2s))}.
 _LOG_INTEGRANDS = {
-    "i1": lambda s, d, R: 0.5 * (d - 1) * (_log_cosh_gap(s, R) - s),
-    "i4": lambda s, d, R: 2.0 * (0.5 * (d - 1)) * (2.0 * _log_cosh_gap(s, R) - s),
-    "width": lambda s, d, R: (d - 1.0) * (log_sinh(0.5 * (R + s)) + log_sinh(0.5 * (R - s))
-                                          - 2.0 * log_sinh(0.5 * R)),
-    "mean": lambda s, d, R: (d - 1) * log_sinh(s),
+    "i1": lambda s, d, R: 0.5 * (d - 1) * (_log1mexp(R + s) + _log1mexp(R - s) - s),
+    "i4": lambda s, d, R: (d - 1) * (2.0 * (_log1mexp(R + s) + _log1mexp(R - s)) - s),
+    "width": _log_width_integrand,
+    "mean": lambda t, d, R: (d - 1) * (_log1mexp(2.0 * (R - t)) - t),
 }
 
 
-# The i1 and i4 trees stop at min(R, cut/(d-1)).  f(s) = log(cosh R - cosh s) is concave and
-# decreasing on (0, R) with f'(0) = 0, so each log-integrand g is concave with slope at most
-# -lam, lam = (d-1)/2 for i1 and d-1 for i4, and the cut c = 40/lam has g(0) - g(c) = D >= 40.
-# The tail past c is at most e^{g(c)}/lam and, by the chord bound, the head is at least
-# c e^{g(0)} (1 - e^-D)/D, so tail/head <= e^-40 (4e-18), below 1/50 of an ulp.
-_CUTS = {"i1": 80.0, "i4": 40.0}
+# Each tree runs over (0, min(R, end)).  f(s) = log(cosh R - cosh s) is concave and decreasing
+# on (0, R) with f'(0) = 0, so the i1 and i4 log-integrands g are concave with slope at most
+# -lam, lam = (d-1)/2 for i1 and d-1 for i4, and so is the mean's in t, (d-1) log sinh(R - t),
+# with lam = d-1.  The cut c = 40/lam has g(0) - g(c) = D >= 40.  The tail past c is at most
+# e^{g(c)}/lam and, by the chord bound, the head is at least c e^{g(0)} (1 - e^-D)/D, so
+# tail/head <= e^-40 (4e-18), below 1/50 of an ulp.  Past t = log(4d) + 40, x < e^-t/(1 -
+# e^-R)^2 and the width's integrand (1 - x)^(d-1) is 1 to within e^-41, so that part of (0, R)
+# is added to the width as its length.
+_ENDS = {
+    "i1": lambda d: 80.0 / (d - 1.0),
+    "i4": lambda d: 40.0 / (d - 1.0),
+    "width": lambda d: np.log(4.0 * d) + 40.0,
+    "mean": lambda d: 40.0 / (d - 1.0),
+}
+
+
+def _log_scale(R, d):
+    """k = (d-1)(R - log 2), the scale of the grid trees in the log of cosh R - cosh s."""
+    return (d - 1) * (R - _LN2)
 
 
 def _checked_points(radii, dims, minimum: int = 2) -> list[tuple[float, int]]:
@@ -169,11 +196,11 @@ def _checked_points(radii, dims, minimum: int = 2) -> list[tuple[float, int]]:
 
 def _grid_logs(points, kinds):
     """Log integrals of the ``kinds`` trees at every validated (R, d) point, all
-    from one lockstep engine call, each over (0, R) or its cut interval.
+    from one lockstep engine call, each over its interval.
 
-    Yields each point's logs, in ``kinds`` order.  A point's first failure,
-    a failed tree or a width estimate past 2R right after its width tree, is
-    raised when the iteration reaches that point.
+    Yields each point's logs, in ``kinds`` order, and then L(R) = log(1 - e^-R):
+    the log width, and the other trees' logs before their scales are added.  A
+    point's first failed tree is raised when the iteration reaches that point.
     """
     n = len(points)
     radii = np.array([R for R, _ in points])
@@ -190,62 +217,48 @@ def _grid_logs(points, kinds):
             out[rows] = _LOG_INTEGRANDS[name](s[rows], dims[point, None], radii[point, None])
         return out
 
-    ends = np.concatenate([np.minimum(radii, _CUTS[name] / (dims - 1.0)) if name in _CUTS else radii
-                           for name in kinds])
-    logs, failures = quad_log_integrals(log_f, np.zeros(len(kinds) * n), ends, _DEFAULT_TOL)
-    logs = logs.reshape(len(kinds), n).tolist()
-    for p, (R, _) in enumerate(points):
-        for index, name in enumerate(kinds):
+    ends = np.array([np.minimum(radii, _ENDS[name](dims)) for name in kinds])
+    logs, failures = quad_log_integrals(log_f, np.zeros(ends.size), ends.ravel(), _DEFAULT_TOL)
+    logs = logs.reshape(len(kinds), n)
+    if "width" in kinds:
+        # the part of (0, R) past the width tree's end adds its length
+        row = kinds.index("width")
+        far = radii > ends[row]
+        logs[row, far] += np.log1p((radii - ends[row])[far] * np.exp(-logs[row, far]))
+    rows = np.vstack([logs, _log1mexp(radii)]).T.tolist()
+    for p in range(n):
+        for index in range(len(kinds)):
             if index * n + p in failures:
                 raise failures[index * n + p]
-            log_w = logs[index][p]
-            if name == "width" and log_w > math.log(R) + _LN2:
-                raise QuadratureError(
-                    f"effective width estimate exceeds 2R at R = {R!r}", last=log_w, previous=log_w
-                )
-        yield [logs[index][p] for index in range(len(kinds))]
+        yield rows[p]
 
 
-def _log_sinh_halves(points) -> list[float]:
-    """log sinh(R/2) at every (R, d) point, from one array call."""
-    return log_sinh(0.5 * np.array([R for R, _ in points])).tolist()
-
-
-def _log_variance_integral(d, log_w, log_sinh_half):
-    """log i2 from the log width and log sinh(R/2): i2 = (cosh R - 1)^(d-1) w, with
-    cosh R - 1 = 2 sinh^2(R/2)."""
-    return log_w + (d - 1) * (_LN2 + 2.0 * log_sinh_half)
-
-
-def _integral_set(R, d, logs, log_sinh_half) -> IntegralSet:
-    log_i1, log_i4, log_w = logs
-    return IntegralSet(
-        R=R,
-        d=d,
-        log_mean_integral=log_i1,
-        log_variance_integral=_log_variance_integral(d, log_w, log_sinh_half),
-        log_cum4_integral=log_i4,
-        width=math.exp(log_w),
-    )
+def _log_variance_integral(R, d, log_w, log_edge):
+    """log i2 from the log width and L(R): i2 = (cosh R - 1)^(d-1) w, with
+    cosh R - 1 = e^{R - log 2 + 2L(R)}."""
+    return log_w + (_log_scale(R, d) + 2 * (d - 1) * log_edge)
 
 
 def effective_width(R, d) -> float:
     """Integral over (0, R) of (1 - (cosh s - 1)/(cosh R - 1))^(d-1).
 
-    Equals R for the degenerate exponent d = 1 and shrinks as d grows; the
-    integrand is computed from sinh products so it stays accurate near s = R.
-    An estimate past 2R means the integrand lost its precision at this R
-    and raises :class:`QuadratureError`.
+    Equals R for the degenerate exponent d = 1 and shrinks as d grows.  The
+    integrand is integrated in the distance t = R - s from the ball's edge,
+    where it differs from 1, as log1p of the sinh ratio or, nearer the edge,
+    from sinh products, so it stays accurate at every accepted R; the rest of
+    (0, R) is added as its length.
     """
-    [(log_w,)] = _grid_logs(_checked_points([R], [d], minimum=1), _WIDTH)
+    [(log_w, _)] = _grid_logs(_checked_points([R], [d], minimum=1), _WIDTH)
     return math.exp(log_w)
 
 
 def integrals(R, d) -> IntegralSet:
     """The three one-sided moment integrals and the effective width at (R, d)."""
     points = _checked_points([R], [d])
-    [logs] = _grid_logs(points, _INTEGRALS)
-    return _integral_set(*points[0], logs, *_log_sinh_halves(points))
+    [(R, d)], [(log_i1, log_i4, log_w, log_edge)] = points, _grid_logs(points, _INTEGRALS)
+    k = _log_scale(R, d)
+    return IntegralSet(R, d, log_i1 + 0.5 * k, _log_variance_integral(R, d, log_w, log_edge),
+                       log_i4 + 2.0 * k, math.exp(log_w))
 
 
 def moments(R, d) -> MomentSummary:
@@ -263,29 +276,27 @@ def moments_grid(radii, d_grid) -> list[MomentSummary]:
     the one-point result, from one batched engine call."""
     points = _checked_points(radii, d_grid)
     summaries = []
-    for (R, d), (log_i1, log_i4, log_w, log_v), log_sinh_half in zip(
-        points, _grid_logs(points, _MOMENTS), _log_sinh_halves(points)
-    ):
-        c = log_area_coefficient(d)
-        log_mean, log_variance = _log_mean_variance(d, log_w, log_v, log_sinh_half)
-        summaries.append(MomentSummary(R, d, log_mean, c + log_i1, log_variance, 4.0 * c + log_i4, math.exp(log_w)))
+    for (R, d), (log_i1, log_i4, log_w, log_v, log_edge) in zip(points, _grid_logs(points, _MOMENTS)):
+        c, k = log_area_coefficient(d), _log_scale(R, d)
+        log_mean, log_variance = _log_mean_variance(R, d, log_w, log_v, log_edge)
+        summaries.append(MomentSummary(R, d, log_mean, c + (log_i1 + 0.5 * k), log_variance,
+                                       4.0 * c + (log_i4 + 2.0 * k), math.exp(log_w)))
     return summaries
 
 
-def _log_mean_variance(d, log_w, log_v, log_sinh_half):
-    """log mean and log variance of the total cap area from the log width, the log
-    of the ball-volume integral and log sinh(R/2)."""
-    return (math.log(d) + log_unit_ball_volume(d) + log_v,
-            _LN2 + 2.0 * log_area_coefficient(d) + _log_variance_integral(d, log_w, log_sinh_half))
+def _log_mean_variance(R, d, log_w, log_v, log_edge):
+    """log mean and log variance of the total cap area from the log width, the mean
+    tree's log and L(R)."""
+    return (math.log(d) + log_unit_ball_volume(d) + (log_v + _log_scale(R, d)),
+            _LN2 + 2.0 * log_area_coefficient(d) + _log_variance_integral(R, d, log_w, log_edge))
 
 
 def _clt_grid(radii, d_grid) -> list[tuple[float, float, float]]:
     """(log mean, log variance, width) at every point, bit for bit those of
     :func:`moments_grid`, from the width and mean trees alone."""
     points = _checked_points(radii, d_grid)
-    return [(*_log_mean_variance(d, log_w, log_v, log_sinh_half), math.exp(log_w))
-            for (_, d), (log_w, log_v), log_sinh_half
-            in zip(points, _grid_logs(points, _CLT), _log_sinh_halves(points))]
+    return [(*_log_mean_variance(R, d, log_w, log_v, log_edge), math.exp(log_w))
+            for (R, d), (log_w, log_v, log_edge) in zip(points, _grid_logs(points, _CLT))]
 
 
 def variance_direct(R, d) -> float:
@@ -371,13 +382,11 @@ def wasserstein_bound_width(R, d, width=None) -> float:
     return _SQRT2 * (1.0 / (math.sqrt(d - 1.0) * width) + 2.0 / ((d - 1.0) * math.sqrt(width)))
 
 
-def wasserstein_bound_integrals(R, d, integral_set: IntegralSet | None = None) -> float:
+def wasserstein_bound_integrals(R, d) -> float:
     """Wasserstein bound straight from the moment integrals:
-    sqrt(2) (sqrt(I4)/I2 + I1/sqrt(I2)) in the one-sided notation."""
-    ints = integral_set if integral_set is not None else integrals(R, d)
-    t1 = math.exp(0.5 * ints.log_cum4_integral - ints.log_variance_integral)
-    t2 = math.exp(ints.log_mean_integral - 0.5 * ints.log_variance_integral)
-    return _SQRT2 * (t1 + t2)
+    sqrt(2) (sqrt(I4)/I2 + I1/sqrt(I2)) in the one-sided notation.  This is
+    :func:`rate_envelope`'s ``wasserstein_bound_integrals``."""
+    return rate_envelope(R, d).wasserstein_bound_integrals
 
 
 def kolmogorov_bound(wass) -> float:
@@ -426,7 +435,7 @@ def width_ratio_table(regime, d_grid, radii) -> list[WidthRatioRow]:
     regime = GrowthRegime(regime)
     points = _checked_points(radii, d_grid)
     rows = []
-    for (R, d), (log_w,) in zip(points, _grid_logs(points, _WIDTH)):
+    for (R, d), (log_w, _) in zip(points, _grid_logs(points, _WIDTH)):
         w = math.exp(log_w)
         rows.append(WidthRatioRow(d=d, R=R, width=w, ratio=_regime_ratio(regime, d, R, w)))
     return rows
@@ -456,9 +465,8 @@ def rate_envelopes(radii, d_grid) -> list[BoundReport]:
     error the point-by-point loop would have met first.
     """
     points = _checked_points(radii, d_grid)
-    grid = _grid_logs(points, _INTEGRALS)
     reports = []
-    for (R, d), log_sinh_half in zip(points, _log_sinh_halves(points)):
+    for (R, d), (log_i1, log_i4, log_w, log_edge) in zip(points, _grid_logs(points, _INTEGRALS)):
         gap = R - math.log(d)
         boundary = abs(gap - _GAP_THRESHOLD) <= 1e-9
         if gap <= _GAP_THRESHOLD:
@@ -470,20 +478,12 @@ def rate_envelopes(radii, d_grid) -> list[BoundReport]:
         else:
             regime = Regime.HIGH_DIM_UNBOUNDED
             envelope = 1.0 / (math.sqrt(d) * gap) + 1.0 / (d * math.sqrt(gap))
-        ints = _integral_set(R, d, next(grid), log_sinh_half)
-        wb_width = wasserstein_bound_width(R, d, width=ints.width)
-        wb_ints = wasserstein_bound_integrals(R, d, integral_set=ints)
-        reports.append(
-            BoundReport(
-                R=R,
-                d=d,
-                width=ints.width,
-                wasserstein_bound_width=wb_width,
-                wasserstein_bound_integrals=wb_ints,
-                kolmogorov_bound=kolmogorov_bound(wb_width),
-                regime=regime,
-                rate_envelope=envelope,
-                boundary=boundary,
-            )
-        )
+        # the ratios of the scaled logs: i2 = w e^{k + 2(d-1)L(R)}, so no term of size k is formed
+        width = math.exp(log_w)
+        wb_width = wasserstein_bound_width(R, d, width=width)
+        wb_ints = _SQRT2 * (math.exp(0.5 * log_i4 - log_w - 2 * (d - 1) * log_edge)
+                            + math.exp(log_i1 - 0.5 * log_w - (d - 1) * log_edge))
+        reports.append(BoundReport(R=R, d=d, width=width, wasserstein_bound_width=wb_width,
+                                   wasserstein_bound_integrals=wb_ints, kolmogorov_bound=kolmogorov_bound(wb_width),
+                                   regime=regime, rate_envelope=envelope, boundary=boundary))
     return reports

@@ -53,7 +53,7 @@ def check_dimension(d, minimum: int = 2) -> int:
 def check_radius(R, d: int = 2) -> float:
     """Validate a ball radius, finite and positive, and return it as a float.  It must also be
     a normal double (below, R - s rounds to 0 at quadrature nodes) and at most max double over
-    4 max(d - 1, 1) (the log-domain integrands in dimension d reach about 3 (d - 1) R)."""
+    4 max(d - 1, 1) (the log moments in dimension d reach about 2 (d - 1) R)."""
     R = float(R)
     if not 0.0 < R < math.inf:
         raise ValueError(f"R must be finite and positive, got {R!r}")
@@ -63,10 +63,15 @@ def check_radius(R, d: int = 2) -> float:
     return R
 
 
+def _log1mexp(x):
+    """log(1 - e^-x) for x > 0, array-compatible, from expm1, so 1 - e^-x does not cancel near 0."""
+    return np.log(-np.expm1(-x))
+
+
 def log_sinh(x):
     """log(sinh x) for x > 0, array-compatible, stable for tiny and huge x."""
     arr = np.asarray(x, dtype=float)
-    out = arr + np.log(-np.expm1(-2.0 * arr)) - _LN2
+    out = arr + _log1mexp(2.0 * arr) - _LN2
     return float(out) if arr.ndim == 0 else out
 
 
@@ -107,12 +112,6 @@ class EuclideanCircle:
             raise ValueError(f"circle is not internally tangent to the unit circle (gap {gap:.3e})")
 
 
-def _log_cosh_gap(s, R):
-    """log(cosh R - cosh s) for |s| < R, array-compatible, as log 2 + log sinh((R + s)/2) +
-    log sinh((R - s)/2), by the sinh product identity, which stays accurate out to |s| = R."""
-    return _LN2 + log_sinh(0.5 * (R + s)) + log_sinh(0.5 * (R - s))
-
-
 def log_unit_ball_volume(ell) -> float:
     """log volume of the Euclidean unit ball in the given dimension (0 allowed)."""
     ell = check_dimension(ell, minimum=0)
@@ -135,7 +134,8 @@ def log_chord_area(s, R, d):
     half_plus, half_minus = 0.5 * (R + sv), 0.5 * (R - sv)
     inside = (half_plus > 0.0) & (half_minus > 0.0)
     out = np.full(sv.shape, LOG_ZERO)
-    out[inside] = log_unit_ball_volume(d - 1) + 0.5 * (d - 1) * (_LN2 + sv[inside] + _log_cosh_gap(sv[inside], R))
+    log_gap = _LN2 + log_sinh(half_plus[inside]) + log_sinh(half_minus[inside])
+    out[inside] = log_unit_ball_volume(d - 1) + 0.5 * (d - 1) * (_LN2 + sv[inside] + log_gap)
     return float(out) if out.ndim == 0 else out
 
 

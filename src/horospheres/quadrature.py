@@ -46,6 +46,7 @@ _PANEL_BLOCK = 2048
 _EPS = float(np.finfo(float).eps)
 
 _NON_FINITE = "log-integrand produced a non-finite value"
+_NARROW = "panel too narrow for its nodes: one rounds onto the panel's end"
 
 
 class QuadratureError(RuntimeError):
@@ -77,16 +78,28 @@ def _tree_sums(values, tree):
 
 def _panels(log_f, lo, hi, tree, shift):
     """The 15-point Gauss-Legendre estimate of the integral of exp(log_f - shift[tree])
-    on each panel [lo, hi], and the trees whose log-integrand was NaN or +inf.
+    on each panel [lo, hi], the trees whose log-integrand was NaN or +inf, and the
+    trees with a panel too narrow to hold its nodes.
 
-    Each tree's shift is first raised, in place, to the largest log-integrand
-    value among its nodes; a shift still at -inf sums zeros.  One ``log_f``
-    call takes a level of up to _PANEL_BLOCK panels; a larger level is cut into
-    blocks of that size, which bounds the memory of the integrand's
-    temporaries.  The cut changes no bit: a panel's values come from its row.
+    A node that rounds onto its panel's end is never evaluated: its whole tree
+    is left out of the ``log_f`` calls and reported.  Each tree's shift is first
+    raised, in place, to the largest log-integrand value among its nodes; a
+    shift still at -inf sums zeros.  One ``log_f`` call takes a level of up to
+    _PANEL_BLOCK panels; a larger level is cut into blocks of that size, which
+    bounds the memory of the integrand's temporaries.  The cut changes no bit: a
+    panel's values come from its row.
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
+    # the nodes ascend, so only the outer two can round onto an end; a tree is
+    # listed once per such panel (np.unique would import numpy.ma, 1.4 MB)
+    narrow = tree[(mid + half * _NODES[0] <= lo) | (mid + half * _NODES[-1] >= hi)]
+    if narrow.size:
+        # the other trees' panels are estimated alone; a narrow tree's panels sum to 0
+        live = np.isin(tree, narrow, invert=True)
+        sums = np.zeros(lo.size)
+        sums[live], bad, _ = _panels(log_f, lo[live], hi[live], tree[live], shift)
+        return sums, bad, narrow
     values = np.empty((lo.size, _NODES.size))
     for start in range(0, lo.size, _PANEL_BLOCK):
         block = slice(start, start + _PANEL_BLOCK)
@@ -112,7 +125,7 @@ def _panels(log_f, lo, hi, tree, shift):
     values -= base[:, None]
     np.exp(values, out=values)
     values *= _WEIGHTS
-    return half * values.sum(axis=1), present[bad]
+    return half * values.sum(axis=1), present[bad], narrow
 
 
 def quad_log_integrals(log_f, a, b, rel_tol: float = 1e-10) -> tuple[np.ndarray, dict]:
@@ -123,10 +136,11 @@ def quad_log_integrals(log_f, a, b, rel_tol: float = 1e-10) -> tuple[np.ndarray,
     ``log_f(x, tree)`` gets a (k, 15) array of interior nodes and the (k,)
     index of the interval each row belongs to, rows grouped by interval in
     ascending order, and returns the log-integrand at every node, with
-    ``-inf`` marking zeros.  Endpoints are never evaluated, so integrands
+    ``-inf`` marking zeros.  No node equals an end of its panel, so integrands
     vanishing at the interval ends need no special casing.  A tree fails with
     the first error it meets: :class:`QuadratureError` when the panel depth
-    cap or the panel budget is exhausted before the tolerance is met,
+    cap or the panel budget is exhausted before the tolerance is met, or when
+    a panel is so narrow that a node would round onto its end,
     :class:`ValueError` for a reversed interval, an interval whose b - a or
     a + b is not a finite double (an infinite end among them), or a NaN or
     +inf log-integrand.  The other trees run on unchanged.
@@ -166,16 +180,22 @@ def quad_log_integrals(log_f, a, b, rel_tol: float = 1e-10) -> tuple[np.ndarray,
     # refinement replaces a panel by its two halves, whose coarse estimates
     # were just computed.
     shift = np.full(n, LOG_ZERO)
-    lo, hi = a[tree], b[tree]
-    whole, bad = _panels(log_f, lo, hi, tree, shift)
-    fail(bad, lambda t: ValueError(_NON_FINITE))
-    depth = np.zeros(tree.size, dtype=int)
-    spent = np.ones(n, dtype=int)
     # accepted panels, and the running estimate: those plus this level's
     accepted, total, prev_total = np.zeros(n), np.zeros(n), np.zeros(n)
 
     def estimates(t):
         return {"last": _log_sum(shift[t], total[t]), "previous": _log_sum(shift[t], prev_total[t])}
+
+    def level(lo, hi, tree):
+        sums, bad, narrow = _panels(log_f, lo, hi, tree, shift)
+        fail(narrow, lambda t: QuadratureError(_NARROW, **estimates(t)))
+        fail(bad, lambda t: ValueError(_NON_FINITE))
+        return sums
+
+    lo, hi = a[tree], b[tree]
+    whole = level(lo, hi, tree)
+    depth = np.zeros(tree.size, dtype=int)
+    spent = np.ones(n, dtype=int)
 
     while True:
         keep = ~dead[tree]
@@ -184,11 +204,8 @@ def quad_log_integrals(log_f, a, b, rel_tol: float = 1e-10) -> tuple[np.ndarray,
             return result, failures
         mid = 0.5 * (lo + hi)
         old = shift.copy()
-        halves, bad = _panels(
-            log_f, np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel(), np.repeat(tree, 2), shift
-        )
+        halves = level(np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel(), np.repeat(tree, 2))
         spent += 2 * np.bincount(tree, minlength=n)
-        fail(bad, lambda t: ValueError(_NON_FINITE))
         # a tree whose shift rose rescales the sums it took under the old one
         raised = np.flatnonzero(shift > old)
         factor = np.ones(n)

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import sys
 import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horospheres import analysis, quadrature
@@ -280,12 +281,55 @@ def test_rate_envelope_takes_radius_first():
 
 
 def test_width_past_its_precision_is_a_quadrature_failure():
-    # the width is at most R; at R = 1e100 the sinh-product integrand has
-    # lost every digit and its quadrature estimate overflows
-    with pytest.raises(QuadratureError, match="exceeds 2R"):
-        effective_width(1e100, 3)
-    with pytest.raises(QuadratureError, match="exceeds 2R"):
-        moments(1e100, 3)
+    # at d = 10^18 the width's mass lies within R/10^9 of s = 0, and at R = 1e-300 the nodes
+    # in t = R - s leave s only 7 digits there; the integrand is noise and the tree cannot converge
+    with pytest.raises(QuadratureError, match="depth cap"):
+        effective_width(1e-300, 10**18)
+    with pytest.raises(QuadratureError, match="depth cap"):
+        moments(1e-300, 10**18)
+
+
+def _harmonic(n):
+    return math.fsum(1.0 / k for k in range(1, n + 1))
+
+
+_LARGEST_RADIUS = {d: sys.float_info.max / (4.0 * (d - 1)) for d in (2, 3, 10, 100)}
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 100])
+@pytest.mark.parametrize("R", [5e3, 1e4, 1e8, 1e18, 1e100, 1e300, "largest"])
+def test_large_radius_meets_the_limits(R, d):
+    # from R = 5e3 the R -> infinity limits hold to double precision: w = R - H_{d-1}, the mean
+    # vol(B_R) = omega_d e^{(d-1)(R - log 2)}/(d-1), and both bounds sqrt(2) (1/(sqrt(d-1) w)
+    # + 2/((d-1) sqrt(w))).  width = exp(log w) carries about |log w| ulps; the measured worst
+    # relative errors are 2.8e-14 (width), 1.4e-14 and 2.2e-14 (bounds), all at the largest
+    # accepted radius, and 0 for the log mean
+    R = _LARGEST_RADIUS[d] if R == "largest" else R
+    width = R - _harmonic(d - 1)
+    bound = math.sqrt(2.0) * (1.0 / (math.sqrt(d - 1.0) * width) + 2.0 / ((d - 1.0) * math.sqrt(width)))
+    log_mean = math.log(d) + log_unit_ball_volume(d) + (d - 1) * (R - _LN2) - math.log(d - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m, report = moments(R, d), rate_envelope(R, d)
+    assert abs(m.width - width) <= 1e-13 * width and report.width == m.width
+    assert abs(m.log_mean - log_mean) <= 4.4e-16 * abs(log_mean)
+    assert abs(report.wasserstein_bound_width - bound) <= 1e-13 * bound
+    assert abs(report.wasserstein_bound_integrals - bound) <= 1e-13 * bound
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 1000, 10**6])
+@pytest.mark.parametrize("R", [1e-300, 1e-100, 1e-10])
+def test_tiny_radius_width_meets_its_limit(R, d):
+    # as R -> 0, w/R tends to the integral over (0, 1) of (1 - u^2)^(d-1), sqrt(pi) Gamma(d) /
+    # (2 Gamma(d + 1/2)), up to a relative O(R^2).  The measured worst relative error on these
+    # points and d = 10^4, 10^5 is 1.3e-13, at (1e-300, 10^6)
+    with mp.workdps(40):
+        limit = float(mp.sqrt(mp.pi) * mp.exp(mp.loggamma(d) - mp.loggamma(d + mp.mpf(0.5))) / 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        widths = [effective_width(R, d), moments(R, d).width, rate_envelope(R, d).width]
+    assert widths[0] == widths[1] == widths[2]
+    assert abs(widths[0] / R - limit) <= 5e-13 * limit
 
 
 def test_invalid_parameters_rejected():
@@ -305,24 +349,34 @@ def test_invalid_parameters_rejected():
 _LN2 = math.log(2.0)
 
 
+def _L(x):
+    """log(1 - e^-x)."""
+    return np.log(-np.expm1(-x))
+
+
 def _one_tree_logs(R, d):
     """log i1, i2, i4, width and mean at (R, d), one one-tree quadrature
-    each but i2, in the order a point-by-point loop runs them; i1 stops at
-    min(R, 80/(d-1)) and i4 at min(R, 40/(d-1)), the others at R.  log i2 is
-    log w + (d-1) log(cosh R - 1), with cosh R - 1 = 2 sinh^2(R/2)."""
-    p = 0.5 * (d - 1)
+    each but i2, in the order a point-by-point loop runs them.  With
+    k = (d-1)(R - log 2), log(cosh R - cosh s) = R - log 2 + L(R + s) + L(R - s):
+    i1 runs in s over (0, min(R, 80/(d-1))) plus k/2, and i4 over (0, min(R,
+    40/(d-1))) plus 2k.  The width runs in t = R - s over (0, c), c = min(R,
+    log 4d + 40), plus R - c, and the mean over (0, min(R, 40/(d-1))) plus k.
+    log i2 is log w + (d-1) log(cosh R - 1), with cosh R - 1 = e^{R - log 2 + 2L(R)}."""
+    k = (d - 1) * (R - _LN2)
 
-    def gap(s):
-        return _LN2 + log_sinh(0.5 * (R + s)) + log_sinh(0.5 * (R - s))
+    def width(t):
+        x = np.exp(2.0 * (_L(R - t) - _L(R)) - t)
+        return (d - 1.0) * np.where(x < 0.5, np.log1p(-np.minimum(x, 0.5)), _L(t) + _L(2.0 * R - t) - 2.0 * _L(R))
 
-    half = float(log_sinh(0.5 * R))
-    log_i1 = quad_log_integral(lambda s: p * (gap(s) - s), 0.0, min(R, 80.0 / (d - 1.0)))
-    log_i4 = quad_log_integral(lambda s: 2.0 * p * (2.0 * gap(s) - s), 0.0, min(R, 40.0 / (d - 1.0)))
-    log_w = quad_log_integral(
-        lambda s: (d - 1.0) * (log_sinh(0.5 * (R + s)) + log_sinh(0.5 * (R - s)) - 2.0 * half), 0.0, R
-    )
-    log_mean = math.log(d) + log_unit_ball_volume(d) + quad_log_integral(lambda s: (d - 1) * log_sinh(s), 0.0, R)
-    return log_i1, log_w + (d - 1) * (_LN2 + 2.0 * half), log_i4, log_w, log_mean
+    log_i1 = quad_log_integral(lambda s: 0.5 * (d - 1) * (_L(R + s) + _L(R - s) - s), 0.0, min(R, 80.0 / (d - 1.0)))
+    log_i4 = quad_log_integral(lambda s: (d - 1) * (2.0 * (_L(R + s) + _L(R - s)) - s), 0.0, min(R, 40.0 / (d - 1.0)))
+    c = min(R, np.log(4.0 * d) + 40.0)
+    log_w = quad_log_integral(width, 0.0, c)
+    if R > c:
+        log_w += np.log1p((R - c) * np.exp(-log_w))
+    log_v = quad_log_integral(lambda t: (d - 1) * (_L(2.0 * (R - t)) - t), 0.0, min(R, 40.0 / (d - 1.0)))
+    log_mean = math.log(d) + log_unit_ball_volume(d) + (log_v + k)
+    return log_i1 + 0.5 * k, log_w + (k + 2 * (d - 1) * float(_L(R))), log_i4 + 2.0 * k, log_w, log_mean
 
 
 _POINTS = st.lists(st.tuples(st.floats(0.05, 40.0), st.integers(2, 5000)), min_size=1, max_size=4)
@@ -330,6 +384,7 @@ _POINTS = st.lists(st.tuples(st.floats(0.05, 40.0), st.integers(2, 5000)), min_s
 
 @settings(max_examples=12)
 @given(_POINTS)
+@example([(1e4, 3), (100.0, 10**6), (1e100, 2)])  # the width tree stops short of R
 def test_grid_core_equals_one_tree_calls(points):
     radii, dims = [R for R, _ in points], [d for _, d in points]
     reports = rate_envelopes(radii, dims)
@@ -423,8 +478,8 @@ _FINITE_SUM_POINTS = (
 
 def test_variance_integral_and_width_agree_with_finite_sums():
     # log i2 is derived from the width tree.  Its error is per unit of |log|: the measured worst
-    # is 1.4e-16 on these points, 1.8e-16 on the 100-point bounds grid (d to 10^4, R = log d + 1)
-    # and 2.3e-16 on a wider set to d = 10^4.  The width's relative error reaches 2.7e-12 at (30, 1000)
+    # is 2.3e-16 on these points and 2.1e-16 on the 100-point bounds grid (d to 10^4, R = log d
+    # + 1).  The width's worst relative error is 1.04e-15 here, at (0.3, 100), and 6.8e-16 there
     for R, d in _FINITE_SUM_POINTS:
         log_i2, width = log_i2_and_width(R, d)
         check_log_i2, check_width = log_i2_and_width(R, d, extra=80)
@@ -433,7 +488,7 @@ def test_variance_integral_and_width_agree_with_finite_sums():
         assert abs(width - check_width) <= mp.mpf(10) ** -35 * width
         ints = integrals(R, d)
         assert abs(ints.log_variance_integral - float(log_i2)) <= 4.4e-16 * abs(float(log_i2))
-        assert abs(ints.width - float(width)) <= 1e-11 * float(width)
+        assert abs(ints.width - float(width)) <= 1e-14 * float(width)
 
 
 def test_mean_integral_agrees_with_finite_sums():
@@ -442,11 +497,13 @@ def test_mean_integral_agrees_with_finite_sums():
     # the relative error of the integral itself where the log is small: 2.7e-15 at (1, 50), whose
     # log is 3.7 while its log-integrand reaches 49 log sinh 1 = 7.7
     points = analysis._checked_points(*zip(*_FINITE_SUM_POINTS))
-    for (R, d), (log_v,) in zip(points, analysis._grid_logs(points, ("mean",))):
+    for (R, d), (log_v, _) in zip(points, analysis._grid_logs(points, ("mean",))):
         want, check = log_mean_integral(R, d), log_mean_integral(R, d, extra=80)
         # the recurrence cancels about (d-1) log10(coth R) digits; two precisions agree
         assert abs(want - check) <= mp.mpf(10) ** -35 * abs(want)
-        assert abs(log_v - float(want)) <= 4.4e-16 * abs(float(want)) + 4.4e-15
+        # the tree's log is taken before its scale k = (d-1)(R - log 2) is added
+        got = log_v + (d - 1) * (R - _LN2)
+        assert abs(got - float(want)) <= 4.4e-16 * abs(float(want)) + 4.4e-15
 
 
 # i4 is a Laurent polynomial at every d and i1 at odd d; the oracle's cost grows as d^2, so d
@@ -462,7 +519,9 @@ def test_cut_layer_integrals_agree_with_finite_sums():
     # 1.5e-8 per unit at these points (5.1e-11 at (8, 3), the first it fails)
     points = analysis._checked_points(*zip(*_LAYER_SUM_POINTS))
     for (R, d), logs in zip(points, analysis._grid_logs(points, ("i1", "i4"))):
-        for kind, got in zip(("i1", "i4"), logs):
+        # each tree's log is taken before its scale, k/2 or 2k with k = (d-1)(R - log 2), is added
+        k = (d - 1) * (R - _LN2)
+        for kind, got in zip(("i1", "i4"), (logs[0] + 0.5 * k, logs[1] + 2.0 * k)):
             if kind == "i1" and d % 2 == 0:
                 continue
             want, check = log_layer_integral(R, d, kind), log_layer_integral(R, d, kind, extra=80)
@@ -574,16 +633,17 @@ def test_mean_is_the_ball_volume_anywhere(R, d):
     _check_mean_is_ball_volume(R, d)
 
 
-def _failing_engine(monkeypatch, point, kind):
-    """Make the engine report a failure of one tree, on top of its results.
-    The grid core numbers its trees kind by kind: i1 of every point, then i4
-    and the width."""
+def _failing_engine(monkeypatch, *trees, kinds=len(analysis._INTEGRALS)):
+    """Make the engine report a failure of each (point, kind) tree, on top of
+    its results.  The grid core numbers its trees kind by kind: for
+    rate_envelopes i1 of every point, then i4 and the width."""
     real = analysis.quad_log_integrals
 
     def engine(log_f, a, b, rel_tol):
         values, _ = real(log_f, a, b, rel_tol)
-        tree = kind * (len(a) // len(analysis._INTEGRALS)) + point
-        return values, {tree: QuadratureError(f"tree {point}/{kind}", last=0.0, previous=0.0)}
+        n = len(a) // kinds
+        return values, {kind * n + point: QuadratureError(f"tree {point}/{kind}", last=0.0, previous=0.0)
+                        for point, kind in trees}
 
     monkeypatch.setattr(analysis, "quad_log_integrals", engine)
 
@@ -592,26 +652,31 @@ def _failing_engine(monkeypatch, point, kind):
     "point, kind, message",
     [
         (0, 2, "tree 0/2"),  # point 0's width tree
-        (1, 0, "tree 1/0"),  # point 1's i1 tree, before point 1's width check
-        (1, 2, "tree 1/2"),  # point 1's width tree, before its own check
-        (2, 0, "exceeds 2R"),  # point 2's i1 tree, after point 1's width check
+        (1, 0, "tree 1/0"),  # point 1's i1 tree
+        (1, 2, "tree 1/2"),  # point 1's width tree, numbered after point 2's i1 tree
+        (2, 0, "tree 2/0"),  # point 2's i1 tree alone
     ],
 )
 def test_grid_failures_come_in_point_by_point_order(monkeypatch, point, kind, message):
-    # point 1's width estimate passes 2R; each point runs i1, i4, width
-    _failing_engine(monkeypatch, point, kind)
+    # point 2's i1 tree fails too; each point runs i1, i4, width
+    _failing_engine(monkeypatch, (point, kind), (2, 0))
     with pytest.raises(QuadratureError, match=message):
         rate_envelopes([2.0, 1e100, 3.0], [3, 3, 5])
 
 
-def test_grid_validates_every_point_before_quadrature():
-    # point 0 alone fails in quadrature; point 1's radius is invalid
-    with pytest.raises(QuadratureError, match="exceeds 2R"):
+def test_grid_validates_every_point_before_quadrature(monkeypatch):
+    # point 0 alone fails in quadrature; point 1's radius or dimension is invalid
+    _failing_engine(monkeypatch, (0, 0))
+    with pytest.raises(QuadratureError, match="tree 0/0"):
         rate_envelopes([2.0, 1e100, 3.0], [3, 3, 5])
     with pytest.raises(ValueError, match="R must be finite and positive, got nan"):
         rate_envelopes([1e100, math.nan], [3, 3])
     with pytest.raises(ValueError, match="dimension must be at least 2"):
         rate_envelopes([1e100, 2.0], [3, 1])
+    monkeypatch.undo()
+    _failing_engine(monkeypatch, (0, 0), kinds=1)
+    with pytest.raises(QuadratureError, match="tree 0/0"):
+        width_ratio_table("a", [3, 3], [1e100, 2.0])
     with pytest.raises(ValueError, match="R must be finite and positive, got nan"):
         width_ratio_table("a", [3, 3], [1e100, math.nan])
     # a longer list is not cut to the shorter one

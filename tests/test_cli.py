@@ -12,6 +12,7 @@ from pathlib import Path
 
 import jsonschema
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -338,29 +339,33 @@ _REFERENCE_GRID = ["--d-grid", ",".join(str(100 * k) for k in range(1, 101)), "-
 # re-recorded when the quadrature engine came to add panels as linear sums relative to each
 # tree's largest log-integrand value: the bounds cells moved by up to 1.44e-11 relative (in
 # wasserstein_bound_integrals), moments by 1.76e-15, the width tables by 8.46e-16 and one
-# verify-clt wasserstein_bound by 3.5e-16
+# verify-clt wasserstein_bound by 3.5e-16.  They were re-recorded again when every grid tree
+# came to integrate an O(1) log-integrand with its scale added afterwards: all 400 bounds cells
+# moved, by up to 2.05e-11 (wasserstein_bound_integrals at d = 9000, whose error against mpmath
+# fell from 2.0e-11 to 9.9e-13), the width tables by up to 3.38e-13, each moved width closer
+# to its exact finite sum, moments by 1.79e-15 and verify-clt by 2.38e-15 (d_kol)
 _COMMAND_SHA256 = {
     "bounds": (["bounds", *_REFERENCE_GRID],
-               "2a211c48d193cb168336baf023004d136b1969d048d4e2ccf42902d91d8b5fe1"),
+               "9f030f605d9ede3584d1d71fed33ffe55fb8562d33a2633694ae43da92e788bf"),
     "bounds-csv": (["bounds", *_REFERENCE_GRID, "--format", "csv"],
-                   "30c134975f4a36d08589278a73dca674202e936f2ed3c34f97b0f4c4ff67b32e"),
+                   "6c86da2f27729281d66c6a342cc86188edc247744e4aa25520865a34ec811c67"),
     "bounds-euclidean": (["bounds", "--model", "euclidean", *_REFERENCE_GRID],
                          "cbb42f487032429f0e131b62c1a6d87f54147d78d94d1866f55c75fbbc74db01"),
     "bounds-euclidean-large-d": ("bounds --model euclidean --d-grid 1000,1000000,1000000000000000 "
                                  "--R-rule fixed:1".split(),
                                  "caa46651361e4924a929c08b420395d2353d17e7122029c246fdbe61e1851df2"),
     "width-table-a": ("width-table --regime a --d-grid 3,5,10 --R-rule fixed:10".split(),
-                      "b6482dd118cff9897ad43720ce0602d1abb17e50fe84f1e15a1bbeb222a42c20"),
+                      "0feed9c30c632a60cc7d453a574905b5813866b4d11cb1a29ceebcac2a66ea5b"),
     "width-table-b1": ("width-table --regime b1 --d-grid 100,1000 --R-rule log-d-offset:-1".split(),
-                       "978830448cec34922738a9d572b60ded361529b3b83210e07de5fcc256d766f6"),
+                       "b5d51ee1c2a558bd868d8d6a1f80216e179b01585ef9cd222674e651a60b5932"),
     "width-table-b2": ("width-table --regime b2 --d-grid 100,1000 --R-rule log-d-offset:2".split(),
-                       "a39466f21dbc54db7399a078b486c48b8152c6156e071f469368e06e2d4898e8"),
+                       "042712f7fd5db6220148840220d75b5f2c5020d714cac3caabeefefdf9b2050e"),
     "moments": ("moments --d 3 --R 3".split(),
-                "711a0aeb06ff272a2dc9544d87a92ff7e847b0c89737882025b9c280dda3daca"),
+                "6cc2c88486a27bf185c856d993da98bfc939ffb91c26a3f8b27e53bd1fb203fc"),
     "moments-euclidean": ("moments --model euclidean --d 3 --R 3".split(),
                           "368bbba8e30311e4751f9b588768f0dad19612d9da9cf7f290b333c4c33b3aa8"),
     "verify-clt": ("verify-clt --d 2 --R-list 2,4,8 --n 2000 --seed 20260821".split(),
-                   "4450b4dc3567acf998c9383b9cbc782a4e0122302c9570da26c38aa999266b12"),
+                   "1f94a38c1afc012e09d19f1da5b2d39857605df78fe48076bc6897424c019f23"),
 }
 
 
@@ -677,29 +682,57 @@ def test_analytic_non_finite_radius_is_usage_error(capsys, command, model, radiu
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv",
     [
-        # (d - 1) R past the range the log-domain integrands can hold
-        pytest.param(["moments", "--d", "3", "--R", "4e307"], 64, id="moments-4e307"),
-        pytest.param(["bounds", "--d-grid", "3", "--R-rule", "fixed:4e307"], 64, id="bounds-4e307"),
-        pytest.param(["width-table", "--regime", "a", "--d-grid", "3", "--R-rule", "fixed:1e308"], 64,
+        # (d - 1) R past the range the log moments can hold, or R not a normal double
+        pytest.param(["moments", "--d", "3", "--R", "4e307"], id="moments-4e307"),
+        pytest.param(["bounds", "--d-grid", "3", "--R-rule", "fixed:4e307"], id="bounds-4e307"),
+        pytest.param(["width-table", "--regime", "a", "--d-grid", "3", "--R-rule", "fixed:1e308"],
                      id="width-table-1e308"),
-        pytest.param(["width-table", "--regime", "a", "--d-grid", "3", "--R-rule", "fixed:1e-320"], 64,
+        pytest.param(["width-table", "--regime", "a", "--d-grid", "3", "--R-rule", "fixed:1e-320"],
                      id="width-table-1e-320"),
-        # representable, but the width integrand has lost its precision
-        pytest.param(["moments", "--d", "3", "--R", "1e100"], 3, id="moments-1e100"),
-        pytest.param(["bounds", "--d-grid", "3", "--R-rule", "fixed:1e100"], 3, id="bounds-1e100"),
     ],
 )
-def test_extreme_finite_radius_ends_in_one_line(capsys, argv, code):
-    assert main(argv) == code
+def test_extreme_finite_radius_ends_in_one_line(capsys, argv):
+    assert main(argv) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
-    if code == 3:
-        assert captured.err.startswith("horospheres: quadrature failure: effective width estimate exceeds 2R")
+    assert captured.err.startswith("horospheres: error: R must be a normal double no larger than ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["moments", "--d", "3", "--R", "1e100"], id="moments-1e100"),
+        pytest.param(["bounds", "--d-grid", "3", "--R-rule", "fixed:1e100"], id="bounds-1e100"),
+    ],
+)
+def test_extreme_finite_radius_meets_its_limits(argv):
+    # R = 1e100 at d = 3: w = R - 3/2, the mean omega_3 e^{2(R - log 2)}/2 = pi e^{2R}/2, the variance
+    # 2 (2 pi)^2 i2 with i2 = w e^{2(R - log 2)}, and both bounds sqrt(2) (1/(sqrt(2) w) + 1/sqrt(w))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _captured(argv)
+    assert (code, err) == (0, "")
+    R, w = 1e100, 1e100 - 1.5
+    if argv[0] == "moments":
+        got = json.loads(out)["moments"]
+        assert got["mean"]["log"] == pytest.approx(2.0 * R + math.log(0.5 * math.pi), rel=4.4e-16)
+        log_variance = math.log(2.0 * (2.0 * math.pi) ** 2 * w) + 2.0 * (R - math.log(2.0))
+        assert got["variance"]["log"] == pytest.approx(log_variance, rel=4.4e-16)
     else:
-        assert captured.err.startswith("horospheres: error: R must be a normal double no larger than ")
+        [row] = json.loads(out)["rows"]
+        bound = math.sqrt(2.0) * (1.0 / (math.sqrt(2.0) * w) + 1.0 / math.sqrt(w))
+        assert row["width"] == pytest.approx(w, rel=1e-13)
+        assert row["wasserstein_bound_width"] == pytest.approx(bound, rel=1e-13)
+        assert row["wasserstein_bound_integrals"] == pytest.approx(bound, rel=1e-13)
+
+
+def _engine_failing_every_tree(log_f, a, b, rel_tol):
+    """Every tree fails, as one that cannot converge does."""
+    error = QuadratureError("no tree converges", last=0.0, previous=0.0)
+    return np.full(len(a), math.nan), {t: error for t in range(len(a))}
 
 
 @pytest.mark.parametrize(
@@ -710,14 +743,16 @@ def test_extreme_finite_radius_ends_in_one_line(capsys, argv, code):
     ],
     ids=["bounds", "width-table"],
 )
-def test_grid_is_validated_before_any_quadrature(capsys, argv):
-    # point 0 alone fails in quadrature (exit 3), but the invalid radius of
+def test_grid_is_validated_before_any_quadrature(capsys, monkeypatch, argv):
+    # every tree fails in quadrature (exit 3), but the invalid radius of
     # point 1 is found first
+    monkeypatch.setattr(analysis, "quad_log_integrals", _engine_failing_every_tree)
     assert main(argv) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "horospheres: error: R must be finite and positive, got nan\n"
     assert main(argv[:-1] + ["fixed:1e100"]) == 3
+    assert capsys.readouterr().err == "horospheres: quadrature failure: no tree converges\n"
 
 
 def test_grid_commands_report_the_same_first_error():
@@ -781,7 +816,10 @@ def test_width_table_bad_regime(capsys):
 
 
 # every failure path's exit code and stderr line, recorded at 9838cb5 before the parameter table
-# replaced the per-command parsing; "{cfg}" stands for the path of the config file given as text
+# replaced the per-command parsing; "{cfg}" stands for the path of the config file given as text.
+# The two quadrature failures were re-pinned at d = 10^18, R = 1e-300 once moments at d = 10^6,
+# R = 1e-300 and bounds at R = 1e100 came to converge: there the width's mass lies within R/10^9
+# of s = 0, which the nodes in t = R - s resolve to 7 digits
 _FAILURES = {
     "no-command": ([], None, 64, "error: a command is required (try --help)"),
     "unknown-command": (["frobnicate"], None, 64,
@@ -849,10 +887,10 @@ _FAILURES = {
     "simulate-infeasible": ("simulate --d 20 --R 10 --n 5 --seed 0".split(), None, 2,
                             "infeasible: expected hitting count 1.72662e+81 exceeds the count cap 1e+08; "
                             "use the analytic routines for this regime"),
-    "moments-tiny-R": ("moments --d 1000000 --R 1e-300".split(), None, 3,
-                       "quadrature failure: panel budget (50000) exhausted before convergence"),
-    "bounds-huge-R": ("bounds --d-grid 3 --R-rule fixed:1e100".split(), None, 3,
-                      "quadrature failure: effective width estimate exceeds 2R at R = 1e+100"),
+    "moments-tiny-R": ("moments --d 1000000000000000000 --R 1e-300".split(), None, 3,
+                       "quadrature failure: panel depth cap (40) reached without convergence"),
+    "bounds-tiny-R": ("bounds --d-grid 1000000000000000000 --R-rule fixed:1e-300".split(), None, 3,
+                      "quadrature failure: panel depth cap (40) reached without convergence"),
     "missing-config": ("moments --d 3 --R 1 --config /nonexistent/x.cfg".split(), None, 74,
                        "i/o error: [Errno 2] No such file or directory: '/nonexistent/x.cfg'"),
     "unwritable-out": ("moments --d 3 --R 1 --out /nonexistent/dir/out.json".split(), None, 74,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from horospheres import quadrature
@@ -95,6 +95,21 @@ def test_nonintegrable_singularity_raises():
     err = excinfo.value
     assert math.isfinite(err.last)
     assert math.isfinite(err.previous)
+
+
+def test_a_node_never_lands_on_an_end_of_its_panel():
+    # x^-0.999 at 1.0: the 2^-46-wide halves of a depth-40 panel put their outer node within
+    # half an ulp of 1.0, where log(x - 1) would divide by zero.  The tree fails, naming the
+    # cause, and log_f never sees the end; an interval one ulp wide fails at its first level
+    def log_f(x):
+        assert np.all(x > 1.0)
+        return -0.999 * np.log(x - 1.0)
+
+    with pytest.raises(QuadratureError, match="too narrow for its nodes") as excinfo:
+        quad_log_integral(log_f, 1.0, 1.03125)
+    assert math.isfinite(excinfo.value.last) and math.isfinite(excinfo.value.previous)
+    with pytest.raises(QuadratureError, match="too narrow for its nodes"):
+        quad_log_integral(log_f, 1.0, 1.0 + 2.0**-52)
 
 
 def test_result_independent_of_scale_shift():
@@ -190,6 +205,7 @@ def _check_batch(fs, a, b, rel_tol=1e-10):
 
 
 @given(st.lists(_TREES, min_size=1, max_size=6))
+@example([("power", 1.0, 0.03125, 0.0, 0.0), ("bump", 0.0, 1.0, 0.5, 2.0)])  # a node would round onto 1.0
 def test_batch_equals_separate_one_tree_calls(trees):
     fs = [_family(kind, lo, u, v) for kind, lo, _, u, v in trees]
     _check_batch(fs, [t[1] for t in trees], [t[1] + t[2] for t in trees])
