@@ -198,9 +198,10 @@ def _grid_logs(points, kinds):
     """Log integrals of the ``kinds`` trees at every validated (R, d) point, all
     from one lockstep engine call, each over its interval.
 
-    Yields each point's logs, in ``kinds`` order, and then L(R) = log(1 - e^-R):
-    the log width, and the other trees' logs before their scales are added.  A
-    point's first failed tree is raised when the iteration reaches that point.
+    Yields each point's logs, in ``kinds`` order, then L(R) = log(1 - e^-R) and,
+    if the width is among the kinds, the width itself: the log width, and the
+    other trees' logs before their scales are added.  A point's first failed
+    tree is raised when the iteration reaches that point.
     """
     n = len(points)
     radii = np.array([R for R, _ in points])
@@ -220,12 +221,18 @@ def _grid_logs(points, kinds):
     ends = np.array([np.minimum(radii, _ENDS[name](dims)) for name in kinds])
     logs, failures = quad_log_integrals(log_f, np.zeros(ends.size), ends.ravel(), _DEFAULT_TOL)
     logs = logs.reshape(len(kinds), n)
+    columns = [logs, _log1mexp(radii)]
     if "width" in kinds:
-        # the part of (0, R) past the width tree's end adds its length
+        # the part of (0, R) past the width tree's end adds its length, to the log and, as a
+        # linear sum, to the width, which exp(log w) would give only to about |log w| ulps
         row = kinds.index("width")
         far = radii > ends[row]
-        logs[row, far] += np.log1p((radii - ends[row])[far] * np.exp(-logs[row, far]))
-    rows = np.vstack([logs, _log1mexp(radii)]).T.tolist()
+        tail = (radii - ends[row])[far]
+        widths = np.array([math.exp(log_w) for log_w in logs[row].tolist()])
+        widths[far] += tail
+        logs[row, far] += np.log1p(tail * np.exp(-logs[row, far]))
+        columns.append(widths)
+    rows = np.vstack(columns).T.tolist()
     for p in range(n):
         for index in range(len(kinds)):
             if index * n + p in failures:
@@ -248,17 +255,17 @@ def effective_width(R, d) -> float:
     from sinh products, so it stays accurate at every accepted R; the rest of
     (0, R) is added as its length.
     """
-    [(log_w, _)] = _grid_logs(_checked_points([R], [d], minimum=1), _WIDTH)
-    return math.exp(log_w)
+    [(_, _, width)] = _grid_logs(_checked_points([R], [d], minimum=1), _WIDTH)
+    return width
 
 
 def integrals(R, d) -> IntegralSet:
     """The three one-sided moment integrals and the effective width at (R, d)."""
     points = _checked_points([R], [d])
-    [(R, d)], [(log_i1, log_i4, log_w, log_edge)] = points, _grid_logs(points, _INTEGRALS)
+    [(R, d)], [(log_i1, log_i4, log_w, log_edge, width)] = points, _grid_logs(points, _INTEGRALS)
     k = _log_scale(R, d)
     return IntegralSet(R, d, log_i1 + 0.5 * k, _log_variance_integral(R, d, log_w, log_edge),
-                       log_i4 + 2.0 * k, math.exp(log_w))
+                       log_i4 + 2.0 * k, width)
 
 
 def moments(R, d) -> MomentSummary:
@@ -276,11 +283,11 @@ def moments_grid(radii, d_grid) -> list[MomentSummary]:
     the one-point result, from one batched engine call."""
     points = _checked_points(radii, d_grid)
     summaries = []
-    for (R, d), (log_i1, log_i4, log_w, log_v, log_edge) in zip(points, _grid_logs(points, _MOMENTS)):
+    for (R, d), (log_i1, log_i4, log_w, log_v, log_edge, width) in zip(points, _grid_logs(points, _MOMENTS)):
         c, k = log_area_coefficient(d), _log_scale(R, d)
         log_mean, log_variance = _log_mean_variance(R, d, log_w, log_v, log_edge)
         summaries.append(MomentSummary(R, d, log_mean, c + (log_i1 + 0.5 * k), log_variance,
-                                       4.0 * c + (log_i4 + 2.0 * k), math.exp(log_w)))
+                                       4.0 * c + (log_i4 + 2.0 * k), width))
     return summaries
 
 
@@ -295,8 +302,8 @@ def _clt_grid(radii, d_grid) -> list[tuple[float, float, float]]:
     """(log mean, log variance, width) at every point, bit for bit those of
     :func:`moments_grid`, from the width and mean trees alone."""
     points = _checked_points(radii, d_grid)
-    return [(*_log_mean_variance(R, d, log_w, log_v, log_edge), math.exp(log_w))
-            for (R, d), (log_w, log_v, log_edge) in zip(points, _grid_logs(points, _CLT))]
+    return [(*_log_mean_variance(R, d, log_w, log_v, log_edge), width)
+            for (R, d), (log_w, log_v, log_edge, width) in zip(points, _grid_logs(points, _CLT))]
 
 
 def variance_direct(R, d) -> float:
@@ -435,8 +442,7 @@ def width_ratio_table(regime, d_grid, radii) -> list[WidthRatioRow]:
     regime = GrowthRegime(regime)
     points = _checked_points(radii, d_grid)
     rows = []
-    for (R, d), (log_w, _) in zip(points, _grid_logs(points, _WIDTH)):
-        w = math.exp(log_w)
+    for (R, d), (_, _, w) in zip(points, _grid_logs(points, _WIDTH)):
         rows.append(WidthRatioRow(d=d, R=R, width=w, ratio=_regime_ratio(regime, d, R, w)))
     return rows
 
@@ -466,7 +472,7 @@ def rate_envelopes(radii, d_grid) -> list[BoundReport]:
     """
     points = _checked_points(radii, d_grid)
     reports = []
-    for (R, d), (log_i1, log_i4, log_w, log_edge) in zip(points, _grid_logs(points, _INTEGRALS)):
+    for (R, d), (log_i1, log_i4, log_w, log_edge, width) in zip(points, _grid_logs(points, _INTEGRALS)):
         gap = R - math.log(d)
         boundary = abs(gap - _GAP_THRESHOLD) <= 1e-9
         if gap <= _GAP_THRESHOLD:
@@ -479,7 +485,6 @@ def rate_envelopes(radii, d_grid) -> list[BoundReport]:
             regime = Regime.HIGH_DIM_UNBOUNDED
             envelope = 1.0 / (math.sqrt(d) * gap) + 1.0 / (d * math.sqrt(gap))
         # the ratios of the scaled logs: i2 = w e^{k + 2(d-1)L(R)}, so no term of size k is formed
-        width = math.exp(log_w)
         wb_width = wasserstein_bound_width(R, d, width=width)
         wb_ints = _SQRT2 * (math.exp(0.5 * log_i4 - log_w - 2 * (d - 1) * log_edge)
                             + math.exp(log_i1 - 0.5 * log_w - (d - 1) * log_edge))

@@ -18,7 +18,8 @@ replication costs no generator call of its own; its counts and uniforms are bit
 for bit those of its own stream, and a chunk of up to ``_BLOCK // 4`` of them is
 reduced in one kernel call.  From a mean of 10 up each replication draws from
 its re-keyed generator into a block of ``_BLOCK`` hits, and one larger than a
-block is drawn and reduced in ``_CHUNK`` pieces.
+block is drawn and reduced in ``_CHUNK`` pieces.  The plane's kernel sums the
+hit areas linearly, with no log or clamp per hit.
 """
 
 from __future__ import annotations
@@ -56,7 +57,9 @@ _CHUNK = 1 << 20
 # hits per block of that loop, which packs replications until the next would not fit
 _BLOCK = 1 << 15
 # rng.random can return exactly 0.0, whose far-edge distance and log area are
-# not finite; clamping to half the smallest regular draw keeps u in (0, 1)
+# not finite; clamping to half the smallest regular draw keeps u in (0, 1).  The
+# maps that take a log of u or of t do: the far-edge map (the general kernel and
+# sample_points) and the flat model's kernel and map; the plane's kernel needs none
 _MIN_U = 2.0**-54
 # numpy's Poisson draw (random_poisson) multiplies uniforms below this mean and
 # switches to PTRS rejection from it up
@@ -148,23 +151,30 @@ def _hyperbolic_hits(R: float, d: int):
     With t = R + s and r = R - s, the log area is c + (d-1)/2 (log(e^t - 1) + log(1 - e^{-r})).
     t comes from u by :func:`_far_edge` and r from 1 - u, each on its own side, so both stay
     accurate out to the edge they approach.  In the plane the area is rational in u up to one
-    square root, e^K sqrt(u (1 - u))/(1 - u w) with K = c + log w, so it is summed linearly.
+    square root, e^K sqrt(u (1 - u))/(1 - u w) with K = c + log w, so it is summed linearly;
+    at u = 0 it is an exact 0, so the plane needs no clamp of u.
     """
     a, c = d - 1.0, log_unit_ball_volume(d - 1)
     A = 2.0 * a * R
     if d == 2:
         E, w = math.exp(-A), -math.expm1(-A)
         K = c + math.log(w)
+        # the scaled area of a hit at u = 2^-54, half the smallest nonzero draw, where 1 - u rounds to 1
+        floor = 2.0**-27 / (w + E)
 
-        # 1 - u w = (1 - u) w + E >= max(E, 2^-53 w) and u >= 2^-54, so every scaled area lies
-        # in about [2^-27, 2^28] at any admissible R: no hit underflows, and a row of n hits sums
-        # to at most n 2^28, far inside double range for any count, so the sum needs no per-row max
+        # 1 - u w = (1 - u) w + E >= max(E, 2^-53 w), so the scaled area of every nonzero draw,
+        # u >= 2^-53, lies in about [2^-27, 2^28] at any admissible R: no hit underflows, and a row
+        # of n hits sums to at most n 2^28, far inside double range for any count, so the sum needs
+        # no per-row max.  A draw of exactly 0 adds an exact 0, so a row sum is floored at the area
+        # of a hit at 2^-54, which every nonzero draw's exceeds: a row of zero draws reads as one
+        # such hit, not log 0, and any other row is the sum of its nonzero draws alone
         def plane(u, starts):
-            v = np.subtract(1.0, np.maximum(u, _MIN_U, out=u))
+            v = np.subtract(1.0, u)
             u *= v
             np.sqrt(u, out=u)
             u /= np.add(np.multiply(v, w, out=v), E, out=v)
-            return np.log(np.add.reduceat(u, starts)) + K
+            sums = np.add.reduceat(u, starts)
+            return np.log(np.maximum(sums, floor, out=sums), out=sums) + K
 
         return plane
 
@@ -248,8 +258,10 @@ def _segment_log_sums(logs: np.ndarray, starts) -> np.ndarray:
 
 
 def _replication_streams(seed: int):
-    """``stream(index)`` is ``replication_stream(seed, index)``: one reused Philox re-keyed
-    to [index, seed] with counter 0 and an empty buffer, cheaper than a new one.
+    """``(rekey, gen)``: after ``rekey(index)``, the generator ``gen`` draws what
+    ``replication_stream(seed, index)`` would.  ``gen`` is one reused Philox, re-keyed in place
+    to [index, seed] with counter 0 and an empty buffer, cheaper than a new one, so its bound
+    methods can be looked up once for a whole batch.
 
     The state holds Python ints, not numpy arrays: the ``state`` setter reads its ten counter,
     key and buffer entries one by one, and an int converts to uint64 with no numpy scalar in
@@ -262,12 +274,11 @@ def _replication_streams(seed: int):
     state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
-    def stream(index: int):
+    def rekey(index: int) -> None:
         key[0] = index
         bits.state = state
-        return gen
 
-    return stream
+    return rekey, gen
 
 
 def _philox_doubles(counters: np.ndarray, keys: np.ndarray, seed: int) -> np.ndarray:
@@ -377,8 +388,8 @@ def _simulate(cfg: SimConfig, model: Model, indices: range) -> Batch:
     mean = math.exp(check_feasible(cfg, model))
     hits = model.hits(cfg.R, cfg.d)
     log_totals = np.full(len(indices), LOG_ZERO)
+    counts = np.empty(len(indices), np.int64)
     if mean < _PTRS_MIN_MEAN:
-        counts = np.empty(len(indices), np.int64)
         # equal chunks of at most _BLOCK // 4 replications, under 2.5 blocks of hits on average, so
         # memory stops growing with the batch past one chunk: tracemalloc's peak is 1.6 MB for 5,000
         # replications at a mean of 4, and 4.3-4.4 MB for 8,192 or 20,000 at a mean of 9.9
@@ -392,23 +403,23 @@ def _simulate(cfg: SimConfig, model: Model, indices: range) -> Batch:
             if rows.size:
                 log_totals[lo + rows] = hits(u, (np.cumsum(n) - n)[rows])
     else:
-        stream = _replication_streams(cfg.seed)
+        # check_feasible has validated the mean, so the count is drawn by the bound method itself
+        rekey, gen = _replication_streams(cfg.seed)
+        poisson, random = gen.poisson, gen.random
         block = np.empty(_BLOCK)
-        counts = []
         rows, starts, pos = [], [], 0
         for row, index in enumerate(indices):
-            gen = stream(index)
-            n = sample_poisson_count(mean, gen)
-            counts.append(n)
+            rekey(index)
+            counts[row] = n = poisson(mean)
             if n > _BLOCK:
                 for done in range(0, n, _CHUNK):
-                    piece = hits(gen.random(min(_CHUNK, n - done)), [0])
+                    piece = hits(random(min(_CHUNK, n - done)), [0])
                     log_totals[row] = np.logaddexp(log_totals[row], piece[0])
             elif n > 0:
                 if pos + n > _BLOCK:
                     log_totals[rows] = hits(block[:pos], starts)
                     rows, starts, pos = [], [], 0
-                gen.random(out=block[pos:pos + n])  # the slice fixes the size
+                random(out=block[pos:pos + n])  # the slice fixes the size
                 rows.append(row)
                 starts.append(pos)
                 pos += n
@@ -418,7 +429,7 @@ def _simulate(cfg: SimConfig, model: Model, indices: range) -> Batch:
     huge = ~(log_totals < _LOG_MAX)
     totals = np.array(list(map(math.exp, np.where(huge, 0.0, log_totals).tolist())), dtype=float)
     totals[huge] = math.inf
-    return Batch(np.array(counts, dtype=np.int64), totals, log_totals)
+    return Batch(counts, totals, log_totals)
 
 
 def simulate_batch(cfg: SimConfig, model: Model = HYPERBOLIC) -> Batch:

@@ -295,10 +295,13 @@ def test_out_writes_file(tmp_path, capsys):
 # through per-row dicts, streams re-keyed from numpy arrays); the cases take several plane hit
 # blocks, the general kernel, and the flat model at about 4 hits per replication.  The next two,
 # recorded at 37f653b, are rows larger than a block: about 60k hits each, and about 1.98M hits
-# each, drawn and summed in two _CHUNK pieces.  The last two, recorded at e22c30a, are sparse
+# each, drawn and summed in two _CHUNK pieces.  The next two, recorded at e22c30a, are sparse
 # batches (mean counts 4 and 7.25) of 20,000 replications, which span several sparse chunks.
 # The first was re-recorded when the k-statistics took z^3 and z^4 as products, not by pow: its
-# summary's k4 moved by 4.9e-16 and variance_stderr by 1.5e-16 relative, every row unchanged
+# summary's k4 moved by 4.9e-16 and variance_stderr by 1.5e-16 relative, every row unchanged.
+# The last two, recorded at e547a52, are small sparse batches (10 plane and 300 flat
+# replications), each a single sparse chunk, so a change of the route small batches take must
+# keep their bytes
 _SIMULATE_SHA256 = {
     "--d 2 --R 8 --n 64": "ff626838b6b4b78794e4aa8209c5e909cf6183fe806b95e467edc66c9a0dd476",
     "--d 3 --R 3 --n 64": "ee587d6ddae13d99d360982b457cce618f9ae6a675a8083a16ac31e4ee317a48",
@@ -307,6 +310,8 @@ _SIMULATE_SHA256 = {
     "--d 2 --R 14.5 --n 2": "9bbf5b2ec4dfa38dc98a99365b0c33dbe7d82646dfe3724c13e52207ed59abae",
     "--model euclidean --d 3 --R 2 --n 20000": "a99c0bdf74a2f2d5853874b43229121c8fc5ed06e9f7df276be84b9b51f37eb0",
     "--d 2 --R 2 --n 20000": "74575ef5860c115b7232bc2800ae794d1929788decfff185c012b13bcd7b5aeb",
+    "--d 2 --R 2 --n 10": "75b8a5e89646485907039bfdaea4ef15f4d29540342b5bbfe2fd6e82722ae551",
+    "--model euclidean --d 3 --R 2 --n 300": "48a721b6828e504b3c9398627a4a431b81fc2a6760f9de935cd437bfc65f8daa",
 }
 
 

@@ -3,6 +3,7 @@ agreement with the distance maps and the public signed-distance area
 functions."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horospheres import euclidean, sampling
-from horospheres.geometry import log_chord_area
+from horospheres.geometry import log_chord_area, log_unit_ball_volume
 
 _MODELS = {"hyperbolic": sampling.HYPERBOLIC, "euclidean": euclidean.FLAT}
 _US = [2.0**-54, 1e-12, 0.5, 1.0 - 1e-12, 1.0 - 2.0**-53]
@@ -127,3 +128,49 @@ def test_hit_kernel_overwrites_its_input_with_finite_logs(model):
     logs = _kernel(_MODELS[model], [0.0, 0.25, _LAST_U], 2.0, 3)
     assert logs.shape == (3,)
     assert np.all(np.isfinite(logs))
+
+
+# the plane's R range: from the smallest normal double to the count cap, 2 sinh R <= 10^8
+_PLANE_R = [2.2250738585072014e-308, 1e-4, 0.5, 2.0, 8.0, math.asinh(5e7)]
+
+
+def _clamped_plane(u, starts, R):
+    """The plane's area e^K sqrt(u (1 - u))/((1 - u) w + E), summed per segment, with every
+    draw clamped to [2^-54, 1) first, as the far-edge map clamps: the reference the clamp-free
+    kernel must match on every nonzero draw and on a row [0]."""
+    E, w = math.exp(-2.0 * R), -math.expm1(-2.0 * R)
+    u = np.maximum(np.array(u, dtype=float), 2.0**-54)
+    v = 1.0 - u
+    area = np.sqrt(u * v) / (v * w + E)
+    return np.log(np.add.reduceat(area, starts)) + (log_unit_ball_volume(1) + math.log(w))
+
+
+def _plane(u, starts, R):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return sampling.HYPERBOLIC.hits(R, 2)(np.array(u, dtype=float), np.array(starts))
+
+
+@pytest.mark.parametrize("R", _PLANE_R)
+def test_plane_rows_of_zero_draws_read_as_a_clamped_hit(R):
+    # a draw of exactly 0 adds an exact 0 area, and a row sum is floored at the area of a hit
+    # at 2^-54: a row [0] reads as it did under the clamp, and [0, x] as [x]
+    # (a row [0, 0] reads as [0], where the clamp made it two hits at 2^-54)
+    got = _plane([0.0, 2.0**-53, 0.5, _LAST_U, 0.0, 0.25, 0.0, 0.0], [0, 1, 2, 3, 4, 6], R)
+    assert got[0] == got[5] == _clamped_plane([0.0], [0], R)[0]
+    assert np.array_equal(got[1:5], _plane([2.0**-53, 0.5, _LAST_U, 0.25], [0, 1, 2, 3], R))
+    assert np.array_equal(got[1:5], _clamped_plane([2.0**-53, 0.5, _LAST_U, 0.25], [0, 1, 2, 3], R))
+    assert np.all(np.isfinite(got))
+
+
+@settings(max_examples=300)
+@given(st.floats(_PLANE_R[0], _PLANE_R[-1]),
+       st.lists(st.lists(st.integers(1, 2**53 - 1), min_size=1, max_size=6), min_size=1, max_size=5))
+@example(_PLANE_R[0], [[1], [2**53 - 1]])
+@example(_PLANE_R[-1], [[1, 2**53 - 1], [2**52]])
+def test_plane_kernel_equals_the_clamped_form_on_nonzero_draws(R, rows):
+    # every draw numpy's random can give but 0, k 2^-53 for k from 1 to 2^53 - 1, and any R the
+    # plane admits: each row is bit for bit the clamped form's
+    u = [k * 2.0**-53 for row in rows for k in row]
+    starts = np.cumsum([0] + [len(row) for row in rows[:-1]])
+    assert np.array_equal(_plane(u, starts, R), _clamped_plane(u, starts, R))

@@ -277,21 +277,21 @@ def test_monte_carlo_count_mean():
 def test_rekeyed_stream_matches_fresh_stream(seed):
     # one reused generator, re-keyed per replication, must replay the exact
     # draws of a freshly built replication_stream, also after earlier draws
-    stream = sampling._replication_streams(seed)
+    rekey, reused = sampling._replication_streams(seed)
     for index in (0, 1, 2**63 + 5, 0, 2**64 - 1):
         for mean in (3.25, 2981.0):
             fresh = replication_stream(seed, index)
-            reused = stream(index)
+            rekey(index)
             assert reused.poisson(mean) == fresh.poisson(mean)
             assert np.array_equal(reused.random(37), fresh.random(37))
         # leave a pending 32-bit half (has_uint32 = 1) and a half-used buffer:
         # a re-key must reset the whole state, not just the key and counter
-        stale = stream(index)
-        stale.integers(2**32, size=5, dtype=np.uint32)
-        stale.random(3)
-        assert stale.bit_generator.state["has_uint32"] == 1
-        assert stale.bit_generator.state["buffer_pos"] not in (0, 4)
-        reused = stream(index)
+        rekey(index)
+        reused.integers(2**32, size=5, dtype=np.uint32)
+        reused.random(3)
+        assert reused.bit_generator.state["has_uint32"] == 1
+        assert reused.bit_generator.state["buffer_pos"] not in (0, 4)
+        rekey(index)
         fresh = replication_stream(seed, index)
         got, want = reused.bit_generator.state, fresh.bit_generator.state
         assert got.keys() == want.keys()
