@@ -19,12 +19,18 @@ for bit those of its own stream, and a chunk of up to ``_BLOCK // 4`` of them is
 reduced in one kernel call.  From a mean of 10 up each replication draws from
 its re-keyed generator into a block of ``_BLOCK`` hits, and one larger than a
 block is drawn and reduced in ``_CHUNK`` pieces.  The plane's kernel sums the
-hit areas linearly, with no log or clamp per hit.
+hit areas linearly, with no log or clamp per hit.  From a mean of 2^11 up, where
+the process may run on two CPUs, a batch is split into two contiguous parts run
+in two threads, each with its own generator and block: numpy's ``random`` fill
+and the kernel's ufuncs release the interpreter lock, so the two overlap, and
+every row is the same as in one thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -64,6 +70,10 @@ _MIN_U = 2.0**-54
 # numpy's Poisson draw (random_poisson) multiplies uniforms below this mean and
 # switches to PTRS rejection from it up
 _PTRS_MIN_MEAN = 10.0
+# from this mean count up a dense batch is split over two threads, each with its own
+# generator and hit block: the generator fill and the kernel's ufuncs release the
+# interpreter lock, and below it the hand-offs of short replications cost more than they gain
+_SPLIT_MIN_MEAN = float(1 << 11)
 # Philox-4x64-10 (Salmon et al., SC 2011) as numpy runs it: the round multipliers,
 # as one column for the (c0, c2) pair of counter words, their 32-bit halves, the
 # increment of key word 0, and the ten round values of key word 1 less the seed
@@ -257,6 +267,13 @@ def _segment_log_sums(logs: np.ndarray, starts) -> np.ndarray:
     return m + np.log(np.add.reduceat(np.exp(logs, out=logs), starts))
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _replication_streams(seed: int):
     """``(rekey, gen)``: after ``rekey(index)``, the generator ``gen`` draws what
     ``replication_stream(seed, index)`` would.  ``gen`` is one reused Philox, re-keyed in place
@@ -372,17 +389,54 @@ def _sparse_draws(mean: float, keys: np.ndarray, seed: int) -> tuple[np.ndarray,
     return counts, stream.ravel()[index]
 
 
+def _dense_rows(seed: int, mean: float, hits, indices: range, counts: np.ndarray, log_totals: np.ndarray,
+                stop: list) -> None:
+    """Replications ``indices`` from a mean of ``_PTRS_MIN_MEAN`` up, written to their rows of
+    ``counts`` and ``log_totals`` (whose rows start at ``LOG_ZERO``), with a generator and a hit
+    block of their own; returns early once ``stop`` is not empty.
+
+    Each replication re-keys the generator and draws its count and then its uniforms into the
+    block, which the kernel reduces when the next replication would not fit; one larger than a
+    block is drawn and reduced alone in ``_CHUNK``-sized pieces, which bounds memory."""
+    # check_feasible has validated the mean, so the count is drawn by the bound method itself
+    rekey, gen = _replication_streams(seed)
+    poisson, random = gen.poisson, gen.random
+    block = np.empty(_BLOCK)
+    rows, starts, pos = [], [], 0
+    for row, index in enumerate(indices):
+        if stop:
+            return
+        rekey(index)
+        counts[row] = n = poisson(mean)
+        if n > _BLOCK:
+            for done in range(0, n, _CHUNK):
+                piece = hits(random(min(_CHUNK, n - done)), [0])
+                log_totals[row] = np.logaddexp(log_totals[row], piece[0])
+        elif n > 0:
+            if pos + n > _BLOCK:
+                log_totals[rows] = hits(block[:pos], starts)
+                rows, starts, pos = [], [], 0
+            random(out=block[pos:pos + n])  # the slice fixes the size
+            rows.append(row)
+            starts.append(pos)
+            pos += n
+    if rows:
+        log_totals[rows] = hits(block[:pos], starts)
+
+
 def _simulate(cfg: SimConfig, model: Model, indices: range) -> Batch:
     """The shared sampler: replications ``indices`` of ``model``, in order.
 
     Below a mean count of ``_PTRS_MIN_MEAN`` the replications are drawn in
     chunks of at most ``_BLOCK // 4`` by :func:`_sparse_draws`, with no numpy
     call per replication, and each chunk's hits are reduced in one kernel call.
-    From it up each replication draws from its own re-keyed generator into a
-    hit block, which the kernel reduces when the next replication would not
-    fit; a replication larger than a block is drawn and reduced alone in
-    ``_CHUNK``-sized pieces, which bounds memory.  Either way each log total
-    is a function of the replication's own hits alone."""
+    From it up :func:`_dense_rows` draws each replication from its own
+    re-keyed generator into a hit block.  From a mean of ``_SPLIT_MIN_MEAN`` up
+    the replications are cut into two contiguous parts when the process may
+    run on two CPUs: a second thread runs the second part with its own
+    generator and block, and this thread runs the first, then joins it and
+    raises what it raised.  Either way each log total is a function of the
+    replication's own hits alone, so the rows are the same on any CPU count."""
     if indices and not 0 <= indices[0] <= indices[-1] < _SEED_LIMIT:
         raise ValueError("replication index must be a 64-bit unsigned integer")
     mean = math.exp(check_feasible(cfg, model))
@@ -403,28 +457,30 @@ def _simulate(cfg: SimConfig, model: Model, indices: range) -> Batch:
             if rows.size:
                 log_totals[lo + rows] = hits(u, (np.cumsum(n) - n)[rows])
     else:
-        # check_feasible has validated the mean, so the count is drawn by the bound method itself
-        rekey, gen = _replication_streams(cfg.seed)
-        poisson, random = gen.poisson, gen.random
-        block = np.empty(_BLOCK)
-        rows, starts, pos = [], [], 0
-        for row, index in enumerate(indices):
-            rekey(index)
-            counts[row] = n = poisson(mean)
-            if n > _BLOCK:
-                for done in range(0, n, _CHUNK):
-                    piece = hits(random(min(_CHUNK, n - done)), [0])
-                    log_totals[row] = np.logaddexp(log_totals[row], piece[0])
-            elif n > 0:
-                if pos + n > _BLOCK:
-                    log_totals[rows] = hits(block[:pos], starts)
-                    rows, starts, pos = [], [], 0
-                random(out=block[pos:pos + n])  # the slice fixes the size
-                rows.append(row)
-                starts.append(pos)
-                pos += n
-        if rows:
-            log_totals[rows] = hits(block[:pos], starts)
+        workers = max(1, min(2, _cpu_count(), len(indices))) if mean >= _SPLIT_MIN_MEAN else 1
+        cuts = [len(indices) * k // workers for k in range(workers + 1)]
+        parts = [(indices[lo:hi], counts[lo:hi], log_totals[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        failed = []  # what a part raised, which also stops the other parts
+
+        def work(part):
+            try:
+                _dense_rows(cfg.seed, mean, hits, *part, failed)
+            except BaseException as exc:
+                failed.append(exc)
+
+        threads = [threading.Thread(target=work, args=(part,)) for part in parts[1:]]
+        for thread in threads:
+            thread.start()
+        try:
+            _dense_rows(cfg.seed, mean, hits, *parts[0], failed)
+        except BaseException as exc:
+            failed.append(exc)
+            raise
+        finally:
+            for thread in threads:
+                thread.join()
+        if failed:
+            raise failed[0]
     # math.exp, not np.exp: the two can differ in the last bit; inf past double range, as geometry._exp_or_inf
     huge = ~(log_totals < _LOG_MAX)
     totals = np.array(list(map(math.exp, np.where(huge, 0.0, log_totals).tolist())), dtype=float)

@@ -301,7 +301,9 @@ def test_out_writes_file(tmp_path, capsys):
 # summary's k4 moved by 4.9e-16 and variance_stderr by 1.5e-16 relative, every row unchanged.
 # The last two, recorded at e547a52, are small sparse batches (10 plane and 300 flat
 # replications), each a single sparse chunk, so a change of the route small batches take must
-# keep their bytes
+# keep their bytes.  The last, recorded at 7bde424, is a general-kernel batch (d = 3, mean
+# about 4,051) that is split over two threads on a machine with two CPUs; the first, fourth and
+# fifth plane cases are split there too
 _SIMULATE_SHA256 = {
     "--d 2 --R 8 --n 64": "ff626838b6b4b78794e4aa8209c5e909cf6183fe806b95e467edc66c9a0dd476",
     "--d 3 --R 3 --n 64": "ee587d6ddae13d99d360982b457cce618f9ae6a675a8083a16ac31e4ee317a48",
@@ -312,6 +314,7 @@ _SIMULATE_SHA256 = {
     "--d 2 --R 2 --n 20000": "74575ef5860c115b7232bc2800ae794d1929788decfff185c012b13bcd7b5aeb",
     "--d 2 --R 2 --n 10": "75b8a5e89646485907039bfdaea4ef15f4d29540342b5bbfe2fd6e82722ae551",
     "--model euclidean --d 3 --R 2 --n 300": "48a721b6828e504b3c9398627a4a431b81fc2a6760f9de935cd437bfc65f8daa",
+    "--d 3 --R 4.5 --n 16": "95fb46a43da15ef5a6b7a63f580fd108badcf165a04b5c1269950e407d580407",
 }
 
 

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -401,6 +405,118 @@ def test_batch_matches_per_replication_reference(model):
             assert count == n
             want = float(np.logaddexp.reduce(logs)) if n else -math.inf
             assert log_total == pytest.approx(want, rel=0.0, abs=1e-13)
+
+
+def _on_cpus(monkeypatch, cpus):
+    """The process may run on ``cpus`` CPUs; returns the list that gets one entry per thread that
+    runs a part of a dense batch."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    parts, real = [], sampling._dense_rows
+    monkeypatch.setattr(sampling, "_dense_rows", lambda *args: parts.append(threading.get_ident()) or real(*args))
+    return parts
+
+
+# (d, R, replications) from a mean count of 2^11 up: plane rows packed into hit blocks (mean
+# about 2,981), plane rows larger than a block, each drawn and summed through the _CHUNK loop
+# (about 59,874), and the general kernel (about 4,051)
+_SPLIT_CASES = [(2, 8.0, 9), (2, 11.0, 4), (3, 4.5, 7)]
+
+
+@pytest.mark.parametrize("d, R, n", _SPLIT_CASES)
+def test_same_bits_on_one_cpu_and_on_two(d, R, n, monkeypatch):
+    cfg = SimConfig(d=d, R=R, replications=n, seed=20260821)
+    assert math.exp(log_hitting_mass(R, d)) >= sampling._SPLIT_MIN_MEAN
+    batches = {}
+    for cpus in (1, 2):
+        with monkeypatch.context() as patch:
+            parts = _on_cpus(patch, cpus)
+            batches[cpus] = simulate_batch(cfg)
+        assert len(set(parts)) == len(parts) == cpus
+    assert _same(batches[1], batches[2])
+    assert _same(batches[2], _singles(cfg))
+    # where sched_getaffinity is missing the CPU count comes from os.cpu_count
+    for cpus, threads in ((None, 1), (2, 2)):
+        with monkeypatch.context() as patch:
+            parts = _on_cpus(patch, 1)
+            patch.delattr(os, "sched_getaffinity")
+            patch.setattr(os, "cpu_count", lambda: cpus)
+            assert _same(simulate_batch(cfg), batches[1])
+        assert len(parts) == threads
+
+
+def test_batches_split_from_a_mean_of_2_to_the_11(monkeypatch):
+    # math.exp is pinned at the batch's log mass to give the mean exactly
+    cfg = SimConfig(d=2, R=7.5, replications=6, seed=3)
+    log_mean, real_exp = log_hitting_mass(cfg.R, cfg.d), math.exp
+    for mean, threads in ((sampling._SPLIT_MIN_MEAN, 2), (math.nextafter(sampling._SPLIT_MIN_MEAN, 0.0), 1)):
+        with monkeypatch.context() as patch:
+            parts = _on_cpus(patch, 2)
+            patch.setattr(math, "exp", lambda x, mean=mean: mean if x == log_mean else real_exp(x))
+            simulate_batch(cfg)
+        assert len(parts) == threads
+
+
+def test_split_sub_range_equals_the_rows_of_the_full_batch(monkeypatch):
+    cfg = SimConfig(d=2, R=8.0, replications=20, seed=3)
+    parts = _on_cpus(monkeypatch, 2)
+    full = simulate_batch(cfg)
+    rows = sampling._simulate(cfg, HYPERBOLIC, range(5, 17))
+    assert len(parts) == 4
+    assert _same(rows, sampling.Batch(*(field[5:17] for field in full)))
+
+
+class _KernelError(RuntimeError):
+    pass
+
+
+def _wait_until(condition):
+    deadline = time.monotonic() + 30.0
+    while not condition():
+        assert time.monotonic() < deadline
+        time.sleep(1e-3)
+
+
+def _in_join(ident):
+    """Whether the thread ``ident`` is waiting in ``Thread.join``."""
+    frame = sys._current_frames().get(ident)
+    while frame is not None and frame.f_code is not threading.Thread.join.__code__:
+        frame = frame.f_back
+    return frame is not None
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_split_batch_leaves_no_thread_alive(failing, monkeypatch):
+    # 40 replications of about 2,981 hits, two hit blocks per half.  With a kernel that raises
+    # in one half's first call, simulate_batch raises that exception, and the other half's first
+    # kernel call, if it gets that far, waits until the failing half is done: the worker has
+    # exited, or the caller waits in join.  It then stops at its next replication, so its kernel
+    # runs at most once, not once per block
+    _on_cpus(monkeypatch, 2)
+    cfg = SimConfig(d=2, R=8.0, replications=40, seed=4)
+    before, caller, calls = set(threading.enumerate()), threading.get_ident(), []
+    simulate_batch(cfg)
+    assert set(threading.enumerate()) == before
+
+    def hits(R, d):
+        kernel = HYPERBOLIC.hits(R, d)
+
+        def kernel_failing_in_one_half(u, starts):
+            in_caller = threading.get_ident() == caller
+            if in_caller == (failing == "caller"):
+                raise _KernelError(failing)
+            calls.append(u.size)
+            if in_caller:
+                _wait_until(lambda: not set(threading.enumerate()) - before)
+            else:
+                _wait_until(lambda: _in_join(caller))
+            return kernel(u, starts)
+
+        return kernel_failing_in_one_half
+
+    with pytest.raises(_KernelError, match=failing):
+        simulate_batch(cfg, HYPERBOLIC._replace(hits=hits))
+    assert len(calls) <= 1
+    assert set(threading.enumerate()) == before
 
 
 _U64 = st.integers(0, 2**64 - 1)
