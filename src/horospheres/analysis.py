@@ -198,9 +198,9 @@ def _grid_logs(points, kinds):
     """Log integrals of the ``kinds`` trees at every validated (R, d) point, all
     from one lockstep engine call, each over its interval.
 
-    Yields each point's logs, in ``kinds`` order, then L(R) = log(1 - e^-R) and,
-    if the width is among the kinds, the width itself: the log width, and the
-    other trees' logs before their scales are added.  A point's first failed
+    Yields each point's logs in ``kinds`` order (the log width, and the other
+    trees' logs before their scales are added), then L(R) = log(1 - e^-R) and
+    the width itself; every kinds tuple holds the width.  A point's first failed
     tree is raised when the iteration reaches that point.
     """
     n = len(points)
@@ -221,18 +221,15 @@ def _grid_logs(points, kinds):
     ends = np.array([np.minimum(radii, _ENDS[name](dims)) for name in kinds])
     logs, failures = quad_log_integrals(log_f, np.zeros(ends.size), ends.ravel(), _DEFAULT_TOL)
     logs = logs.reshape(len(kinds), n)
-    columns = [logs, _log1mexp(radii)]
-    if "width" in kinds:
-        # the part of (0, R) past the width tree's end adds its length, to the log and, as a
-        # linear sum, to the width, which exp(log w) would give only to about |log w| ulps
-        row = kinds.index("width")
-        far = radii > ends[row]
-        tail = (radii - ends[row])[far]
-        widths = np.array([math.exp(log_w) for log_w in logs[row].tolist()])
-        widths[far] += tail
-        logs[row, far] += np.log1p(tail * np.exp(-logs[row, far]))
-        columns.append(widths)
-    rows = np.vstack(columns).T.tolist()
+    # the part of (0, R) past the width tree's end adds its length, to the log and, as a
+    # linear sum, to the width, which exp(log w) would give only to about |log w| ulps
+    row = kinds.index("width")
+    far = radii > ends[row]
+    tail = (radii - ends[row])[far]
+    widths = np.array([math.exp(log_w) for log_w in logs[row].tolist()])
+    widths[far] += tail
+    logs[row, far] += np.log1p(tail * np.exp(-logs[row, far]))
+    rows = np.vstack([logs, _log1mexp(radii), widths]).T.tolist()
     for p in range(n):
         for index in range(len(kinds)):
             if index * n + p in failures:

@@ -497,11 +497,11 @@ def test_variance_integral_and_width_agree_with_finite_sums():
 
 def test_mean_integral_agrees_with_finite_sums():
     # the mean tree, log of the integral of sinh^(d-1) over (0, R), through the grid core in one
-    # engine call.  Its error is per unit of |log| (measured worst 2.05e-16 on these points), plus
+    # engine call beside the width tree, as verify-clt runs it.  Its error is per unit of |log| (measured worst 2.05e-16 on these points), plus
     # the relative error of the integral itself where the log is small: 2.7e-15 at (1, 50), whose
     # log is 3.7 while its log-integrand reaches 49 log sinh 1 = 7.7
     points = analysis._checked_points(*zip(*_FINITE_SUM_POINTS))
-    for (R, d), (log_v, _) in zip(points, analysis._grid_logs(points, ("mean",))):
+    for (R, d), (_, log_v, _, _) in zip(points, analysis._grid_logs(points, analysis._CLT)):
         want, check = log_mean_integral(R, d), log_mean_integral(R, d, extra=80)
         # the recurrence cancels about (d-1) log10(coth R) digits; two precisions agree
         assert abs(want - check) <= mp.mpf(10) ** -35 * abs(want)
@@ -517,12 +517,12 @@ _LAYER_SUM_POINTS = [(0.1, 3), (8.0, 3), (20.0, 3), (2.0, 2), (4.0, 2), (5.0, 7)
 
 
 def test_cut_layer_integrals_agree_with_finite_sums():
-    # the i1 and i4 trees over their cut intervals, through the grid core in one engine call,
-    # against the integrals over all of (0, R).  The error is per unit of |log|: measured worst
+    # the i1 and i4 trees over their cut intervals, through the grid core in one engine call
+    # beside the width tree, as bounds runs them, against the integrals over all of (0, R).  The error is per unit of |log|: measured worst
     # 2.8e-16, at (2, 2), whose log i4 is 1.6.  Cuts of 30/15 in place of 80/40 err by up to
     # 1.5e-8 per unit at these points (5.1e-11 at (8, 3), the first it fails)
     points = analysis._checked_points(*zip(*_LAYER_SUM_POINTS))
-    for (R, d), logs in zip(points, analysis._grid_logs(points, ("i1", "i4"))):
+    for (R, d), logs in zip(points, analysis._grid_logs(points, analysis._INTEGRALS)):
         # each tree's log is taken before its scale, k/2 or 2k with k = (d-1)(R - log 2), is added
         k = (d - 1) * (R - _LN2)
         for kind, got in zip(("i1", "i4"), (logs[0] + 0.5 * k, logs[1] + 2.0 * k)):

@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
+from horospheres.analysis import _clt_grid
 from horospheres.empirical import (
     empirical_kolmogorov,
     empirical_wasserstein1,
@@ -16,7 +18,8 @@ from horospheres.empirical import (
     standardize,
     summarize,
 )
-from horospheres.sampling import replication_stream
+from horospheres.geometry import _exp_or_inf
+from horospheres.sampling import SimConfig, replication_stream, simulate_batch
 
 _PHI_ONE = 0.841344746068543  # standard normal CDF at 1, 15 digits
 
@@ -65,6 +68,21 @@ def test_standardize_rejects_empty_sample_and_non_positive_scale():
             standardize([1.0, 2.0], center=0.0, scale=scale)
     with pytest.raises(ValueError, match="empty sample"):
         standardize([], center=0.0, scale=1.0)
+
+
+def test_non_finite_samples_are_refused_by_name():
+    # before, these returned 0.5, nan and all-nan fields, and an inf in summarize set off
+    # numpy's invalid-value warning
+    with pytest.raises(ValueError, match="sample 1 is not finite: inf"):
+        empirical_kolmogorov([0.0, math.inf])
+    with pytest.raises(ValueError, match="sample 2 is not finite: nan"):
+        empirical_wasserstein1([0.0, 1.0, math.nan])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"sample 3 is not finite: {bad!r}"):
+            summarize([1.0, 2.0, 3.0, bad, 5.0], 0.5, center=0.0, scale=1.0)
+    # the k-statistics still take an inf, which simulate's summary prints as null
+    with np.errstate(invalid="ignore"):
+        assert all(math.isnan(k) for k in k_statistics([1.0, 2.0, 3.0, math.inf])[1:])
 
 
 def test_kolmogorov_three_point_hand_value():
@@ -133,6 +151,72 @@ def test_wasserstein1_against_grid_integration_drawn(n, location, variance, seed
     fn = np.searchsorted(x, grid, side="right") / n
     want = np.trapezoid(np.abs(fn - gaussian_cdf(grid, variance)), grid)
     assert empirical_wasserstein1(x, target_variance=variance) == pytest.approx(want, abs=1e-7 * sd)
+
+
+def _wasserstein1_mpmath(x, variance):
+    """W1 of the sorted float sample x against N(0, variance) at 40 digits, piece by piece through
+    the antiderivative A(t) = t G(t) + variance g(t), with each crossing point from erfinv; S, the
+    sum of the magnitudes of the terms the float computation adds, each A(t) counted as
+    |t| G(t) + variance g(t); and the number of pieces G crosses."""
+    with mp.workdps(40):
+        v = mp.mpf(variance)
+        root = mp.sqrt(2 * v)
+
+        def terms(t):  # G(t), A(t) and the magnitude of A(t)
+            G, g = mp.erfc(-t / root) / 2, v * mp.exp(-t * t / (2 * v)) / (root * mp.sqrt(mp.pi))
+            return G, t * G + g, abs(t) * G + g
+
+        n = len(x)
+        pts = [mp.mpf(float(value)) for value in x]
+        G, A, M = zip(*map(terms, pts))
+        total = A[0] + (A[-1] - pts[-1])
+        size, crossings = M[0] + M[-1] + abs(pts[-1]), 0
+        for k in range(n - 1):
+            c, a, b = mp.mpf(k + 1) / n, pts[k], pts[k + 1]
+            if G[k] >= c:
+                total += (A[k + 1] - A[k]) - c * (b - a)
+            elif G[k + 1] <= c:
+                total += c * (b - a) - (A[k + 1] - A[k])
+            else:
+                t = root * mp.erfinv(2 * c - 1)
+                _, At, Mt = terms(t)
+                total += (c * (t - a) - (At - A[k])) + ((A[k + 1] - At) - c * (b - t))
+                size += 2 * Mt
+                crossings += 1
+            size += c * (b - a) + M[k] + M[k + 1]
+        return float(total), float(size), crossings
+
+
+def _clt_sweep_samples():
+    """The three standardized, sorted samples of the benchmark's verify-clt command (d = 2,
+    R = 2, 4, 8, n = 2,000, seed 20260821), as the command standardizes them."""
+    radii = [2.0, 4.0, 8.0]
+    for R, (log_mean, log_variance, _) in zip(radii, _clt_grid(radii, [2] * 3)):
+        totals = simulate_batch(SimConfig(d=2, R=R, replications=2000, seed=20260821)).totals
+        yield np.sort(standardize(totals, _exp_or_inf(log_mean), _exp_or_inf(0.5 * log_variance))), 0.5
+
+
+def _drawn_normal_samples():
+    """40 sorted samples of N(0, v) with v uniform in [0.1, 3] and from 2 to 400 points, each
+    paired with its own v as the target."""
+    for index in range(40):
+        rng = replication_stream(20260821, index)
+        variance, n = float(rng.uniform(0.1, 3.0)), int(rng.integers(2, 401))
+        yield np.sort(math.sqrt(variance) * rng.standard_normal(n)), variance
+
+
+def test_wasserstein1_against_mpmath_pieces():
+    # each term is off by a few ulps of its magnitude (erfc, exp and the products), and numpy's
+    # pairwise sum adds at most log2(n) ulps of the magnitudes it sums; the crossing point only
+    # moves the result at second order.  So the margin is (8 + log2 n) eps S, stated before the
+    # first run, with S the sum of the terms' magnitudes from the oracle
+    eps, crossed = 2.0**-52, 0
+    for x, variance in [*_clt_sweep_samples(), *_drawn_normal_samples()]:
+        want, size, crossings = _wasserstein1_mpmath(x, variance)
+        got = empirical_wasserstein1(x, target_variance=variance)
+        assert abs(got - want) <= (8.0 + math.log2(x.size)) * eps * size
+        crossed += crossings > 0
+    assert crossed >= 40  # nearly every sample has a piece that G crosses
 
 
 def test_wasserstein1_nonstandard_variance():

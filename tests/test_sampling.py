@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import math
 import os
+import statistics
 import sys
 import threading
 import time
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from horospheres import euclidean, sampling
+from horospheres import analysis, euclidean, sampling
+from horospheres.empirical import k_statistics
 from horospheres.geometry import log_chord_area
 from horospheres.sampling import (
     HYPERBOLIC,
@@ -605,3 +608,86 @@ def test_sparse_counts_where_a_running_product_is_the_limit():
                 assert counts[0] == position == replication_stream(seed, key).poisson(mean)
                 hits += 1
     assert hits >= 20
+
+
+# Monte Carlo against the exact moments on every sampler path: both models at d in {2, 3, 5, 10,
+# 20} and mean counts 0.3 and 4 (the sparse path), 60 (dense, one thread, replications packed into
+# hit blocks) and 3,000 (split over two threads, each replication drawn and reduced in two _CHUNK
+# pieces under a block and a chunk of 2,048 hits).  Fixed before the first run: 20,000 replications,
+# 3,000 at a mean of 3,000, and seed 1,000 + the configuration's index.  80 z-scores (mean and
+# variance per configuration), two-sided at a family-wise 1% with Bonferroni: |z| < 3.84
+_MOMENT_CASES = [(model, d, mean) for model in ("hyperbolic", "euclidean") for d in (2, 3, 5, 10, 20)
+                 for mean in (0.3, 4.0, 60.0, 3000.0)]
+
+
+def _radius_for_mean(model, d, mean):
+    if model == "euclidean":
+        return mean / 2.0  # hit mass 2R
+    return math.asinh(0.5 * (d - 1) * mean) / (d - 1)  # hit mass 2 sinh((d-1)R)/(d-1)
+
+
+def _exact_mean_variance(model, R, d):
+    if model == "euclidean":
+        return math.exp(euclidean.log_mean(R, d)), math.exp(euclidean.variance_closed(R, d))
+    m = analysis.moments(R, d)
+    return m.mean, m.variance
+
+
+def test_sampler_matches_the_exact_mean_and_variance_on_every_path(monkeypatch):
+    margin = statistics.NormalDist().inv_cdf(1.0 - 0.01 / (2 * 2 * len(_MOMENT_CASES)))
+    # one entry per path taken; list.append is atomic, so the two threads of a split batch lose none
+    taken = []
+    real_sparse, real_rows, real_far_edge = sampling._sparse_draws, sampling._dense_rows, sampling._far_edge
+    threads = set()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sampling, "_sparse_draws", lambda *args: taken.append("sparse") or real_sparse(*args))
+    monkeypatch.setattr(sampling, "_dense_rows", lambda *args: threads.add(threading.get_ident()) or real_rows(*args))
+
+    def far_edge(u, v, R, d):
+        taken.append("far edge, 2(d-1)R < log 2" if 2.0 * (d - 1) * R < math.log(2.0) else "far edge")
+        return real_far_edge(u, v, R, d)
+
+    monkeypatch.setattr(sampling, "_far_edge", far_edge)
+
+    def counted(model, name):  # the model, with each call of its kernel counted under its name
+        def hits(R, d):
+            kernel = model.hits(R, d)
+            key = f"{name} {kernel.__name__} kernel"
+            return lambda u, starts: taken.append(key) or kernel(u, starts)
+
+        return model._replace(hits=hits)
+
+    failures = []
+    for index, (name, d, mean) in enumerate(_MOMENT_CASES):
+        R = _radius_for_mean(name, d, mean)
+        cfg = SimConfig(d=d, R=R, replications=3000 if mean > 1000 else 20000, seed=1000 + index)
+        assert math.exp(_MODELS[name].log_mass(R, d)) == pytest.approx(mean, rel=1e-12)
+        threads.clear()
+        with monkeypatch.context() as patch:
+            if mean > 1000:
+                patch.setattr(sampling, "_BLOCK", 2048)
+                patch.setattr(sampling, "_CHUNK", 2048)
+            before = len(taken)
+            batch = simulate_batch(cfg, counted(_MODELS[name], name))
+        kernel_calls = sum(key.endswith("kernel") for key in taken[before:])
+        if mean > 1000:
+            # every replication exceeds the block, so each is reduced in ceil(count / 2,048) pieces
+            assert np.all(batch.counts > 2048) and len(threads) == 2
+            assert kernel_calls == np.sum(-(-batch.counts // 2048))
+            taken += ["split", "chunk pieces"]
+        elif mean > 10:
+            assert len(threads) == 1
+            taken.append("dense, one thread")
+        exact_mean, exact_variance = _exact_mean_variance(name, R, d)
+        # the k-statistics of the totals in units of the exact mean, which keeps their powers in range
+        k1, k2, _, k4 = k_statistics(batch.totals / exact_mean)
+        variance = exact_variance / exact_mean**2
+        z_mean = (k1 - 1.0) / math.sqrt(variance / cfg.replications)
+        z_variance = (k2 - variance) / math.sqrt((k4 + 2.0 * k2 * k2) / cfg.replications)
+        if not max(abs(z_mean), abs(z_variance)) < margin:
+            failures.append((name, d, mean, z_mean, z_variance))
+    assert not failures, failures
+    paths = collections.Counter(taken)
+    for path in ("sparse", "dense, one thread", "split", "chunk pieces", "hyperbolic plane kernel",
+                 "hyperbolic hits kernel", "euclidean hits kernel", "far edge, 2(d-1)R < log 2", "far edge"):
+        assert paths[path] > 0, path
