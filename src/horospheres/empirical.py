@@ -28,25 +28,33 @@ __all__ = [
 ]
 
 
+def _check_variance(variance) -> None:
+    # past 1e300 an x whose square overflows could still have a density above 0
+    if not 0 < variance <= 1e300:
+        raise ValueError(f"variance must be positive and at most 1e300, got {variance!r}")
+
+
 def gaussian_cdf(x, variance: float = 1.0):
     """Distribution function of a centered Gaussian with the given variance.
 
     Vectorized; evaluated through the complementary error function so both
     tails keep full absolute accuracy.
     """
-    if not variance > 0:
-        raise ValueError(f"variance must be positive, got {variance!r}")
-    t = np.asarray(x, dtype=float) / math.sqrt(2.0 * variance)
-    out = 0.5 * erfc(-t)
-    return out
+    _check_variance(variance)
+    # x / sqrt(2 variance) past double range is +-inf, where erfc is exactly 0 or 2
+    with np.errstate(over="ignore"):
+        t = np.asarray(x, dtype=float) / math.sqrt(2.0 * variance)
+    return 0.5 * erfc(-t)
 
 
 def gaussian_pdf(x, variance: float = 1.0):
     """Density of a centered Gaussian with the given variance."""
-    if not variance > 0:
-        raise ValueError(f"variance must be positive, got {variance!r}")
+    _check_variance(variance)
     arr = np.asarray(x, dtype=float)
-    return np.exp(-arr * arr / (2.0 * variance)) / math.sqrt(2.0 * math.pi * variance)
+    # an exponent past double range is -inf, and its density an exact 0, as it rounds to: at a
+    # variance up to 1e300 an x whose square overflows is more than 10^4 standard deviations out
+    with np.errstate(over="ignore"):
+        return np.exp(-arr * arr / (2.0 * variance)) / math.sqrt(2.0 * math.pi * variance)
 
 
 def standardize(samples, center, scale) -> np.ndarray:
@@ -57,7 +65,13 @@ def standardize(samples, center, scale) -> np.ndarray:
         raise ValueError("cannot standardize an empty sample")
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
-    return (_check_finite(x) - float(center)) / float(scale)
+    with np.errstate(over="ignore"):
+        z = (_check_finite(x) - float(center)) / float(scale)
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        raise ValueError(f"sample {bad[0]} standardizes to {float(z[bad[0]])!r}: "
+                         f"({float(x[bad[0]])!r} - {center!r}) / {scale!r}")
+    return z
 
 
 def _check_finite(x: np.ndarray) -> np.ndarray:
@@ -72,7 +86,7 @@ def _check_sorted(samples) -> np.ndarray:
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("empty sample")
-    if np.any(np.diff(_check_finite(x)) < 0):
+    if np.any(_check_finite(x)[1:] < x[:-1]):
         raise ValueError("samples must be sorted ascending")
     return x
 
@@ -127,11 +141,21 @@ def empirical_wasserstein1(sorted_samples, target_variance: float = 1.0) -> floa
 
 
 def k_statistics(samples) -> tuple[float, float, float, float]:
-    """Unbiased cumulant estimators (k1, k2, k3, k4) from power sums."""
+    """Unbiased cumulant estimators (k1, k2, k3, k4) from power sums.
+
+    A sample whose largest finite magnitude passes 2^200 is scaled by a power of two 2^-e first, so
+    that its fourth powers stay in range, and each k_j scaled back by 2^(j e): an estimator past
+    double range is then an inf of its sign.  Both scalings are exact for every value above 2^-1022
+    times the largest."""
     x = np.asarray(samples, dtype=float).ravel()
     n = x.size
     if n < 4:
         raise ValueError("k-statistics need at least four observations")
+    top = float(np.max(np.abs(x), initial=0.0, where=np.isfinite(x)))
+    if top > 2.0**200:
+        e = math.frexp(top)[1]
+        ks = k_statistics(np.ldexp(x, -e))
+        return tuple(_ldexp_or_inf(k, j * e) for j, k in enumerate(ks, 1))
     k1 = float(np.mean(x))
     z = x - k1
     # products, not z**3 and z**4, which numpy sends through libm's pow at about 80 ns an element
@@ -143,6 +167,14 @@ def k_statistics(samples) -> tuple[float, float, float, float]:
     k3 = n * s3 / ((n - 1) * (n - 2))
     k4 = (n * (n + 1.0) * s4 - 3.0 * (n - 1) * s2 * s2) / ((n - 1.0) * (n - 2) * (n - 3))
     return k1, k2, k3, k4
+
+
+def _ldexp_or_inf(x: float, e: int) -> float:
+    """x 2^e, an inf of x's sign past double range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 @dataclass(frozen=True)

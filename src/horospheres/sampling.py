@@ -15,8 +15,8 @@ Below a mean count of 10, where numpy draws a Poisson count by multiplying
 uniforms, the sampler computes the Philox-4x64 blocks of many replications at
 once in numpy arrays and repeats numpy's count draw on them, so a sparse
 replication costs no generator call of its own; its counts and uniforms are bit
-for bit those of its own stream, and a chunk of up to ``_BLOCK // 4`` of them is
-reduced in one kernel call.  From a mean of 10 up each replication draws from
+for bit those of its own stream, and a chunk of up to ``_SPARSE_CHUNK`` of them
+is reduced in one kernel call.  From a mean of 10 up each replication draws from
 its re-keyed generator into a block of ``_BLOCK`` hits, and one larger than a
 block is drawn and reduced in ``_CHUNK`` pieces.  The plane's kernel sums the
 hit areas linearly, with no log or clamp per hit.  From a mean of 2^11 up, where
@@ -60,8 +60,15 @@ _SEED_LIMIT = 1 << 64
 _COUNT_CAP = 10**8
 # hits per piece of a replication larger than a block, in the loop from a mean of 10 up
 _CHUNK = 1 << 20
-# hits per block of that loop, which packs replications until the next would not fit
-_BLOCK = 1 << 15
+# hits per block of that loop, which packs replications until the next would not fit.  A kernel
+# call takes about 21 plane replications at R = 8, and each of its ufunc calls is one hand-off of the
+# interpreter lock between the threads of a split batch, half as many per hit as at 2^15.  At 2^17 a
+# block and the kernel's temporary reach 2 MB, one core's L2 on a 2-vCPU Xeon, and that batch runs
+# no faster while the process takes 2 MB more
+_BLOCK = 1 << 16
+# replications per chunk of the sparse path below a mean of 10: about 1.2 blocks of hits at a mean
+# of 9.9, where tracemalloc's peak for 20,000 plane replications is 4.20 MiB (6.1 MiB at 2^14)
+_SPARSE_CHUNK = 1 << 13
 # rng.random can return exactly 0.0, whose far-edge distance and log area are
 # not finite; clamping to half the smallest regular draw keeps u in (0, 1).  The
 # maps that take a log of u or of t do: the far-edge map (the general kernel and
@@ -397,7 +404,9 @@ def _dense_rows(seed: int, mean: float, hits, indices: range, counts: np.ndarray
 
     Each replication re-keys the generator and draws its count and then its uniforms into the
     block, which the kernel reduces when the next replication would not fit; one larger than a
-    block is drawn and reduced alone in ``_CHUNK``-sized pieces, which bounds memory."""
+    block is drawn and reduced alone in ``_CHUNK``-sized pieces, which bounds memory.  A block
+    and the plane kernel's one temporary take 1 MiB, and 1.5 MiB with the general kernel's two,
+    so a split batch peaks at about 2.0 MiB in the plane (d = 2, R = 8) and 2.9 MiB at d = 3, R = 5."""
     # check_feasible has validated the mean, so the count is drawn by the bound method itself
     rekey, gen = _replication_streams(seed)
     poisson, random = gen.poisson, gen.random
@@ -428,7 +437,7 @@ def _simulate(cfg: SimConfig, model: Model, indices: range) -> Batch:
     """The shared sampler: replications ``indices`` of ``model``, in order.
 
     Below a mean count of ``_PTRS_MIN_MEAN`` the replications are drawn in
-    chunks of at most ``_BLOCK // 4`` by :func:`_sparse_draws`, with no numpy
+    chunks of at most ``_SPARSE_CHUNK`` by :func:`_sparse_draws`, with no numpy
     call per replication, and each chunk's hits are reduced in one kernel call.
     From it up :func:`_dense_rows` draws each replication from its own
     re-keyed generator into a hit block.  From a mean of ``_SPLIT_MIN_MEAN`` up
@@ -444,10 +453,9 @@ def _simulate(cfg: SimConfig, model: Model, indices: range) -> Batch:
     log_totals = np.full(len(indices), LOG_ZERO)
     counts = np.empty(len(indices), np.int64)
     if mean < _PTRS_MIN_MEAN:
-        # equal chunks of at most _BLOCK // 4 replications, under 2.5 blocks of hits on average, so
-        # memory stops growing with the batch past one chunk: tracemalloc's peak is 1.6 MB for 5,000
-        # replications at a mean of 4, and 4.3-4.4 MB for 8,192 or 20,000 at a mean of 9.9
-        chunks = -(-len(indices) // max(1, _BLOCK // 4))
+        # equal chunks of at most _SPARSE_CHUNK replications, so memory stops growing with the
+        # batch past one chunk
+        chunks = -(-len(indices) // _SPARSE_CHUNK)
         bounds = [len(indices) * k // chunks for k in range(chunks + 1)]
         for lo, hi in zip(bounds, bounds[1:]):
             keys = np.arange(indices[lo], indices[hi - 1] + 1, dtype=np.uint64)

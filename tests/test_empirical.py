@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -22,6 +23,7 @@ from horospheres.geometry import _exp_or_inf
 from horospheres.sampling import SimConfig, replication_stream, simulate_batch
 
 _PHI_ONE = 0.841344746068543  # standard normal CDF at 1, 15 digits
+_PHI_ROOT_TWO = 0.9213503964748575  # at sqrt 2, 16 digits
 
 
 def test_gaussian_cdf_reference_points():
@@ -83,6 +85,29 @@ def test_non_finite_samples_are_refused_by_name():
     # the k-statistics still take an inf, which simulate's summary prints as null
     with np.errstate(invalid="ignore"):
         assert all(math.isnan(k) for k in k_statistics([1.0, 2.0, 3.0, math.inf])[1:])
+
+
+def test_samples_near_the_ends_of_double_range_give_values_not_warnings():
+    # before, each of these set off a numpy overflow warning, and the k-statistics read nan
+    eps, top = np.finfo(float).eps, 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert empirical_kolmogorov([-top, top]) == 0.5
+        # |1/2 - G| integrated over [-top, top] is top less 2 g(0)
+        assert empirical_wasserstein1([-top, top]) == pytest.approx(top, rel=4 * eps)
+        # k2, k3 and k4 lie past double range, each positive
+        k1, *rest = k_statistics([1.0, 2.0, 3.0, 1e300])
+        assert k1 == pytest.approx(2.5e299, rel=4 * eps) and rest == [math.inf] * 3
+        s = summarize([-top, 0.0, 1.0, top], 0.5, center=0.0, scale=1.0)
+        assert abs(s.mean - 0.25) <= eps * top and s.variance == s.k4 == math.inf
+        assert s.d_kol == pytest.approx(_PHI_ROOT_TWO - 0.5, abs=1e-15)
+        # F_n lies 1/4 from G's 0 or 1 across each half of [-top, top]
+        assert s.d_wass1 == pytest.approx(0.5 * top, rel=4 * eps)
+        # at a subnormal variance the target is all but a point mass at 0: |F_n - G| is 1/2 on [0, 1]
+        assert empirical_wasserstein1([0.0, 1.0], 1e-320) == pytest.approx(0.5, rel=4 * eps)
+        # a standardized value past double range is refused by name
+        with pytest.raises(ValueError, match=r"sample 0 standardizes to inf: \(1e\+308 - -1e\+308\) / 1.0"):
+            summarize([top, 0.0, 1.0, 2.0], 0.5, center=-top, scale=1.0)
 
 
 def test_kolmogorov_three_point_hand_value():

@@ -3,6 +3,7 @@ agreement with the distance maps and the public signed-distance area
 functions."""
 
 import math
+import sys
 import warnings
 
 import mpmath as mp
@@ -67,6 +68,24 @@ def test_hit_kernel_matches_mpmath_at_both_edges(model, d, R):
 @pytest.mark.parametrize(("d", "R"), [(3, 0.1), (50, 0.005), (3, 180.0), (11, 50.0), (2, 1e-4), (2, 400.0)])
 def test_hit_kernel_matches_mpmath_in_every_branch(model, d, R):
     _check_against_mpmath(model, R, d)
+
+
+# The general kernel's M = inf branch, where e^{2(d-1)R} passes double range, at a mean count the
+# sampler accepts: d = 10^200 and a mean of 60, so 2(d-1)R is about 930.  There the log area is
+# c + (d-1)/2 (log t + log r) to within rounding, with c = log of the unit-ball volume in d - 1
+# dimensions about -2.3e202 and the second term about twice that, so each rounding, of d - 1 as a
+# double, of c, and of each product and sum, is worth an ulp or two of |c|.  Bound, fixed before
+# the first run: 16 eps |c|
+def test_general_kernel_matches_mpmath_past_double_range_at_a_feasible_mean():
+    d = 10**200
+    R = math.asinh(0.5 * (d - 1) * 60.0) / (d - 1)
+    assert 2.0 * (d - 1) * R > math.log(sys.float_info.max)
+    sampling.check_feasible(sampling.SimConfig(d=d, R=R, replications=1, seed=0))
+    bound = 16.0 * sys.float_info.epsilon * abs(log_unit_ball_volume(d - 1))
+    got = _kernel(sampling.HYPERBOLIC, _US, R, d)
+    for u, value in zip(_US, got.tolist()):
+        exact = _exact_log_area("hyperbolic", u, R, d)
+        assert abs(value - exact) <= bound, (u, value, exact)
 
 
 # sample_points replays hits through the map the kernels take t from, so it

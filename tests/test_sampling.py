@@ -6,6 +6,7 @@ import statistics
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,12 +351,13 @@ def test_batch_singles_and_prefix_bit_identical_across_blocks(model):
 
 
 def _small_blocks(model, cfg, monkeypatch):
-    """The counts of ``cfg``, checked under a block of 8 hits and a chunk of 4 against the
-    default sizes and for determinism."""
+    """The counts of ``cfg``, checked under a block of 8 hits, a chunk of 4 and sparse chunks of
+    2 replications against the default sizes and for determinism."""
     want = simulate_batch(cfg, model)
     with monkeypatch.context() as patch:
         patch.setattr(sampling, "_BLOCK", 8)
         patch.setattr(sampling, "_CHUNK", 4)
+        patch.setattr(sampling, "_SPARSE_CHUNK", 2)
         got = simulate_batch(cfg, model)
         assert np.array_equal(got.counts, want.counts)
         # chunked reduction only reorders the sum of a large replication
@@ -375,7 +377,7 @@ def test_small_blocks_and_chunks_keep_counts_and_determinism(model, monkeypatch)
     counts = _small_blocks(model, SimConfig(d=2, R=1.5, replications=300, seed=11), monkeypatch)
     assert 0 in counts and max(counts) > 8
     # near numpy's PTRS switch a count of 12 or more is still open after the first three
-    # Philox blocks, and a block of 8 hits makes sparse chunks of 2 replications, 30 of them
+    # Philox blocks, and sparse chunks of 2 replications make 30 of them
     counts = _small_blocks(model, SimConfig(d=d, R=R, replications=60, seed=12), monkeypatch)
     assert max(counts) >= 12
     # past it, replications of 1 to 8 hits share blocks of 8 and larger ones stream in
@@ -691,3 +693,29 @@ def test_sampler_matches_the_exact_mean_and_variance_on_every_path(monkeypatch):
     for path in ("sparse", "dense, one thread", "split", "chunk pieces", "hyperbolic plane kernel",
                  "hyperbolic hits kernel", "euclidean hits kernel", "far edge, 2(d-1)R < log 2", "far edge"):
         assert paths[path] > 0, path
+
+
+# tracemalloc's peak for one simulate_batch call, in MiB, against bounds fixed before the first run.
+# The sparse path, 20,000 plane replications at a mean of 9.9, peaks at 4.20 MiB; a block size that
+# leaks into its chunk reads 6.1 MiB.  The plane batch at d = 2, R = 8 (2,000 replications) and the
+# general kernel at d = 3, R = 5 (500) are split over two threads, each with a block of 2^16 hits
+# and kernel temporaries as large: 2.04 and 2.71-2.86 MiB.  One more block-sized temporary in
+# either kernel adds 0.5 MiB per thread
+_PEAK_BOUNDS_MIB = [((2, 2.3, 20000), 5.0), ((2, 8.0, 2000), 2.5), ((3, 5.0, 500), 3.3)]
+
+
+@pytest.mark.parametrize(("case", "bound"), _PEAK_BOUNDS_MIB)
+def test_sampler_peak_memory_is_bounded(case, bound, monkeypatch):
+    d, R, n = case
+    # two CPUs, so the dense cases are split on any machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = SimConfig(d=d, R=R, replications=n, seed=20260821)
+    # once untraced: numpy imports numpy.random on first use, about 0.8 MB that is not the sampler's
+    simulate_batch(cfg)
+    tracemalloc.start()
+    try:
+        simulate_batch(cfg)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (case, peak)

@@ -3,12 +3,15 @@
     python3 tools/bench_pairs.py --parent HEAD --pairs 10 --seconds 8 --out BENCH_<n>.json
     python3 tools/bench_pairs.py --parent main --workload bounds_grid --pairs 10
 
-Exports the parent revision with ``git archive`` into a temporary directory,
-then runs ``perfbench/run.py --trace 0`` once on the parent copy and once on
-the working tree per pair and workload, one run at a time.  The side that runs
+Exports the parent revision and the working tree, its tracked and untracked
+files as they are on disk less the ignored ones, each with ``git archive``
+into a temporary directory of its own, so that neither side runs from a
+location the other does not share.  Then runs ``perfbench/run.py --trace 0``
+once on each copy per pair and workload, one run at a time.  The side that runs
 first flips every pair, so a slow drift of the machine falls on both sides
 alike.  The record holds the machine, the seeds, the number of pairs, every
-run's end-to-end metrics, and per workload and metric the median and the
+run's end-to-end metrics, the parent commit and the tree id of the measured
+working tree, and per workload and metric the median and the
 quartiles of each side, the ratio of the medians and the number of pairs the
 change won.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -27,18 +31,37 @@ ROOT = Path(__file__).resolve().parent.parent
 METRICS = {"run_cal": "lower", "items_per_cal": "higher", "peak_rss_mb": "lower", "setup_s": "lower"}
 
 
-def export(revision: str, into: Path) -> str:
-    """Unpack ``revision`` into ``into`` and return its full commit id."""
-    commit = subprocess.run(
-        ["git", "rev-parse", "--verify", f"{revision}^{{commit}}"], cwd=ROOT, check=True, capture_output=True, text=True
-    ).stdout.strip()
+def git(*args: str, env: dict | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, env=env, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def unpack(tree: str, into: Path) -> None:
+    """Write the files of a commit or tree id into the new directory ``into``."""
     into.mkdir(parents=True)
-    archive = subprocess.Popen(["git", "archive", commit], cwd=ROOT, stdout=subprocess.PIPE)
+    archive = subprocess.Popen(["git", "archive", tree], cwd=ROOT, stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", str(into)], stdin=archive.stdout, check=True)
     archive.stdout.close()
     if archive.wait() != 0:
-        raise SystemExit(f"bench_pairs: git archive {commit} failed")
+        raise SystemExit(f"bench_pairs: git archive {tree} failed")
+
+
+def export(revision: str, into: Path) -> str:
+    """Unpack ``revision`` into ``into`` and return its full commit id."""
+    commit = git("rev-parse", "--verify", f"{revision}^{{commit}}")
+    unpack(commit, into)
     return commit
+
+
+def export_working_tree(into: Path) -> str:
+    """Unpack the working tree's tracked and untracked files, as they are on disk and less the
+    ignored ones, into ``into`` and return the id of the tree they make.  They are staged in a
+    throwaway index, so the repository's own index is left as it was."""
+    with tempfile.TemporaryDirectory(prefix="bench-index-") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        git("add", "--all", env=env)
+        tree = git("write-tree", env=env)
+    unpack(tree, into)
+    return tree
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -96,10 +119,10 @@ def main(argv=None) -> int:
 
     names = args.workload or list(workloads.WORKLOADS)
     seed = workloads.REFERENCE_SEED if args.seed is None else args.seed
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_dir = Path(tmp) / "parent"
-        commit = export(args.parent, parent_dir)
-        sides = {"parent": parent_dir, "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        commit = export(args.parent, sides["parent"])
+        tree = export_working_tree(sides["change"])
         runs = {name: [] for name in names}
         machine = None
         for index in range(args.pairs):
@@ -115,6 +138,7 @@ def main(argv=None) -> int:
     record = {
         "parent": commit,
         "change": "working tree",
+        "change_tree": tree,
         "machine": machine,
         "seed": seed,
         "seconds": args.seconds,
