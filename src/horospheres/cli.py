@@ -431,6 +431,12 @@ def _params(args, command: str) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, as ``horospheres --help`` describes them."""
+    return _parser(_PARAMS)
+
+
+def _parser(names) -> argparse.ArgumentParser:
+    """The top-level parser with a subparser for each command in ``names``, in that order."""
     # argparse asks for the terminal size in every formatter it makes, once per add_argument
     # among them; the width is read once here, as HelpFormatter reads it, so --help is unchanged
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
@@ -441,9 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", metavar="command")
-    for command, params in _PARAMS.items():
+    for command in names:
         sub = commands.add_parser(command, help=_COMMANDS[command].__doc__, formatter_class=formatter)
-        for key, (parse, _, help) in params.items():
+        for key, (parse, _, help) in _PARAMS[command].items():
             if help is not None:
                 sub.add_argument(f"--{key.replace('_', '-')}", choices=getattr(parse, "choices", None), help=help)
         sub.add_argument("--out", help="output file (default: stdout)")
@@ -454,7 +460,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run the command ``argv`` names (``sys.argv[1:]`` when None); return its exit code.
+
+    Once the first argument names a command, argparse reads no other command's parser: the top
+    level's usage prints the metavar, not the choices.  So only that command's flags are built,
+    and every byte of help and of every error stays as the full parser gives it.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser(argv[:1] if argv and argv[0] in _PARAMS else _PARAMS)
     try:
         args = parser.parse_args(argv)
         if args.command is None:

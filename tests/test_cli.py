@@ -17,8 +17,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from horospheres import analysis, euclidean, sampling
-from horospheres.cli import build_parser, main
+from horospheres import __version__, analysis, euclidean, sampling
+from horospheres.cli import _PARAMS, UsageError, _parser, build_parser, main
 from horospheres.quadrature import QuadratureError
 
 _SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "horospheres" / "schemas"
@@ -40,6 +40,13 @@ def test_no_command_is_usage_error(capsys):
 
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 64
+
+
+def test_version_flag_prints_the_version(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--version"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr() == (f"horospheres {__version__}\n", "")
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -396,6 +403,73 @@ def test_build_parser_reads_the_terminal_size_once(monkeypatch):
     assert len(calls) == 1
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert list(commands.choices) == ["simulate", "moments", "bounds", "verify-clt", "render", "width-table"]
+    # the parser main() builds for a named command offers that command alone
+    calls.clear()
+    parser = _parser(["bounds"])
+    assert len(calls) == 1
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == ["bounds"]
+
+
+_EVERY_COMMAND = ["simulate", "moments", "bounds", "verify-clt", "render", "width-table"]
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["moments", "--d", "3", "--R", "1"], ["moments"]),
+    (["bounds", "--wat"], ["bounds"]),
+    (["render", "--help"], ["render"]),
+    ([], _EVERY_COMMAND),
+    (["--help"], _EVERY_COMMAND),
+    (["-h"], _EVERY_COMMAND),
+    (["--version"], _EVERY_COMMAND),
+    (["--", "moments", "--d", "3", "--R", "3"], _EVERY_COMMAND),
+    (["frobnicate"], _EVERY_COMMAND),
+    (["--d", "3", "moments"], _EVERY_COMMAND),
+])
+def test_main_builds_only_the_named_command(argv, built, monkeypatch):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: names.append(name) or add_parser(self, name, **kw))
+    with contextlib.suppress(SystemExit):
+        _captured(argv)
+    assert names == built
+
+
+def _parse_outcome(parser, argv):
+    """What a parser makes of argv: its Namespace, its UsageError text, or its exit code and
+    stdout (help)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "namespace", vars(parser.parse_args(argv))
+    except UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+def _flag_values(command):
+    """Every flag of a command with a value it accepts."""
+    argv = []
+    for key, (parse, _, help) in _PARAMS[command].items():
+        if help is not None:
+            argv += [f"--{key.replace('_', '-')}", getattr(parse, "choices", ["1"])[0]]
+    return [*argv, "--out", "x.out", "--config", "x.cfg", "--stamp"]
+
+
+@pytest.mark.parametrize("command", _EVERY_COMMAND)
+@pytest.mark.parametrize("flags", [
+    "valid", ["--mod", "euclidean"], ["--s", "1"], ["--out"], ["--d", "3", "--out"], ["--wat"], ["--wat", "1"],
+    ["-h"], ["--help"], ["--version"], ["--model", "flat"], [],
+])
+def test_one_command_parser_parses_as_the_full_parser(command, flags, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, *(_flag_values(command) if flags == "valid" else flags)]
+    outcome = _parse_outcome(build_parser(), argv)
+    if flags == "valid":
+        assert outcome[0] == "namespace"
+    assert _parse_outcome(_parser([command]), argv) == outcome
 
 
 # sha256 of the --help text of the top level and of each command at two widths, recorded at
@@ -837,6 +911,12 @@ _FAILURES = {
                         "error: argument command: invalid choice: 'frobnicate' (choose from 'simulate', 'moments', "
                         "'bounds', 'verify-clt', 'render', 'width-table')"),
     "unknown-flag": ("moments --d 3 --R 1 --wat".split(), None, 64, "error: unrecognized arguments: --wat"),
+    # the top level's --version after a command is left to the top level, which names no command
+    "version-after-command": ("moments --d 3 --R 1 --version".split(), None, 64,
+                              "error: unrecognized arguments: --version"),
+    "double-dash-command": ("-- moments --d 3 --R 3".split(), None, 64,
+                            "error: argument command: invalid choice: '--' (choose from 'simulate', 'moments', "
+                            "'bounds', 'verify-clt', 'render', 'width-table')"),
     "render-d-flag": ("render --R 2 --seed 1 --d 2".split(), None, 64, "error: unrecognized arguments: --d 2"),
     "missing-flag": ("moments --d 3".split(), None, 64, "error: missing required parameter --R"),
     "missing-regime": ("width-table --d-grid 3 --R-rule fixed:1".split(), None, 64,

@@ -5,8 +5,8 @@
 Exports the parent revision with ``git archive`` into a temporary directory, as
 ``bench_pairs.py`` does, and runs a fixed list of commands on both sides under
 ``python -W error -m horospheres``: the perfbench reference commands, the
-acceptance ``verify-clt``, and the pinned outputs, ``--help`` texts and failure
-paths of ``tests/test_cli.py`` (read from the working tree).  Every command runs
+acceptance ``verify-clt``, the pinned outputs, ``--help`` texts and failure
+paths of ``tests/test_cli.py`` (read from the working tree), and ``--version``.  Every command runs
 with ``COLUMNS`` set, 80 unless its table names a width, so ``--help`` does not
 depend on the terminal the script runs in.  Both sides run in the same
 temporary directory with the same config files, so the stderr lines that name a
@@ -68,6 +68,7 @@ def commands() -> list[tuple[str, list[str], str | None, str]]:
             for flags in tables["_SIMULATE_SHA256"]]
     out += [(f"pinned {name}", argv, None) for name, (argv, _) in tables["_COMMAND_SHA256"].items()]
     out += [(f"failure {name}", argv, config) for name, (argv, config, _, _) in tables["_FAILURES"].items()]
+    out.append(("version", ["--version"], None))
     out = [(*entry, _COLUMNS) for entry in out]
     out += [(f"help {command or 'top level'} at {columns} columns", [command, "--help"] if command else ["--help"],
              None, columns) for command, columns in tables["_HELP_SHA256"]]
