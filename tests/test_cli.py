@@ -411,7 +411,7 @@ def test_build_parser_reads_the_terminal_size_once(monkeypatch):
     assert list(commands.choices) == ["bounds"]
 
 
-_EVERY_COMMAND = ["simulate", "moments", "bounds", "verify-clt", "render", "width-table"]
+_EVERY_COMMAND = list(_PARAMS)
 
 
 @pytest.mark.parametrize("argv, built", [
