@@ -379,8 +379,11 @@ def wasserstein_bound_width(R, d, width=None) -> float:
     """Wasserstein bound in terms of the effective width:
     sqrt(2) (1/(sqrt(d-1) w) + 2/((d-1) sqrt(w)))."""
     d = check_dimension(d)
-    if width is None:
-        width = effective_width(R, d)
+    return _width_bound(d, effective_width(R, d) if width is None else width)
+
+
+def _width_bound(d: int, width) -> float:
+    """:func:`wasserstein_bound_width` at a checked dimension ``d``."""
     if not width > 0:
         raise ValueError(f"width must be positive, got {width!r}")
     return _SQRT2 * (1.0 / (math.sqrt(d - 1.0) * width) + 2.0 / ((d - 1.0) * math.sqrt(width)))
@@ -482,7 +485,7 @@ def rate_envelopes(radii, d_grid) -> list[BoundReport]:
             regime = Regime.HIGH_DIM_UNBOUNDED
             envelope = 1.0 / (math.sqrt(d) * gap) + 1.0 / (d * math.sqrt(gap))
         # the ratios of the scaled logs: i2 = w e^{k + 2(d-1)L(R)}, so no term of size k is formed
-        wb_width = wasserstein_bound_width(R, d, width=width)
+        wb_width = _width_bound(d, width)
         wb_ints = _SQRT2 * (math.exp(0.5 * log_i4 - log_w - 2 * (d - 1) * log_edge)
                             + math.exp(log_i1 - 0.5 * log_w - (d - 1) * log_edge))
         reports.append(BoundReport(R=R, d=d, width=width, wasserstein_bound_width=wb_width,

@@ -21,6 +21,7 @@ import math
 import shutil
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -181,7 +182,58 @@ def _json_line(obj) -> str:
 
 
 def _json_doc(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\\n"``, its keys and values
+    written by the C encoder: with an indent, json.dumps runs the pure-Python one.
+
+    Any error is left to json.dumps, which raises its own message (the C encoder's nan
+    message, for one, leaves out the value), and so are the keys it converts from other types.
+    """
+    try:
+        return _json_value(obj, "\n") + "\n"
+    except (ValueError, TypeError, RecursionError):
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+# the values the C encoder writes on one line: bool is an int
+_SCALARS = (str, int, float, type(None))
+
+
+@functools.cache
+def _encode(indent: str):
+    """The C encoder with the items of each container on their own line, at ``indent``."""
+    return json.JSONEncoder(sort_keys=True, allow_nan=False, separators=("," + indent, ": ")).encode
+
+
+def _flat(obj) -> bool:
+    return all(isinstance(v, _SCALARS) for v in (obj.values() if isinstance(obj, dict) else obj))
+
+
+def _json_value(obj, outer: str) -> str:
+    """``obj`` as json.dumps writes it with indent=2 after ``outer``, its line break and indent.
+
+    The C encoder escapes every control character in a string, so a line break in its output
+    is a separator's: a container of scalars is one call, its items at the next indent, and a
+    list of such dicts is one call at the dicts' items' indent, each "},<indent>{" between two
+    dicts then moved to the list's indent.
+    """
+    if isinstance(obj, str) or not isinstance(obj, (list, tuple, dict)):
+        return _encode(outer)(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = outer + "  "
+    if _flat(obj):
+        text = _encode(inner)(obj)
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if isinstance(obj, dict):
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("json.dumps converts a key of another type")
+        items = [f"{encode_basestring_ascii(key)}: {_json_value(value, inner)}" for key, value in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    if all(isinstance(row, dict) and row and _flat(row) for row in obj):
+        deep = inner + "  "
+        text = _encode(deep)(obj).replace("}," + deep + "{", inner + "}," + inner + "{" + deep)
+        return "[" + inner + "{" + deep + text[2:-2] + inner + "}" + outer + "]"
+    return "[" + inner + ("," + inner).join(_json_value(value, inner) for value in obj) + outer + "]"
 
 
 def _cell(value) -> str:
@@ -285,8 +337,12 @@ def _cmd_bounds(echo, model, format, d_grid, R_rule) -> str:
     else:
         # one batched quadrature for the whole grid
         header = _BOUND_HEADER
-        rows = [{**{key: getattr(report, key) for key in header}, "regime": report.regime.value}
-                for report in analysis.rate_envelopes(radii, d_grid)]
+        rows = []
+        for report in analysis.rate_envelopes(radii, d_grid):
+            # the report's fields but its boundary flag, the regime as its value
+            row = dict(vars(report), regime=report.regime.value)
+            del row["boundary"]
+            rows.append(row)
     if format == "csv":
         return _csv_table(echo, header, _csv_rows(header, rows))
     return _json_doc({"config": echo, "rows": rows})

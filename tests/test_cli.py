@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from horospheres import __version__, analysis, euclidean, sampling
+from horospheres import __version__, analysis, cli, euclidean, sampling
 from horospheres.cli import _PARAMS, UsageError, _parser, build_parser, main
 from horospheres.quadrature import QuadratureError
 
@@ -393,6 +393,84 @@ def test_command_bytes_are_pinned(name):
     code, out, err = _captured(argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+# (argv with "{cfg}" for the config file's path, its text, stdout sha256); recorded before the JSON
+# documents were written through the C encoder.  The echoed R_rule holds a tab and a newline,
+# which the C encoder escapes, so the only line breaks in a document are its separators'
+_CONFIG_COMMAND_SHA256 = {
+    "bounds-json-config": (["bounds", "--config", "{cfg}"], '{"d_grid": [3, 10, 100], "R_rule": "fixed:\\t4\\n"}',
+                           "a0633fbb28bf0c7a1df0fdd2fe404e4e3840214fd67454814423e575824d2a08"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIG_COMMAND_SHA256))
+def test_config_command_bytes_are_pinned(name, tmp_path):
+    argv, config, sha256 = _CONFIG_COMMAND_SHA256[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    code, out, err = _captured([arg.replace("{cfg}", str(cfg)) for arg in argv])
+    assert code == 0 and err == ""
+    assert json.loads(out)["config"]["R_rule"] == "fixed:\t4\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+_JSON_COMMANDS = ["bounds", "bounds-euclidean", "bounds-euclidean-large-d", "moments", "moments-euclidean",
+                  "verify-clt"]
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("name", _JSON_COMMANDS)
+def test_json_commands_print_the_json_dumps_document(name):
+    # a float round-trips through its repr, so the document re-encodes to the same bytes
+    code, out, err = _captured(_COMMAND_SHA256[name][0])
+    assert code == 0 and err == ""
+    assert out == _dumps(json.loads(out))
+
+
+_AWKWARD_TEXT = ["\n", "\t", '"', "\\", "\x00\x1f", "é漢字🙂", "},\n      {", "},\n{", "}", "{", ",\n  ", ": "]
+_JSON_TEXT = st.one_of(st.text(max_size=6), st.lists(st.sampled_from(_AWKWARD_TEXT), max_size=3).map("".join))
+_JSON_SCALARS = st.one_of(
+    _JSON_TEXT,
+    st.integers(),
+    st.sampled_from([2**64, 2**64 + 1, -(2**70) - 3, 0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.booleans(),
+    st.none(),
+)
+_FLAT_DICTS = st.dictionaries(_JSON_TEXT, _JSON_SCALARS, min_size=1, max_size=4)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS | st.lists(_FLAT_DICTS, max_size=4),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON_DOCS)
+@example({"config": {"R_rule": "fixed:\t4\n", "d_grid": (3, 10)}, "rows": [{"a": "},\n      {"}, {"b": []}], "x": {}})
+@example([[], {}, (), [{}], [{"a": 1}, {}], ((1, 2),)])
+def test_json_doc_is_the_json_dumps_document(doc):
+    assert cli._json_doc(doc) == _dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    math.nan, -math.inf, {"a": [1, math.inf]}, [{"x": 1.0, "y": math.nan}, {"x": 2.0}],
+    {"rows": [{"x": math.nan}]}, {"a": {"b": math.inf}, "c": [[]]}, (1.0, -math.inf),
+])
+def test_json_doc_non_finite_raises_the_json_dumps_message(doc):
+    with pytest.raises(ValueError) as expected:
+        json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as got:
+        cli._json_doc(doc)
+    # the message names the value, "... not JSON compliant: nan"
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).rpartition(": ")[2] in ("nan", "inf", "-inf")
 
 
 def test_build_parser_reads_the_terminal_size_once(monkeypatch):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -439,3 +443,34 @@ def test_integrand_spanning_past_the_underflow_range():
     first = _first_level_values(log_f, a, b)
     assert np.max(first) - np.min(first) > 745.0
     assert quad_log_integral(log_f, a, b) == pytest.approx(0.5 * math.log(math.pi), abs=1e-12)
+
+
+def test_nodes_and_weights_are_the_legendre_rule():
+    # the literals are the repr of leggauss(15), so LAPACK's rounding there may differ by an ulp or two
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    for literal, value in zip([*quadrature._NODES, *quadrature._WEIGHTS], [*nodes, *weights]):
+        assert abs(literal - value) <= 2 * np.spacing(abs(value))
+    # the rule is symmetric about 0 and integrates 1 over (-1, 1)
+    assert np.array_equal(quadrature._NODES, -quadrature._NODES[::-1])
+    assert np.array_equal(quadrature._WEIGHTS, quadrature._WEIGHTS[::-1])
+    assert quadrature._WEIGHTS.sum() == pytest.approx(2.0, rel=1e-15)
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    src = Path(quadrature.__file__).resolve().parents[1]
+    code = "import sys, horospheres.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
+@given(st.lists(st.tuples(st.integers(0, 40), st.floats(-1e300, 1e300)), max_size=300))
+@example([])
+@example([(3, 1.0), (3, 1e-17), (3, -1.0)] * 5)
+def test_tree_sums_add_each_tree_as_np_sum(pairs):
+    pairs.sort(key=lambda p: p[0])
+    tree = np.array([t for t, _ in pairs], dtype=np.int64)
+    values = np.array([v for _, v in pairs])
+    present, sums = quadrature._tree_sums(values, tree)
+    assert present.tolist() == sorted(set(tree.tolist()))
+    assert sums.tolist() == [float(np.sum(values[tree == t])) for t in present.tolist()]

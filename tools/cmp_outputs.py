@@ -5,13 +5,19 @@
 Exports the parent revision with ``git archive`` into a temporary directory, as
 ``bench_pairs.py`` does, and runs a fixed list of commands on both sides under
 ``python -W error -m horospheres``: the perfbench reference commands, the
-acceptance ``verify-clt``, the pinned outputs, ``--help`` texts and failure
-paths of ``tests/test_cli.py`` (read from the working tree), and ``--version``.  Every command runs
+acceptance ``verify-clt``, the pinned outputs (config-file runs among them),
+``--help`` texts and failure paths of ``tests/test_cli.py`` (read from the working
+tree), and ``--version``.  Every command runs
 with ``COLUMNS`` set, 80 unless its table names a width, so ``--help`` does not
 depend on the terminal the script runs in.  Both sides run in the same
 temporary directory with the same config files, so the stderr lines that name a
 path match.  Prints one line per command and each difference in exit code,
 stdout sha256 or stderr, and exits 1 if there is any.
+
+Every stdout that parses as JSON, on either side, must be the bytes of
+``json.dumps(json.loads(stdout), sort_keys=True, indent=2) + "\n"``: a float
+round-trips through its repr, so this needs no parent.  A side that fails this
+is printed as CHANGED and its command counts as differing.
 
 Where stdout differs, both sides are parsed, as the JSON document or as the CSV
 table with its ``# config`` and ``# summary`` lines, and compared value by
@@ -38,7 +44,8 @@ from bench_pairs import ROOT, export
 
 # the seed every pinned simulate output is recorded under (tests/test_cli.py)
 _PINNED_SEED = "20260821"
-_TABLES = ("_REFERENCE_GRID", "_SIMULATE_SHA256", "_COMMAND_SHA256", "_HELP_SHA256", "_FAILURES")
+_TABLES = ("_REFERENCE_GRID", "_SIMULATE_SHA256", "_COMMAND_SHA256", "_CONFIG_COMMAND_SHA256", "_HELP_SHA256",
+           "_FAILURES")
 _COLUMNS = "80"
 
 
@@ -67,6 +74,7 @@ def commands() -> list[tuple[str, list[str], str | None, str]]:
     out += [(f"pinned simulate {flags}", ["simulate", *flags.split(), "--seed", _PINNED_SEED], None)
             for flags in tables["_SIMULATE_SHA256"]]
     out += [(f"pinned {name}", argv, None) for name, (argv, _) in tables["_COMMAND_SHA256"].items()]
+    out += [(f"pinned {name}", argv, config) for name, (argv, config, _) in tables["_CONFIG_COMMAND_SHA256"].items()]
     out += [(f"failure {name}", argv, config) for name, (argv, config, _, _) in tables["_FAILURES"].items()]
     out.append(("version", ["--version"], None))
     out = [(*entry, _COLUMNS) for entry in out]
@@ -112,6 +120,15 @@ def parse(stdout: bytes):
     doc["header"] = header
     doc["rows"] = [dict(zip(header, map(_cell, row))) for row in rows]
     return doc
+
+
+def reencodes(stdout: bytes) -> bool:
+    """Whether a stdout is not JSON, or is the json.dumps(..., indent=2) document of its own data."""
+    try:
+        doc = json.loads(stdout)
+    except ValueError:
+        return True
+    return stdout == (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
 
 
 def _shown(before, after) -> str:
@@ -183,6 +200,8 @@ def main(argv=None) -> int:
                         if b != a]
             if out_b != out_a:
                 problems += describe(out_b, out_a)
+            problems += [f"  CHANGED {name}: the {side} stdout is not json.dumps(..., indent=2) of its own document"
+                         for side, out in (("parent", out_b), ("working tree", out_a)) if not reencodes(out)]
             differ += bool(problems)
             print(f"{'DIFF' if problems else 'same'}  {name}  (exit {code_a}, stdout {sha_a[:12]})")
             for line in problems:
