@@ -20,11 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    _LOG_MAX, _exp_or_inf, _log1mexp, check_dimension, check_radius, log_chord_area, log_sinh,
-    log_unit_ball_volume,
-)
-from .quadrature import QuadratureError, quad_log_integral, quad_log_integrals
+from .geometry import _log1mexp, check_dimension, check_radius, log_unit_ball_volume
+from .quadrature import quad_log_integral, quad_log_integrals
 
 __all__ = [
     "IntegralSet",
@@ -37,10 +34,7 @@ __all__ = [
     "integrals",
     "moments",
     "moments_grid",
-    "variance_direct",
     "effective_width",
-    "width_substituted",
-    "width_scale",
     "width_limit_integral",
     "wasserstein_bound_width",
     "wasserstein_bound_integrals",
@@ -301,55 +295,6 @@ def _clt_grid(radii, d_grid) -> list[tuple[float, float, float]]:
     points = _checked_points(radii, d_grid)
     return [(*_log_mean_variance(R, d, log_w, log_v, log_edge), width)
             for (R, d), (log_w, log_v, log_edge, width) in zip(points, _grid_logs(points, _CLT))]
-
-
-def variance_direct(R, d) -> float:
-    """log variance from the two-sided integral of the squared cap area
-    against the intensity, independent of the one-sided route."""
-    d = check_dimension(d)
-    R = check_radius(R, d)
-    return quad_log_integral(
-        lambda s: 2.0 * log_chord_area(s, R, d) - (d - 1.0) * s, -R, R, rel_tol=_DEFAULT_TOL
-    )
-
-
-def width_scale(R, d) -> float:
-    """Scale parameter sinh(R/2)/sqrt(d) of the substituted width integral, ``inf`` past
-    double range.
-
-    Past the range of sinh, it is exponentiated from its log; below it, the
-    direct formula is kept, because exponentiating a log of size L loses
-    about L ulps.
-    """
-    d = check_dimension(d, minimum=1)
-    R = check_radius(R)
-    if 0.5 * R < _LOG_MAX:
-        return math.sinh(0.5 * R) / math.sqrt(d)
-    return _exp_or_inf(log_sinh(0.5 * R) - 0.5 * math.log(d))
-
-
-def width_substituted(R, d) -> float:
-    """Effective width through the sinh change of variables:
-    2 rho times the integral over (0, sqrt(d)) of
-    (1 - x^2/d)^(d-1) / sqrt(1 + rho^2 x^2), with rho = sinh(R/2)/sqrt(d).
-
-    Must agree with :func:`effective_width` to quadrature accuracy.  A rho
-    past double range raises :class:`QuadratureError`.
-    """
-    d = check_dimension(d)
-    rho = width_scale(R, d)
-    if not math.isfinite(rho):
-        raise QuadratureError(
-            f"width scale sinh(R/2)/sqrt(d) exceeds double range at R = {float(R)!r}",
-            last=math.nan,
-            previous=math.nan,
-        )
-
-    def log_f(x):
-        x = np.asarray(x, dtype=float)
-        return (d - 1.0) * np.log1p(-(x * x) / d) - np.log(np.hypot(1.0, rho * x))
-
-    return 2.0 * rho * math.exp(quad_log_integral(log_f, 0.0, math.sqrt(d), rel_tol=_DEFAULT_TOL))
 
 
 def width_limit_integral(L) -> float:

@@ -15,7 +15,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import LOG_ZERO, check_dimension, check_radius, log_unit_ball_volume
-from .quadrature import quad_log_integral
 from .sampling import _MIN_U, Model, _segment_log_sums
 
 __all__ = [
@@ -23,8 +22,6 @@ __all__ = [
     "log_section_area",
     "variance_closed",
     "fourth_cumulant_closed",
-    "variance_direct",
-    "fourth_cumulant_direct",
     "log_mean",
     "wasserstein_bound",
     "normalized_rate_constant",
@@ -113,24 +110,6 @@ def fourth_cumulant_closed(R, d) -> float:
         - _log_gamma_ratio_excess(2.0 * d - 1.0)
         - 2.0 * _log_gamma_ratio_excess(0.5 * d)
         - 2.0 * _log_gamma_stirling_excess(float(d))
-    )
-
-
-def variance_direct(R, d) -> float:
-    """log variance by direct quadrature of the squared section area."""
-    d = check_dimension(d, minimum=1)
-    R = check_radius(R)
-    return _LN2 + quad_log_integral(
-        lambda s: 2.0 * log_section_area(s, R, d), 0.0, R, rel_tol=1e-12
-    )
-
-
-def fourth_cumulant_direct(R, d) -> float:
-    """log fourth cumulant by direct quadrature of the fourth power."""
-    d = check_dimension(d, minimum=1)
-    R = check_radius(R)
-    return _LN2 + quad_log_integral(
-        lambda s: 4.0 * log_section_area(s, R, d), 0.0, R, rel_tol=1e-12
     )
 
 

@@ -21,18 +21,16 @@ from horospheres.analysis import (
     moments_grid,
     rate_envelope,
     rate_envelopes,
-    variance_direct,
     wasserstein_bound_integrals,
     wasserstein_bound_width,
     width_limit_integral,
     width_ratio_table,
-    width_scale,
-    width_substituted,
 )
 from horospheres.geometry import log_sinh, log_unit_ball_volume
 from horospheres.quadrature import QuadratureError, quad_log_integral
 
 from _finite_sums import log_i2_and_width, log_layer_integral, log_mean_integral
+from _oracles import variance_direct, width_scale, width_substituted
 
 # Reference values computed two independent ways (30-digit adaptive
 # integration and a fixed million-point extended-precision Simpson rule),

@@ -42,3 +42,39 @@ def test_package_exports_are_its_imports():
         for alias in node.names
     }
     assert set(horospheres.__all__) == imported | {"__version__"}
+
+
+def _imports(path):
+    """(module, names) for every import statement in the file, nested ones included;
+    ``import a.b`` gives ("a.b", None)."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or ""), {alias.name for alias in node.names}
+
+
+def test_oracles_stay_independent():
+    # an oracle that calls the route it checks proves nothing: the oracles may use the
+    # argument checks, the area primitives and the one-interval quadrature, no more
+    allowed = {"horospheres.geometry": None, "horospheres.quadrature": None, "horospheres.euclidean": {"log_section_area"}}
+    reached = []
+    for module, names in _imports(Path(__file__).with_name("_oracles.py")):
+        if module == "horospheres" and names is not None:
+            reached += [(f"horospheres.{name}", None) for name in names]
+        elif module.split(".")[0] == "horospheres":
+            reached.append((module, names))
+    assert reached, "the oracles import nothing from the package"
+
+    def permitted(module, names):
+        if module not in allowed:
+            return False
+        return allowed[module] is None or names is not None and names <= allowed[module]
+
+    assert [(module, names) for module, names in reached if not permitted(module, names)] == []
+    # and the package never reaches back into the test helpers
+    helpers = {"tests", "_oracles", "_finite_sums"}
+    back = [(path.name, module) for path in sorted(Path(horospheres.__file__).parent.glob("*.py"))
+            for module, names in _imports(path)
+            if helpers & ({*module.lstrip(".").split(".")} | (names or set()))]
+    assert back == []
