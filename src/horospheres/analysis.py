@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _log1mexp, check_dimension, check_radius, log_unit_ball_volume
+from .geometry import _exp_or_inf, _log1mexp, check_dimension, check_radius, log_unit_ball_volume
 from .quadrature import quad_log_integral, quad_log_integrals
 
 __all__ = [
@@ -75,7 +75,8 @@ class IntegralSet:
 @dataclass(frozen=True)
 class MomentSummary:
     """Exact moments of the total cap area, in log form, and the effective
-    width their integrals share a tree with."""
+    width their integrals share a tree with.  The linear ``mean``, ``variance``
+    and ``sd`` read ``inf`` past double range."""
 
     R: float
     d: int
@@ -87,15 +88,15 @@ class MomentSummary:
 
     @property
     def mean(self) -> float:
-        return math.exp(self.log_mean)
+        return _exp_or_inf(self.log_mean)
 
     @property
     def variance(self) -> float:
-        return math.exp(self.log_variance)
+        return _exp_or_inf(self.log_variance)
 
     @property
     def sd(self) -> float:
-        return math.exp(0.5 * self.log_variance)
+        return _exp_or_inf(0.5 * self.log_variance)
 
 
 class Regime(str, enum.Enum):

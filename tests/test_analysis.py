@@ -72,6 +72,20 @@ def test_moments_reference():
     assert m.sd**2 == pytest.approx(m.variance, rel=1e-13)
 
 
+def test_moment_linear_values_read_inf_past_double_range():
+    # as Batch.totals: at d = 2 the mean and variance leave double range near R = 708, the sd
+    # near R = 1413; inside it each is exp of its log, every bit
+    for R in (3.0, 700.0):
+        m = moments(R, 2)
+        assert (m.mean, m.variance, m.sd) == (
+            math.exp(m.log_mean), math.exp(m.log_variance), math.exp(0.5 * m.log_variance))
+    m = moments(1000.0, 2)
+    assert (m.mean, m.variance, m.sd) == (math.inf, math.inf, math.exp(0.5 * m.log_variance))
+    assert 1e200 < m.sd < math.inf
+    m = moments(2000.0, 2)
+    assert (m.mean, m.variance, m.sd) == (math.inf, math.inf, math.inf)
+
+
 def test_positive_part_mean_assembly():
     # the positive-part mean is coefficient times the one-sided integral
     m = moments(2.0, 3)

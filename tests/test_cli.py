@@ -361,7 +361,11 @@ _REFERENCE_GRID = ["--d-grid", ",".join(str(100 * k) for k in range(1, 101)), "-
 # to its exact finite sum, moments by 1.79e-15 and verify-clt by 2.38e-15 (d_kol).  The
 # verify-clt hash was re-recorded when the Wasserstein-1 distance took the point where the target
 # crosses a step from the normal quantile, not by bisection: two d_wass1 values moved, by up to
-# 7.0e-16 relative, and only those
+# 7.0e-16 relative, and only those.  The render hash was recorded from an unchanged renderer.
+# The large-d flat moments pin was recorded when the flat mean took the large-d form of the
+# variance and fourth cumulant: its log moved from -16.0 to -17.73073083791753, the 60-digit
+# value being -17.686785..., an error of 0.2 eps (d + |log V|), inside the d eps that rounding
+# log(2 pi e R^2/d) costs at this R
 _COMMAND_SHA256 = {
     "bounds": (["bounds", *_REFERENCE_GRID],
                "9f030f605d9ede3584d1d71fed33ffe55fb8562d33a2633694ae43da92e788bf"),
@@ -382,8 +386,12 @@ _COMMAND_SHA256 = {
                 "6cc2c88486a27bf185c856d993da98bfc939ffb91c26a3f8b27e53bd1fb203fc"),
     "moments-euclidean": ("moments --model euclidean --d 3 --R 3".split(),
                           "368bbba8e30311e4751f9b588768f0dad19612d9da9cf7f290b333c4c33b3aa8"),
+    "moments-euclidean-large-d": ("moments --model euclidean --d 1000000000000000 --R 7651786.165616442".split(),
+                                  "270f026b02213a02717743c586ca883e6e9dc338364445bc8ee8abcafa58e619"),
     "verify-clt": ("verify-clt --d 2 --R-list 2,4,8 --n 2000 --seed 20260821".split(),
                    "948f8966717089038e04fe61e5189d0a5d29c9382749d8bcb127cad27e88daf8"),
+    "render": ("render --R 3 --seed 11".split(),
+               "0b4744da9dec83fb639e92de70f29f2ecb46de6091a980ef044ddd7f8e6a96f4"),
 }
 
 
@@ -416,7 +424,7 @@ def test_config_command_bytes_are_pinned(name, tmp_path):
 
 
 _JSON_COMMANDS = ["bounds", "bounds-euclidean", "bounds-euclidean-large-d", "moments", "moments-euclidean",
-                  "verify-clt"]
+                  "moments-euclidean-large-d", "verify-clt"]
 
 
 def _dumps(obj) -> str:

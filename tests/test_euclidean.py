@@ -142,33 +142,46 @@ _EPS = math.ulp(1.0)
 
 
 def test_gamma_closed_forms_agree_with_mpmath():
-    # Each value is held to 3 eps max(1, S), S = sum |term| over the five lgamma and log terms of the
-    # plain sum (two for log_unit_ball_volume), about 3 d log d: each term is rounded to its own ulp.
-    # A bound per unit of the result alone cannot hold, since the sums cross 0.  From d = 16 up,
-    # variance_closed and fourth_cumulant_closed form their terms of size d log d as one log,
-    # d log(2 pi e R^2/d), whose argument carries a few roundings, so they are also held to
-    # 6 eps (d + |log V|), the second part being the ulp of the result; below d = 16 they are the
-    # plain sum and meet that bound too.  Measured worst: 0.69 of the first bound (d = 55,
-    # R = 1e-300) and 3.6 eps (d + |log V|) (d = 13, R = 1); from d = 16 up 2.5.  The plain sum
-    # reaches 45 eps (d + |log V|) at d = 10^15, where the fourth cumulant is O(1),
-    # R = sqrt(d/(2 pi e)).  Checked at R in (0.5, 1, 3), at that R, and at 1e-300 and 1e200,
-    # where R^2 is out of double range.
+    # log_mean, variance_closed and fourth_cumulant_closed are the log of the k-th cumulant at
+    # k = 1, 2, 4, pi^(m-1/2) Gamma(m) R^(2m-1) / (Gamma(m+1/2) Gamma((d+1)/2)^k), m = k(d-1)/2 + 1,
+    # whose k = 1 sum is checked against the ball volume.  Each value is held to 3 eps max(1, S),
+    # S = sum |term| over the five lgamma and log terms of the plain sum (two for
+    # log_unit_ball_volume), about 3 d log d: each term is rounded to its own ulp.  A bound per unit
+    # of the result alone cannot hold, since the sums cross 0.  From d = 16 up, the three form their
+    # terms of size d log d as one log, d log(2 pi e R^2/d), whose argument carries a few roundings,
+    # so they are also held to 6 eps (d + |log V|), the second part being the ulp of the result;
+    # below d = 16 they are the plain sum and meet that bound too.  Measured worst: 0.72 of the
+    # first bound (the variance at d = 82, R = 1e200) and 3.6 eps (d + |log V|) (the fourth
+    # cumulant at d = 13, R = 1); from d = 16 up 2.7, and the mean 1.7.  At R = sqrt(d/(2 pi e)),
+    # where the moments are O(1), the plain sum reaches 45 eps (d + |log V|) for the fourth
+    # cumulant at d = 10^15, and the mean formed as log kappa_d + d log R reaches 7.6, 18 and 112
+    # at d = 10^15, 10^18 and 10^100.  Checked at R in (0.5, 1, 3), at that R, and at 1e-300 and
+    # 1e200, where R^2 is out of double range, with the working precision raised by the digits of d.
     mp = pytest.importorskip("mpmath")
     half = mp.mpf(1) / 2
-    with mp.workdps(60):
-        for d in [*range(0, 200), 1000, 10**4, 10**6, 10**9, 10**12, 10**15]:
-            terms = [d * half * mp.log(mp.pi), -mp.loggamma(half * d + 1)]
-            assert abs(log_unit_ball_volume(d) - mp.fsum(terms)) <= 3 * _EPS * max(1, sum(map(abs, terms))), d
+    forms = {1: log_mean, 2: variance_closed, 4: fourth_cumulant_closed}
+    for d in [*range(0, 200), 1000, 10**4, 10**6, 10**9, 10**12, 10**15, 10**18, 10**100]:
+        with mp.workdps(60 + 2 * len(str(d))):
+            volume = [d * half * mp.log(mp.pi), -mp.loggamma(half * d + 1)]
+            assert abs(log_unit_ball_volume(d) - mp.fsum(volume)) <= 3 * _EPS * max(1, sum(map(abs, volume))), d
             for R in (0.5, 1.0, 3.0, math.sqrt(d / (2 * math.pi * math.e)), 1e-300, 1e200) if d else ():
                 log_r = mp.log(R)
-                variance = [(d - half) * mp.log(mp.pi), mp.loggamma(d), (2 * d - 1) * log_r,
-                            -2 * mp.loggamma(half * (d + 1)), -mp.loggamma(d + half)]
-                cumulant = [(2 * d - 3 * half) * mp.log(mp.pi), mp.loggamma(2 * d - 1), (4 * d - 3) * log_r,
-                            -4 * mp.loggamma(half * (d + 1)), -mp.loggamma(2 * d - half)]
-                for got, terms in ((variance_closed(R, d), variance), (fourth_cumulant_closed(R, d), cumulant)):
-                    want = mp.fsum(terms)
-                    assert abs(got - want) <= 3 * _EPS * max(1, sum(map(abs, terms))), (d, R)
-                    assert abs(got - want) <= 6 * _EPS * (d + abs(want)), (d, R)
+                for k, form in forms.items():
+                    m = k * (d - 1) * half + 1
+                    terms = [(m - half) * mp.log(mp.pi), mp.loggamma(m), (2 * m - 1) * log_r,
+                             -k * mp.loggamma(half * (d + 1)), -mp.loggamma(m + half)]
+                    got, want = form(R, d), mp.fsum(terms)
+                    if k == 1:
+                        assert abs(want - mp.fsum(volume) - d * log_r) <= mp.mpf(10) ** -50 * (1 + abs(want)), (d, R)
+                    assert abs(got - want) <= 3 * _EPS * max(1, sum(map(abs, terms))), (d, R, k)
+                    assert abs(got - want) <= 6 * _EPS * (d + abs(want)), (d, R, k)
+
+
+def test_closed_forms_past_double_range_read_minus_inf():
+    # at d = 10^307 all three logs lie below -max double; log kappa_d alone would overflow there,
+    # in lgamma(d/2 + 1)
+    for form in (log_mean, variance_closed, fourth_cumulant_closed):
+        assert form(1.0, 10**307) == -math.inf
 
 
 def test_simulate_deterministic_and_batch_invariant():
