@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,8 +108,7 @@ class Regime(str, enum.Enum):
     HIGH_DIM_UNBOUNDED = "high_dim_unbounded"
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Computable distance bounds, the effective width behind them, and the
     regime rate envelope at (R, d)."""
 
@@ -434,7 +434,6 @@ def rate_envelopes(radii, d_grid) -> list[BoundReport]:
         wb_width = _width_bound(d, width)
         wb_ints = _SQRT2 * (math.exp(0.5 * log_i4 - log_w - 2 * (d - 1) * log_edge)
                             + math.exp(log_i1 - 0.5 * log_w - (d - 1) * log_edge))
-        reports.append(BoundReport(R=R, d=d, width=width, wasserstein_bound_width=wb_width,
-                                   wasserstein_bound_integrals=wb_ints, kolmogorov_bound=kolmogorov_bound(wb_width),
-                                   regime=regime, rate_envelope=envelope, boundary=boundary))
+        reports.append(BoundReport(R, d, width, wb_width, wb_ints, kolmogorov_bound(wb_width), regime, envelope,
+                                   boundary))
     return reports

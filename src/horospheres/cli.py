@@ -194,8 +194,9 @@ def _json_doc(obj) -> str:
         return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-# the values the C encoder writes on one line: bool is an int
-_SCALARS = (str, int, float, type(None))
+# the types of the values the C encoder writes on one line, matched exactly: a subclass, such
+# as a str Enum or numpy's float64, takes the recursive path, which writes it as json.dumps does
+_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 @functools.cache
@@ -205,7 +206,7 @@ def _encode(indent: str):
 
 
 def _flat(obj) -> bool:
-    return all(isinstance(v, _SCALARS) for v in (obj.values() if isinstance(obj, dict) else obj))
+    return _SCALARS.issuperset(map(type, obj.values() if isinstance(obj, dict) else obj))
 
 
 def _json_value(obj, outer: str) -> str:
@@ -256,11 +257,14 @@ def _csv_table(echo: dict, header: list[str], body: list[str], trailer: dict | N
     return "\n".join(lines) + "\n"
 
 
-def _pair(log_value: float) -> dict:
-    """Value given as {log, linear}; linear is null past double range and the
-    log is null for an exact zero."""
-    if math.isinf(log_value) and log_value < 0:
-        return {"log": None, "linear": 0.0}
+def _pair(log_value: float, name: str) -> dict:
+    """The moment ``name`` given as {log, linear}; linear is null past double range.
+
+    Every moment reported is positive, so a log of -inf did not come from a zero: the log
+    itself lies below double range.  That is a ValueError naming the moment.
+    """
+    if log_value == -math.inf:
+        raise ValueError(f"the log of the {name.replace('_', ' ')} lies below double range")
     return {
         "log": log_value,
         "linear": math.exp(log_value) if log_value < _LOG_MAX else None,
@@ -306,24 +310,25 @@ def _cmd_simulate(echo, model, d, R, n, seed) -> str:
 def _cmd_moments(echo, model, d, R) -> str:
     """exact moments at (d, R), emit JSON"""
     if model == "euclidean":
-        body = {
-            "mean": _pair(euclidean.log_mean(R, d)),
-            "variance": _pair(euclidean.variance_closed(R, d)),
-            "fourth_cumulant": _pair(euclidean.fourth_cumulant_closed(R, d)),
+        logs = {
+            "mean": euclidean.log_mean(R, d),
+            "variance": euclidean.variance_closed(R, d),
+            "fourth_cumulant": euclidean.fourth_cumulant_closed(R, d),
         }
     else:
         m = analysis.moments(R, d)
-        body = {
-            "mean": _pair(m.log_mean),
-            "mean_positive_part": _pair(m.log_mean_positive_part),
-            "variance": _pair(m.log_variance),
-            "fourth_cumulant_negative_part": _pair(m.log_cum4_negative_part),
+        logs = {
+            "mean": m.log_mean,
+            "mean_positive_part": m.log_mean_positive_part,
+            "variance": m.log_variance,
+            "fourth_cumulant_negative_part": m.log_cum4_negative_part,
         }
-    return _json_doc({"config": echo, "moments": body})
+    return _json_doc({"config": echo, "moments": {name: _pair(value, name) for name, value in logs.items()}})
 
 
 _BOUND_HEADER = ["d", "R", "width", "wasserstein_bound_width", "wasserstein_bound_integrals", "kolmogorov_bound",
                  "regime", "rate_envelope"]
+_REPORT_FIELDS = analysis.BoundReport._fields[:-1]
 _EUCLID_BOUND_HEADER = ["d", "R", "wasserstein_bound", "normalized_bound"]
 
 
@@ -337,12 +342,10 @@ def _cmd_bounds(echo, model, format, d_grid, R_rule) -> str:
     else:
         # one batched quadrature for the whole grid
         header = _BOUND_HEADER
-        rows = []
-        for report in analysis.rate_envelopes(radii, d_grid):
-            # the report's fields but its boundary flag, the regime as its value
-            row = dict(vars(report), regime=report.regime.value)
-            del row["boundary"]
-            rows.append(row)
+        # the reports' fields but the boundary flag, the last one, and each regime as its value
+        rows = [dict(zip(_REPORT_FIELDS, report)) for report in analysis.rate_envelopes(radii, d_grid)]
+        for row in rows:
+            row["regime"] = row["regime"].value
     if format == "csv":
         return _csv_table(echo, header, _csv_rows(header, rows))
     return _json_doc({"config": echo, "rows": rows})

@@ -114,22 +114,21 @@ def _panels(log_f, lo, hi, tree, shift):
     panel's values come from its row.
     """
     half = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
+    x = 0.5 * (lo + hi)[:, None] + half[:, None] * _NODES
     # the nodes ascend, so only the outer two can round onto an end; a tree is
     # listed once per such panel (np.unique would import numpy.ma, 1.4 MB)
-    narrow = tree[(mid + half * _NODES[0] <= lo) | (mid + half * _NODES[-1] >= hi)]
+    narrow = tree[(x[:, 0] <= lo) | (x[:, -1] >= hi)]
     if narrow.size:
         # the other trees' panels are estimated alone; a narrow tree's panels sum to 0
         live = np.isin(tree, narrow, invert=True)
         sums = np.zeros(lo.size)
         sums[live], bad, _ = _panels(log_f, lo[live], hi[live], tree[live], shift)
         return sums, bad, narrow
-    values = np.empty((lo.size, _NODES.size))
+    values = np.empty_like(x)
     for start in range(0, lo.size, _PANEL_BLOCK):
         block = slice(start, start + _PANEL_BLOCK)
-        x = mid[block, None] + half[block, None] * _NODES
-        out = np.asarray(log_f(x, tree[block]), dtype=float)
-        if out.shape != x.shape:
+        out = np.asarray(log_f(x[block], tree[block]), dtype=float)
+        if out.shape != x[block].shape:
             raise ValueError("log-integrand must map a node array to an equal-shaped array")
         values[block] = out
     # a tree's rows are contiguous, so its maximum is one reduction over them;
@@ -137,7 +136,7 @@ def _panels(log_f, lo, hi, tree, shift):
     starts = _starts(tree)
     present = tree[starts]
     peak = np.maximum.reduceat(values.ravel(), starts * _NODES.size)
-    bad = np.isnan(peak) | (peak == math.inf)
+    bad = ~(peak < math.inf)
     if bad.any():
         # a failed tree is dropped; zeros keep its shift and sums finite meanwhile
         values[np.repeat(bad, np.diff(starts, append=tree.size))] = LOG_ZERO
@@ -212,42 +211,51 @@ def quad_log_integrals(log_f, a, b, rel_tol: float = 1e-10) -> tuple[np.ndarray,
 
     def level(lo, hi, tree):
         sums, bad, narrow = _panels(log_f, lo, hi, tree, shift)
-        fail(narrow, lambda t: QuadratureError(_NARROW, **estimates(t)))
-        fail(bad, lambda t: ValueError(_NON_FINITE))
+        if narrow.size:
+            fail(narrow, lambda t: QuadratureError(_NARROW, **estimates(t)))
+        if bad.size:
+            fail(bad, lambda t: ValueError(_NON_FINITE))
         return sums
 
     lo, hi = a[tree], b[tree]
     whole = level(lo, hi, tree)
-    depth = np.zeros(tree.size, dtype=int)
     spent = np.ones(n, dtype=int)
 
+    # the panels pending at a level all lie at its depth: each level splits only its own panels
+    depth = 0
     while True:
-        keep = ~dead[tree]
-        lo, hi, depth, whole, tree = lo[keep], hi[keep], depth[keep], whole[keep], tree[keep]
+        # a failed tree's panels are dropped; until a tree fails there are none
+        if failures:
+            keep = ~dead[tree]
+            lo, hi, whole, tree = lo[keep], hi[keep], whole[keep], tree[keep]
         if not tree.size:
             return result, failures
-        mid = 0.5 * (lo + hi)
+        # each panel's ends and midpoint as a row: its halves are the row's first and last two
+        edges = np.stack((lo, 0.5 * (lo + hi), hi), axis=1)
         old = shift.copy()
-        halves = level(np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel(), np.repeat(tree, 2))
+        halves = level(edges[:, :2].ravel(), edges[:, 1:].ravel(), np.repeat(tree, 2)).reshape(-1, 2)
         spent += 2 * np.bincount(tree, minlength=n)
         # a tree whose shift rose rescales the sums it took under the old one
         raised = np.flatnonzero(shift > old)
-        factor = np.ones(n)
-        factor[raised] = np.exp(old[raised] - shift[raised])
-        accepted *= factor
-        total *= factor
-        keep = ~dead[tree]
-        lo, mid, hi, depth, whole, left, right, tree = (
-            v[keep] for v in (lo, mid, hi, depth, whole * factor[tree], halves[0::2], halves[1::2], tree)
-        )
-        refined = left + right
+        if raised.size:
+            factor = np.ones(n)
+            factor[raised] = np.exp(old[raised] - shift[raised])
+            accepted *= factor
+            total *= factor
+            whole = whole * factor[tree]
+        if failures:
+            keep = ~dead[tree]
+            edges, whole, halves, tree = edges[keep], whole[keep], halves[keep], tree[keep]
+        refined = halves[:, 0] + halves[:, 1]
 
         present, sums = _tree_sums(refined, tree)
         prev_total[present] = total[present]
         total[present] = accepted[present] + sums
-        fail(present[spent[present] > _PANEL_BUDGET], lambda t: QuadratureError(
-            f"panel budget ({_PANEL_BUDGET}) exhausted before convergence", **estimates(t)
-        ))
+        over = present[spent[present] > _PANEL_BUDGET]
+        if over.size:
+            fail(over, lambda t: QuadratureError(
+                f"panel budget ({_PANEL_BUDGET}) exhausted before convergence", **estimates(t)
+            ))
 
         # a panel is accepted when bisection moves it by at most the tree's
         # tolerance, or its error is negligible against the estimate; a tree's
@@ -256,23 +264,24 @@ def quad_log_integrals(log_f, a, b, rel_tol: float = 1e-10) -> tuple[np.ndarray,
         error = np.abs(whole - refined)
         accept = (error <= tree_tol * refined) | (error <= total[tree] * (tree_tol / _BUDGET_SHARE))
         split = ~accept
-        fail(tree[split & (depth >= _DEPTH_CAP)], lambda t: QuadratureError(
-            f"panel depth cap ({_DEPTH_CAP}) reached without convergence", **estimates(t)
-        ))
+        if depth >= _DEPTH_CAP:
+            fail(tree[split], lambda t: QuadratureError(
+                f"panel depth cap ({_DEPTH_CAP}) reached without convergence", **estimates(t)
+            ))
 
-        # a tree with nothing left to split accepted its whole level, so its
+        # a live tree with nothing left to split accepted its whole level, so its
         # integral is the running estimate just taken
-        is_open = np.zeros(n, dtype=bool)
-        is_open[tree[split]] = True
-        done = present[~is_open[present] & ~dead[present]]
-        result[done] = [_log_sum(s, t) for s, t in zip(shift[done].tolist(), total[done].tolist())]
+        held = dead.copy()
+        held[tree[split]] = True
+        done = present[~held[present]]
+        result[done] = [s + math.log(t) if t > 0 else LOG_ZERO
+                        for s, t in zip(shift[done].tolist(), total[done].tolist())]
         taken, sums = _tree_sums(refined[accept], tree[accept])
         accepted[taken] += sums
-        lo = np.column_stack((lo[split], mid[split])).ravel()
-        hi = np.column_stack((mid[split], hi[split])).ravel()
-        whole = np.column_stack((left[split], right[split])).ravel()
-        depth = np.repeat(depth[split] + 1, 2)
+        edges = edges[split]
+        lo, hi, whole = edges[:, :2].ravel(), edges[:, 1:].ravel(), halves[split].ravel()
         tree = np.repeat(tree[split], 2)
+        depth += 1
 
 
 def quad_log_integral(log_f, a: float, b: float, rel_tol: float = 1e-10) -> float:

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from horospheres import analysis, quadrature
+from horospheres import analysis, cli, quadrature
 from horospheres.analysis import (
+    BoundReport,
     GrowthRegime,
     Regime,
     effective_width,
@@ -292,6 +293,19 @@ def test_rate_envelope_takes_radius_first():
         rate_envelope(3, 5.0)
 
 
+def test_rate_envelopes_yield_immutable_named_tuples():
+    reports = rate_envelopes([2.0, math.log(100.0)], [3, 100])
+    assert [type(r) for r in reports] == [BoundReport, BoundReport]
+    # the bounds command's columns, and last the boundary flag, which defaults to False
+    assert sorted(BoundReport._fields[:-1]) == sorted(cli._BOUND_HEADER)
+    assert BoundReport._fields[-1] == "boundary" and BoundReport._field_defaults == {"boundary": False}
+    assert [r.boundary for r in reports] == [False, True]
+    assert BoundReport(*reports[1][:-1]).boundary is False
+    assert reports[0]._asdict() == {name: getattr(reports[0], name) for name in BoundReport._fields}
+    with pytest.raises(AttributeError):
+        reports[0].width = 1.0
+
+
 def test_width_past_its_precision_is_a_quadrature_failure():
     # at d = 10^18 the width's mass lies within R/10^9 of s = 0, and at R = 1e-300 the nodes
     # in t = R - s leave s only 7 digits there; the integrand is noise and the tree cannot converge
@@ -425,7 +439,9 @@ def test_moments_grid_equals_one_point_moments(points):
 
 
 def _hex_fields(records):
-    return [[v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r)] for r in records]
+    # a BoundReport is a NamedTuple, a MomentSummary a dataclass
+    rows = (tuple(r) if isinstance(r, tuple) else dataclasses.astuple(r) for r in records)
+    return [[v.hex() if isinstance(v, float) else v for v in row] for row in rows]
 
 
 def test_grid_results_do_not_depend_on_the_panel_block(monkeypatch):

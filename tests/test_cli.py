@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import enum
 import hashlib
 import io
 import json
@@ -459,12 +460,31 @@ _JSON_DOCS = st.recursive(
 )
 
 
+class _Label(str, enum.Enum):
+    A = "fixed_d"
+    B = "},\n      {"
+
+
 @settings(max_examples=400, deadline=None)
 @given(_JSON_DOCS)
 @example({"config": {"R_rule": "fixed:\t4\n", "d_grid": (3, 10)}, "rows": [{"a": "},\n      {"}, {"b": []}], "x": {}})
 @example([[], {}, (), [{}], [{"a": 1}, {}], ((1, 2),)])
+# subclasses of the scalar types, which the writer matches by exact type: a str Enum member, numpy's float64
+@example({"regime": _Label.A, "width": np.float64(0.1), "boundary": True, "n": 3})
+@example([{"regime": _Label.B, "w": np.float64(-2.5e-300), "ok": False}, {"regime": "fixed_d", "flag": True}])
+@example({"rows": [{"x": np.float64(1e300)}, {"y": _Label.A}], "flags": [True, False, None, _Label.B]})
 def test_json_doc_is_the_json_dumps_document(doc):
     assert cli._json_doc(doc) == _dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [{"n": np.int64(3)}, [{"n": np.int64(3), "x": 1.0}], {"rows": [np.int64(-1)]}])
+def test_json_doc_refuses_numpy_ints_as_json_dumps_does(doc):
+    # numpy's int64 is no int subclass, so json.dumps refuses it
+    with pytest.raises(TypeError) as expected:
+        _dumps(doc)
+    with pytest.raises(TypeError) as got:
+        cli._json_doc(doc)
+    assert str(got.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("doc", [
@@ -1068,6 +1088,9 @@ _FAILURES = {
                        "quadrature failure: panel depth cap (40) reached without convergence"),
     "bounds-tiny-R": ("bounds --d-grid 1000000000000000000 --R-rule fixed:1e-300".split(), None, 3,
                       "quadrature failure: panel depth cap (40) reached without convergence"),
+    # every moment is positive, so a log of -inf lies below double range: about -3.5e309 for the mean here
+    "moments-log-underflow": (["moments", "--model", "euclidean", "--d", "1" + "0" * 307, "--R", "1"], None, 64,
+                              "error: the log of the mean lies below double range"),
     "missing-config": ("moments --d 3 --R 1 --config /nonexistent/x.cfg".split(), None, 74,
                        "i/o error: [Errno 2] No such file or directory: '/nonexistent/x.cfg'"),
     "unwritable-out": ("moments --d 3 --R 1 --out /nonexistent/dir/out.json".split(), None, 74,

@@ -10,10 +10,12 @@ location the other does not share.  Then runs ``perfbench/run.py --trace 0``
 once on each copy per pair and workload, one run at a time.  The side that runs
 first flips every pair, so a slow drift of the machine falls on both sides
 alike.  The record holds the machine, the seeds, the number of pairs, every
-run's end-to-end metrics, the parent commit and the tree id of the measured
+run's end-to-end metrics, wall time and CPU time (user plus system, of the
+benchmark's processes), the parent commit and the tree id of the measured
 working tree, and per workload and metric the median and the
 quartiles of each side, the ratio of the medians and the number of pairs the
-change won.
+change won.  Each side's CPU seconds per wall second are summarized the same
+way: a step in them shows when the machine, not the code, changed speed.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,7 +71,10 @@ def export_working_tree(into: Path) -> str:
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One end-to-end run; its metrics, failed count and machine record."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    # the run's processes are waited for, so their CPU time is added to this process's children's
+    before, start = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter()
     proc = subprocess.run([*argv, "--trace", "0"], cwd=checkout, capture_output=True, text=True)
+    wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode != 0:
         raise SystemExit(f"bench_pairs: {workload} in {checkout} exited {proc.returncode}: {proc.stderr.strip()}")
     result = json.loads(proc.stdout.splitlines()[-1])
@@ -76,6 +83,8 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "metrics": {key: result["metrics"][key]["value"] for key in METRICS},
         "attempted": result["attempted"],
         "failed": result["failed"],
+        "wall_s": wall,
+        "cpu_s": (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime),
         "machine": record["machine"],
     }
 
@@ -99,6 +108,8 @@ def summary(pairs: list[dict]) -> dict:
             "ratio_of_medians": after["median"] / before["median"],
             "change_wins": wins,
         }
+    out["cpu_per_wall"] = {side: spread([p[side]["cpu_s"] / p[side]["wall_s"] for p in pairs])
+                           for side in ("parent", "change")}
     out["failed"] = {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")}
     out["attempted"] = {side: sum(p[side]["attempted"] for p in pairs) for side in ("parent", "change")}
     return out
@@ -154,6 +165,8 @@ def main(argv=None) -> int:
                 f"{name:12s} {key:14s} {s['parent']['median']:10.4g} -> {s['change']['median']:10.4g}"
                 f"  x{s['ratio_of_medians']:.3f}  change better in {s['change_wins']}/{args.pairs}"
             )
+        cpu = entry["summary"]["cpu_per_wall"]
+        print(f"{name:12s} {'cpu_per_wall':14s} {cpu['parent']['median']:10.4g} -> {cpu['change']['median']:10.4g}")
     return 0
 
 
