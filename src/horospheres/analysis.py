@@ -130,30 +130,73 @@ def log_area_coefficient(d) -> float:
     return 0.5 * (d - 1) * _LN2 + log_unit_ball_volume(d - 1)
 
 
-def _log_width_integrand(t, d, R):
-    """(d-1) log(1 - x) at t = R - s, x = sinh^2(s/2)/sinh^2(R/2) = e^{2(L(R-t) - L(R)) - t}:
-    log1p(-x) where x < 1/2, x clamped so that it does not warn, and nearer the edge, where it
-    would cancel, the sinh-product form L(t) + L(2R-t) - 2L(R), taken only at those nodes."""
-    log_edge = _log1mexp(R)
-    x = np.exp(2.0 * (_log1mexp(R - t) - log_edge) - t)
-    out = np.log1p(-np.minimum(x, 0.5))
-    near, column = np.nonzero(x >= 0.5)
-    t_near = t[near, column]
-    out[near, column] = _log1mexp(t_near) + _log1mexp(2.0 * R[near, 0] - t_near) - 2.0 * log_edge[near, 0]
-    return (d - 1.0) * out
+def _log1mexp_negated(x):
+    """L(y) = log(1 - e^-y) from x = -y, written over x: _log1mexp's steps after its negation."""
+    np.expm1(x, out=x)
+    np.negative(x, out=x)
+    return np.log(x, out=x)
 
 
 # The log-integrands, from the nodes, the dimension d and R, with L = _log1mexp: i1 and i4
 # in s, the width and the mean in t = R - s.  By log(cosh R - cosh s) = R - log 2 + L(R + s)
 # + L(R - s), log i1, log i4 and the mean's log are these integrals' logs plus k/2, 2k and k,
-# k = (d-1)(R - log 2).  The mean is vol(B_R) by Campbell's theorem, the area of the unit
-# sphere S^{d-1} times the integral of sinh^{d-1} s = e^{(d-1)(s - log 2 + L(2s))}.
-_LOG_INTEGRANDS = {
-    "i1": lambda s, d, R: 0.5 * (d - 1) * (_log1mexp(R + s) + _log1mexp(R - s) - s),
-    "i4": lambda s, d, R: (d - 1) * (2.0 * (_log1mexp(R + s) + _log1mexp(R - s)) - s),
-    "width": _log_width_integrand,
-    "mean": lambda t, d, R: (d - 1) * (_log1mexp(2.0 * (R - t)) - t),
-}
+# k = (d-1)(R - log 2):
+#   i1     0.5 (d-1) (S - s) and
+#   i4     (d-1) (2 S - s), with S = L(R + s) + L(R - s);
+#   width  (d-1) log(1 - x) at x = sinh^2(s/2)/sinh^2(R/2) = e^{2(L(R-t) - L(R)) - t}: log1p(-x)
+#          where x < 1/2, x clamped so that it does not warn, and nearer the edge, where it would
+#          cancel, the sinh-product form L(t) + L(2R-t) - 2L(R), taken only at those nodes;
+#   mean   (d-1) (L(2(R - t)) - t).
+# The mean is vol(B_R) by Campbell's theorem, the area of the unit sphere S^{d-1} times the
+# integral of sinh^{d-1} s = e^{(d-1)(s - log 2 + L(2s))}.  Each is formed in place over its
+# rows of the output, in the operation order of the plain forms, so the bits are theirs; the
+# i1 and i4 rows are adjacent, and S is formed once over both.  -(R + s) is taken as (-R) - s
+# and -(R - s) as s - R, which negation leaves exact.
+def _grid_log_f(radii, dims, kinds):
+    """The log-integrand of the grid core's trees, numbered kind by kind, tree = kind
+    index * n + point, so the rows of one kind are contiguous in every call."""
+    n = radii.size
+    # each tree's constants, gathered per row as (k, 1) columns by one take
+    table = np.tile(np.stack([radii, -radii, dims - 1, 0.5 * (dims - 1), _log1mexp(radii), 2.0 * radii], axis=1),
+                    (len(kinds), 1))
+
+    def log_f(s, tree):
+        out = np.empty_like(s)
+        bounds = np.searchsorted(tree, np.arange(len(kinds) + 1) * n).tolist()
+        span = {name: slice(bounds[index], bounds[index + 1]) for index, name in enumerate(kinds)}
+        R, neg_R, dm1, half_dm1, log_edge, twice_R = np.take(table, tree, axis=0).T[:, :, None]
+        if "i1" in span:
+            i1, i4, both = span["i1"], span["i4"], slice(span["i1"].start, span["i4"].stop)
+            S = _log1mexp_negated(np.subtract(neg_R[both], s[both], out=out[both]))
+            S += _log1mexp_negated(np.subtract(s[both], R[both]))
+            out[i1] -= s[i1]
+            out[i1] *= half_dm1[i1]
+            out[i4] *= 2.0
+            out[i4] -= s[i4]
+            out[i4] *= dm1[i4]
+        if "width" in span:
+            rows = span["width"]
+            t = s[rows]
+            x = _log1mexp_negated(np.subtract(t, R[rows], out=out[rows]))
+            x -= log_edge[rows]
+            x *= 2.0
+            x -= t
+            np.exp(x, out=x)
+            near = x >= 0.5
+            np.minimum(x, 0.5, out=x)
+            np.negative(x, out=x)
+            np.log1p(x, out=x)
+            t_near, row = t[near], np.flatnonzero(near) // t.shape[1]
+            x[near] = (_log1mexp(t_near) + _log1mexp(twice_R[rows][row, 0] - t_near)
+                       - 2.0 * log_edge[rows][row, 0])
+            x *= dm1[rows]
+        if "mean" in span:
+            rows = span["mean"]
+            t = s[rows]
+            out[rows] = dm1[rows] * (_log1mexp(2.0 * (R[rows] - t)) - t)
+        return out
+
+    return log_f
 
 
 # Each tree runs over (0, min(R, end)).  f(s) = log(cosh R - cosh s) is concave and decreasing
@@ -201,20 +244,9 @@ def _grid_logs(points, kinds):
     n = len(points)
     radii = np.array([R for R, _ in points])
     dims = np.array([d for _, d in points], dtype=float)
-
-    # trees are numbered kind by kind, tree = kind index * n + point, so the
-    # rows of one kind are contiguous in every call
-    def log_f(s, tree):
-        out = np.empty_like(s)
-        bounds = np.searchsorted(tree, np.arange(len(kinds) + 1) * n)
-        for index, name in enumerate(kinds):
-            rows = slice(bounds[index], bounds[index + 1])
-            point = tree[rows] - index * n
-            out[rows] = _LOG_INTEGRANDS[name](s[rows], dims[point, None], radii[point, None])
-        return out
-
     ends = np.array([np.minimum(radii, _ENDS[name](dims)) for name in kinds])
-    logs, failures = quad_log_integrals(log_f, np.zeros(ends.size), ends.ravel(), _DEFAULT_TOL)
+    logs, failures = quad_log_integrals(_grid_log_f(radii, dims, kinds), np.zeros(ends.size), ends.ravel(),
+                                        _DEFAULT_TOL)
     logs = logs.reshape(len(kinds), n)
     # the part of (0, R) past the width tree's end adds its length, to the log and, as a
     # linear sum, to the width, which exp(log w) would give only to about |log w| ulps
@@ -225,6 +257,9 @@ def _grid_logs(points, kinds):
     widths[far] += tail
     logs[row, far] += np.log1p(tail * np.exp(-logs[row, far]))
     rows = np.vstack([logs, _log1mexp(radii), widths]).T.tolist()
+    if not failures:
+        yield from rows
+        return
     for p in range(n):
         for index in range(len(kinds)):
             if index * n + p in failures:

@@ -111,7 +111,9 @@ def _panels(log_f, lo, hi, tree, shift):
     shift still at -inf sums zeros.  One ``log_f`` call takes a level of up to
     _PANEL_BLOCK panels; a larger level is cut into blocks of that size, which
     bounds the memory of the integrand's temporaries.  The cut changes no bit: a
-    panel's values come from its row.
+    panel's values come from its row.  A level in one call takes the array
+    ``log_f`` returns as its value buffer and overwrites it; where that array is
+    ``log_f``'s input, or not a writeable C-ordered float array, it is copied.
     """
     half = 0.5 * (hi - lo)
     x = 0.5 * (lo + hi)[:, None] + half[:, None] * _NODES
@@ -130,7 +132,13 @@ def _panels(log_f, lo, hi, tree, shift):
         out = np.asarray(log_f(x[block], tree[block]), dtype=float)
         if out.shape != x[block].shape:
             raise ValueError("log-integrand must map a node array to an equal-shaped array")
-        values[block] = out
+        # a level in one call keeps log_f's output as its buffer, if C-ordered like x (the row
+        # sums' order), writeable and not x itself
+        if out.shape == values.shape and out.flags.c_contiguous and out.flags.writeable \
+                and not np.may_share_memory(out, x):
+            values = out
+        else:
+            values[block] = out
     # a tree's rows are contiguous, so its maximum is one reduction over them;
     # NaN and +inf carry through it
     starts = _starts(tree)
@@ -159,7 +167,9 @@ def quad_log_integrals(log_f, a, b, rel_tol: float = 1e-10) -> tuple[np.ndarray,
     ``log_f(x, tree)`` gets a (k, 15) array of interior nodes and the (k,)
     index of the interval each row belongs to, rows grouped by interval in
     ascending order, and returns the log-integrand at every node, with
-    ``-inf`` marking zeros.  No node equals an end of its panel, so integrands
+    ``-inf`` marking zeros.  The engine may overwrite the array ``log_f``
+    returns, so ``log_f`` must not keep it; one that is ``log_f``'s own input
+    is copied first.  No node equals an end of its panel, so integrands
     vanishing at the interval ends need no special casing.  A tree fails with
     the first error it meets: :class:`QuadratureError` when the panel depth
     cap or the panel budget is exhausted before the tolerance is met, or when

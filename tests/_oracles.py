@@ -3,7 +3,9 @@
 Each function takes a route of its own to a quantity the package computes
 another way: the two-sided variance integral, the width through the sinh
 change of variables, and the flat model's variance and fourth cumulant by
-quadrature of the section area's powers.  They use only the per-hit area
+quadrature of the section area's powers.  ``LOG_INTEGRANDS`` holds the grid
+core's log-integrands in their plain per-kind forms, one ufunc result after
+another, which its in-place evaluation must match bit for bit.  They use only the per-hit area
 primitives, the argument checks and the one-interval quadrature; nothing
 here calls the route it is compared with, and
 ``tests/test_api.py::test_oracles_stay_independent`` keeps it so.  The
@@ -15,10 +17,39 @@ import math
 import numpy as np
 
 from horospheres.euclidean import log_section_area
-from horospheres.geometry import _LOG_MAX, _exp_or_inf, check_dimension, check_radius, log_chord_area, log_sinh
+from horospheres.geometry import (
+    _LOG_MAX,
+    _exp_or_inf,
+    _log1mexp,
+    check_dimension,
+    check_radius,
+    log_chord_area,
+    log_sinh,
+)
 from horospheres.quadrature import QuadratureError, quad_log_integral
 
 _LN2 = math.log(2.0)
+
+
+def log_width_integrand(t, d, R):
+    """(d-1) log(1 - x) at t = R - s, x = e^{2(L(R-t) - L(R)) - t}, L = log(1 - e^-y): log1p(-x)
+    where x < 1/2, and nearer the edge the sinh-product form L(t) + L(2R-t) - 2L(R)."""
+    log_edge = _log1mexp(R)
+    x = np.exp(2.0 * (_log1mexp(R - t) - log_edge) - t)
+    out = np.log1p(-np.minimum(x, 0.5))
+    near, column = np.nonzero(x >= 0.5)
+    t_near = t[near, column]
+    out[near, column] = _log1mexp(t_near) + _log1mexp(2.0 * R[near, 0] - t_near) - 2.0 * log_edge[near, 0]
+    return (d - 1.0) * out
+
+
+# each kind's log-integrand at a (k, 15) node array, with d and R as (k, 1) columns
+LOG_INTEGRANDS = {
+    "i1": lambda s, d, R: 0.5 * (d - 1) * (_log1mexp(R + s) + _log1mexp(R - s) - s),
+    "i4": lambda s, d, R: (d - 1) * (2.0 * (_log1mexp(R + s) + _log1mexp(R - s)) - s),
+    "width": log_width_integrand,
+    "mean": lambda t, d, R: (d - 1) * (_log1mexp(2.0 * (R - t)) - t),
+}
 
 
 def variance_direct(R, d) -> float:

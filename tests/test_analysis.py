@@ -27,11 +27,11 @@ from horospheres.analysis import (
     width_limit_integral,
     width_ratio_table,
 )
-from horospheres.geometry import log_sinh, log_unit_ball_volume
+from horospheres.geometry import _log1mexp, log_sinh, log_unit_ball_volume
 from horospheres.quadrature import QuadratureError, quad_log_integral
 
 from _finite_sums import log_i2_and_width, log_layer_integral, log_mean_integral
-from _oracles import variance_direct, width_scale, width_substituted
+from _oracles import LOG_INTEGRANDS, variance_direct, width_scale, width_substituted
 
 # Reference values computed two independent ways (30-digit adaptive
 # integration and a fixed million-point extended-precision Simpson rule),
@@ -578,7 +578,44 @@ def test_each_point_runs_one_tree_per_kind(monkeypatch):
     moments_grid(radii, dims)
     analysis._clt_grid(radii, dims)
     assert sizes == [3 * 3, 4 * 3, 2 * 3]
-    assert "i2" not in analysis._LOG_INTEGRANDS
+    assert "i2" not in analysis._ENDS
+
+
+# the grid core's in-place log-integrands against the plain per-kind forms, bit for bit: d from 2
+# to 10^12, R from 1e-3 to 700 and log d + 1, and in every tree nodes from 1e-13 to 1 - 1e-12
+# of its interval, so the width's near-edge branch runs at t within 1e-12 of 0
+_BIT_POINTS = [(R, d) for d in (2, 3, 50, 10**4, 10**6, 10**12)
+               for R in (1e-3, 0.1, 1.0, 5.0, 30.0, 200.0, 700.0, math.log(d) + 1.0)]
+_BIT_FRACTIONS = np.array([np.geomspace(1e-13, 1e-3, 15), np.linspace(0.01, 0.99, 15),
+                           1.0 - np.geomspace(1e-3, 1e-12, 15)])
+
+
+@pytest.mark.parametrize("kinds", [analysis._INTEGRALS, analysis._MOMENTS, analysis._CLT, analysis._WIDTH])
+def test_grid_integrands_match_the_plain_forms_bit_for_bit(kinds):
+    radii = np.array([R for R, _ in _BIT_POINTS])
+    dims = np.array([d for _, d in _BIT_POINTS], dtype=float)
+    n = radii.size
+    ends = np.array([np.minimum(radii, analysis._ENDS[name](dims)) for name in kinds]).ravel()
+    trees = np.repeat(np.arange(ends.size), len(_BIT_FRACTIONS))
+    nodes = ends[trees, None] * np.tile(_BIT_FRACTIONS, (ends.size, 1))
+    log_f = analysis._grid_log_f(radii, dims, kinds)
+    # every tree, every third tree left out, and the first kind's trees all left out
+    for keep in (trees >= 0, trees % 3 != 1, trees >= n):
+        s, tree = nodes[keep], trees[keep]
+        want = np.empty_like(s)
+        for index, name in enumerate(kinds):
+            rows = tree // n == index
+            point = tree[rows] - index * n
+            want[rows] = LOG_INTEGRANDS[name](s[rows], dims[point, None], radii[point, None])
+        got = log_f(s, tree)
+        assert np.isfinite(got).all()
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    if "width" in kinds:
+        # x = e^{2(L(R-t) - L(R)) - t} crosses 1/2 in the width trees: both branches run
+        rows = trees // n == kinds.index("width")
+        t, R = nodes[rows], radii[trees[rows] % n, None]
+        x = np.exp(2.0 * (_log1mexp(R - t) - _log1mexp(R)) - t)
+        assert (x >= 0.5).any() and (x < 0.5).any()
 
 
 def _layer_oracle(R, d, kind):

@@ -89,3 +89,53 @@ def test_bench_history_reads_records_with_and_without_cpu_time(tmp_path, monkeyp
     (tmp_path / "BENCH_8.json").write_text(json.dumps(new))
     monkeypatch.setattr(bench_history, "ROOT", tmp_path)
     assert bench_history.history() == [(n, "bounds_grid", 100.0, 108.0, 1.08, 2, 3) for n in (7, 8)]
+
+
+def _controlled_pairs() -> list[dict]:
+    # the A/A copy's items per cal: medians 100 against 99, so the band is 0.99-1/0.99
+    copies = [99.0, 104.0, 97.0]
+    return [{**pair, "control": {"first": pair["first"], "parent": _run(p, 10.0, 10.0), "copy": _run(c, 10.0, 10.0)}}
+            for pair, (p, _, _, _), c in zip(_synthetic_pairs(), _SYNTHETIC, copies)]
+
+
+def test_summary_gives_the_control_band_of_synthetic_runs():
+    out = bench_pairs.summary(_controlled_pairs())
+    items = out["items_per_cal"]
+    assert items["control"] == {"ratio_of_medians": 0.99, "copy_wins": 1, "band": [0.99, 1.0 / 0.99]}
+    # the A/B ratio of 1.08 lies further from 1 than identical code moved
+    assert items["outside_control_band"] is True and items["ratio_of_medians"] == 1.08
+    # run_cal is 1/items: the same band, and the change's ratio 100/108 lies below it
+    assert out["run_cal"]["outside_control_band"] is True
+    # peak RSS and setup time are equal in every run: a band of [1, 1], which a ratio of 1 lies in
+    assert out["peak_rss_mb"]["control"]["band"] == [1.0, 1.0] and out["peak_rss_mb"]["outside_control_band"] is False
+    # without a control in every pair, the summary has none
+    assert "control" not in bench_pairs.summary(_synthetic_pairs())["items_per_cal"]
+
+
+def test_control_pairs_interleave_with_the_real_pairs():
+    calls = []
+
+    def run_one(side, name):
+        calls.append((name, side))
+        return {"side": side}
+
+    runs = bench_pairs.measure(run_one, ["a", "b"], {"b"}, 2)
+    # each pair of a controlled workload is followed by its A/A pair, and the first side flips
+    # every pair for both
+    assert calls == [("a", "parent"), ("a", "change"), ("b", "parent"), ("b", "change"), ("b", "parent"), ("b", "copy"),
+                     ("a", "change"), ("a", "parent"), ("b", "change"), ("b", "parent"), ("b", "copy"), ("b", "parent")]
+    assert [pair["first"] for pair in runs["b"]] == ["parent", "change"]
+    assert [pair["control"]["first"] for pair in runs["b"]] == ["parent", "copy"]
+    assert all("control" not in pair for pair in runs["a"])
+
+
+def test_bench_history_prints_the_band_of_a_controlled_record(tmp_path, monkeypatch, capsys):
+    for n, pairs in ((7, _synthetic_pairs()), (8, _controlled_pairs())):
+        record = {"workloads": {"bounds_grid": {"summary": bench_pairs.summary(pairs), "runs": pairs}}}
+        (tmp_path / f"BENCH_{n}.json").write_text(json.dumps(record))
+    monkeypatch.setattr(bench_history, "ROOT", tmp_path)
+    assert bench_history.bands() == {(8, "bounds_grid"): (0.99, 1.0 / 0.99, True)}
+    assert bench_history.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].endswith("2/3")
+    assert lines[2].endswith("2/3  A/A 0.990-1.010 outside")

@@ -291,6 +291,38 @@ def test_log_f_sees_node_rows_and_their_trees():
     assert seen[0] == ((3, 15), (3,))
 
 
+def _read_only(values):
+    values.flags.writeable = False
+    return values
+
+
+# (the log-integrand as log_f returns it, the same values in a fresh C-ordered array)
+_OUTPUTS = {
+    "input": (lambda x: x, lambda x: x.copy()),
+    "fortran": (lambda x: np.asfortranarray(30.0 * np.sin(37.0 * x)), lambda x: 30.0 * np.sin(37.0 * x)),
+    "read-only": (lambda x: _read_only(30.0 * np.sin(37.0 * x)), lambda x: 30.0 * np.sin(37.0 * x)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_OUTPUTS))
+def test_engine_copies_an_output_it_may_not_overwrite(kind):
+    # a level in one call is summed in log_f's own output array, but not in its node input, in
+    # a Fortran-ordered array, whose row sums would add in another order, or in a read-only one
+    returned, fresh = _OUTPUTS[kind]
+    lo = np.linspace(0.0, 1.0, 401)
+    tree = np.repeat(np.arange(8), 50)
+    seen = []
+
+    def log_f(x, tree):
+        seen.append((x, x.copy()))
+        return returned(x)
+
+    sums, bad, narrow = quadrature._panels(log_f, lo[:-1], lo[1:], tree, np.full(8, LOG_ZERO))
+    want, _, _ = quadrature._panels(lambda x, tree: fresh(x), lo[:-1], lo[1:], tree, np.full(8, LOG_ZERO))
+    assert not bad.size and not narrow.size and _hex(sums) == _hex(want)
+    assert len(seen) == 1 and all(np.array_equal(x, kept) for x, kept in seen)
+
+
 def test_one_tree_log_f_takes_one_argument():
     shapes = []
 
@@ -467,6 +499,7 @@ def test_import_leaves_numpy_polynomial_unloaded():
 @given(st.lists(st.tuples(st.integers(0, 40), st.floats(-1e300, 1e300)), max_size=300))
 @example([])
 @example([(3, 1.0), (3, 1e-17), (3, -1.0)] * 5)
+@example([(0, 1.0), (0, 2.0**-53), (0, 2.0**-53)])  # np.sum gives 1.0, a bare reduceat 1 + 2^-52
 def test_tree_sums_add_each_tree_as_np_sum(pairs):
     pairs.sort(key=lambda p: p[0])
     tree = np.array([t for t, _ in pairs], dtype=np.int64)
